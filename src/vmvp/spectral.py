@@ -54,23 +54,18 @@ def padded_grid_size(cutoff: int) -> int:
     return 2 * (2 * cutoff + 1)
 
 
-def _phase_matrix(x: np.ndarray, cutoff: int) -> np.ndarray:
-    """exp(i k x) for k = -K..K as an (n, 2K+1) matrix.
+def _phase_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
+    """exp(i k x) for k = 0..K as a (K+1, n) matrix, one row per wavenumber.
 
     Built from one exponential per point and a power recurrence on the unit
-    circle (negative wavenumbers by conjugation); agrees with direct exp
-    evaluation to a few ulps.
+    circle; agrees with direct exp evaluation to a few ulps.
     """
-    n = x.shape[0]
-    out = np.empty((n, 2 * cutoff + 1), dtype=np.complex128)
-    out[:, cutoff] = 1.0
-    if cutoff == 0:
-        return out
-    base = np.exp(1j * x)
-    out[:, cutoff + 1] = base
-    for j in range(2, cutoff + 1):
-        np.multiply(out[:, cutoff + j - 1], base, out=out[:, cutoff + j])
-    np.conjugate(out[:, cutoff + 1 :][:, ::-1], out=out[:, :cutoff])
+    out = np.empty((cutoff + 1, x.shape[0]), dtype=np.complex128)
+    out[0] = 1.0
+    if cutoff:
+        out[1] = np.exp(1j * x)
+        for k in range(2, cutoff + 1):
+            np.multiply(out[k - 1], out[1], out=out[k])
     return out
 
 
@@ -187,25 +182,46 @@ class SpectralField:
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Exact trigonometric sum at arbitrary points, shape (n_pts, m).
 
-        Tensorized direct summation: per-axis phase matrices contracted with
-        the coefficient tensor.  It is the same sum as the naive evaluation,
-        reassociated, and agrees with it to round-off.
+        Returns the real part of the full box sum for any coefficient array.
+        Re(c e^{ik.x}) = Re(conj(c) e^{-ik.x}), so each k1 < 0 term folds
+        onto its mirror -k and only the half box k1 = 0..K is summed:
+
+            h[0] = (c[0, k'] + conj(c[0, -k'])) / 2,
+            h[k1] = c[k1, k'] + conj(c[-k1, -k'])        (k1 > 0).
+
+        The first axis is then one real GEMM of [cos, sin] against
+        [[Re h, Im h], [-Im h, Re h]]; each further axis is a per-point
+        contraction that carries (real, imaginary) pairs, and the last one
+        keeps only the real part.  The same sum as the naive evaluation,
+        reassociated; it agrees with it to round-off.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValidationError(f"points have dimension {pts.shape[1]}, field has {self.dim}")
-        phases = [_phase_matrix(pts[:, a], self.cutoff) for a in range(self.dim)]
+        d, K, m, n = self.dim, self.cutoff, self.components, pts.shape[0]
+        J = 2 * K + 1
         c = self.coeffs
-        if self.dim == 1:
-            out = phases[0] @ c.T
-        elif self.dim == 2:
-            t1 = np.tensordot(phases[0], c, axes=([1], [1]))       # (n, m, J)
-            out = (t1 * phases[1][:, None, :]).sum(axis=-1)
-        else:
-            t1 = np.tensordot(phases[0], c, axes=([1], [1]))       # (n, m, J, J)
-            t2 = np.einsum("nmjk,nj->nmk", t1, phases[1])
-            out = (t2 * phases[2][:, None, :]).sum(axis=-1)
-        return out.real
+        h = c[:, K:] + np.conj(np.flip(c[:, K::-1], axis=tuple(range(2, d + 1))))
+        h[:, 0] *= 0.5
+        h = np.moveaxis(h, 1, 0).reshape(K + 1, m, 1, -1)               # (K+1, m, 1, J^(d-1))
+        e = _phase_rows(pts[:, 0], K)
+        lhs = np.concatenate([e.real, e.imag])                           # (2(K+1), n): cos, sin
+        if d == 1:
+            return lhs.T @ np.concatenate([h.real, -h.imag]).reshape(2 * (K + 1), m)
+        rhs = np.concatenate(
+            [np.concatenate([h.real, h.imag], axis=2), np.concatenate([-h.imag, h.real], axis=2)]
+        ).reshape(2 * (K + 1), -1)
+        # t[m, (Re | Im, k2), k3.., point]: the first-axis sum, still complex in k2..kd
+        t = (rhs.T @ lhs).reshape(m, 2 * J, J ** (d - 2), n)
+        for a in range(1, d):
+            e = _phase_rows(pts[:, a], K)
+            cos = np.concatenate([e.real[::-1], e.real[1:]])              # k = -K..K
+            sin = np.concatenate([-e.imag[::-1], e.imag[1:]])
+            re = np.concatenate([cos, -sin])                              # Re((x + iy) e^{ikx}) = [x, y] . re
+            if a == d - 1:
+                return np.einsum("mjn,jn->nm", t[:, :, 0], re)
+            im = np.concatenate([sin, cos])                               # Im((x + iy) e^{ikx}) = [x, y] . im
+            t = np.einsum("mjkn,rjn->mrkn", t, np.stack([re, im])).reshape(m, 2 * J, J ** (d - 2 - a), n)
 
     def evaluate_at_naive(self, points: np.ndarray) -> np.ndarray:
         """Reference direct summation (slow); used to validate evaluate_at."""

@@ -69,7 +69,8 @@ class EmpiricalMeasure:
         return self.x.shape[0]
 
     def is_uniform(self) -> bool:
-        return np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-12 / self.size * self.size)
+        """Every weight equals 1/n to a relative 1e-12."""
+        return np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-12 / self.size)
 
 
 def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
@@ -79,19 +80,35 @@ def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
     if (mu.xi is None) != (nu.xi is None):
         raise ValidationError("one measure has velocities, the other does not")
     n, m = mu.size, nu.size
-    d = np.zeros((n, m))
+    d, diff = np.empty((n, m)), np.empty((n, m))
     for a in range(mu.x.shape[1]):
-        # inputs live in [0, 2pi): min(|dx|, 2pi - |dx|) avoids the round call
-        diff = np.abs((mu.x[:, a] % TWO_PI)[:, None] - (nu.x[:, a] % TWO_PI)[None, :])
-        np.minimum(diff, TWO_PI - diff, out=diff)
-        d += diff * diff
+        out = d if a == 0 else diff
+        np.subtract((mu.x[:, a] % TWO_PI)[:, None], (nu.x[:, a] % TWO_PI)[None, :], out=out)
+        np.abs(out, out=out)
+        # inputs live in [0, 2pi): min(|dx|, 2pi - |dx|) avoids the round call;
+        # 2pi - |dx| is the smaller one exactly where |dx| > pi
+        np.subtract(TWO_PI, out, out=out, where=out > np.pi)
+        np.multiply(out, out, out=out)
+        if a > 0:
+            d += diff
     if mu.xi is not None:
         if mu.xi.shape[1] != nu.xi.shape[1]:
             raise ValidationError("velocity dimensions differ")
         for a in range(mu.xi.shape[1]):
-            diff = mu.xi[:, a, None] - nu.xi[None, :, a]
-            d += diff * diff
+            np.subtract(mu.xi[:, a, None], nu.xi[None, :, a], out=diff)
+            np.multiply(diff, diff, out=diff)
+            d += diff
     return d
+
+
+def w2_from_cost(cost: np.ndarray) -> float:
+    """W2 of two equal-size uniform clouds from their square cost matrix.
+
+    The optimal assignment is the only transport plan needed; ties break
+    deterministically for a given matrix.
+    """
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
 
 
 def w2_exact(
@@ -110,9 +127,7 @@ def w2_exact(
     if uniform_case:
         if mu.size > n_exact:
             raise ValidationError(f"assignment path limited to {n_exact} points (got {mu.size})")
-        cost = cost_matrix_sq(mu, nu)
-        rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(cost[rows, cols].mean()))
+        return w2_from_cost(cost_matrix_sq(mu, nu))
     if mu.size > n_lp or nu.size > n_lp:
         raise ValidationError(
             f"general-weight LP path limited to {n_lp} points per side (got {mu.size}, {nu.size})"

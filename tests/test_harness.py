@@ -9,6 +9,8 @@ from vmvp.fields import EMState, gauge_residuals
 from vmvp.harness import (
     SNAP_COLUMNS,
     STEP_COLUMNS,
+    _Pairing,
+    _subsampled_w2,
     fit_kappa,
     osgood_diagnostic,
     run_pair,
@@ -16,6 +18,7 @@ from vmvp.harness import (
     verify_suite,
 )
 from vmvp.spectral import SpectralField
+from vmvp.transport import TWO_PI, EmpiricalMeasure, w2_exact
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,43 @@ class TestRunPairOutputs:
         hot.phases[1].xi_modes = [(0, (0, 0), -3.0)]  # still vanishes, gate does not
         with pytest.raises(NumericalAbort, match="gate"):
             run_pair(hot, 0.9, with_particles=False)
+
+
+def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
+    """The estimator with one w2_exact call, and one cost matrix, per replicate."""
+    n = pairing.x_vp.shape[0]
+    idx = rng.choice(n, size=min(n_sub, n), replace=False)
+    mu = EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx])
+    nu = EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx])
+    w2 = w2_exact(mu, nu, n_exact=max(n_sub, 2048))
+    reps = np.empty(n_boot)
+    for b in range(n_boot):
+        take = rng.choice(idx, size=idx.size, replace=True)
+        mu_b = EmpiricalMeasure.uniform(pairing.x_vp[take], pairing.xi_vp[take])
+        nu_b = EmpiricalMeasure.uniform(pairing.x_vm[take], pairing.xi_vm[take])
+        reps[b] = w2_exact(mu_b, nu_b, n_exact=max(n_sub, 2048)) ** 2
+    se = float(reps.std(ddof=1)) if n_boot > 1 else 0.0
+    return float(w2), se
+
+
+class TestSubsampledW2:
+    @staticmethod
+    def pairing(n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, TWO_PI, (n, 2))
+        xi = rng.normal(0, 0.5, (n, 2))
+        return _Pairing(
+            x_vp=x, xi_vp=xi,
+            x_vm=(x + rng.normal(0, 0.05, (n, 2))) % TWO_PI, xi_vm=xi + rng.normal(0, 0.05, (n, 2)),
+            weights=np.full(n, 1.0 / n),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_sub", [96, 500])
+    def test_bit_identical_to_rebuilt_cost_matrices(self, seed, n_sub):
+        # n = 300: the subsample is a proper subset (96) or the whole cloud (500 >= n)
+        pairing = self.pairing(300, seed)
+        got = _subsampled_w2(pairing, n_sub, np.random.default_rng(seed), 8)
+        want = _subsampled_w2_rebuilt(pairing, n_sub, np.random.default_rng(seed), 8)
+        assert got == want
+        assert got[1] > 0.0

@@ -14,7 +14,7 @@ from vmvp.lagrangian import (
 )
 from vmvp.multifluid import Phase, PhaseEnsemble
 from vmvp.spectral import SpectralField
-from vmvp.transport import TWO_PI, coupling_Q
+from vmvp.transport import TWO_PI, coupling_Q, torus_wrap
 
 K = 6
 
@@ -179,6 +179,35 @@ class TestVMFlow:
         stepped = flow_vm_step(cloud, e, None, eps, 0.5)
         assert (stepped.x_vm >= 0).all() and (stepped.x_vm < TWO_PI).all()
         assert np.array_equal(stepped.xi_vm, cloud.xi_vm)
+
+    def test_half_box_forces_match_naive_trajectories(self, monkeypatch):
+        # 20 coupled steps on the bundled small2d data: trajectories pushed by
+        # the half-box evaluate_at stay on those pushed by the naive sum
+        from vmvp.config import build_em_state, build_ensemble, load_config, resolve_config_path
+        from vmvp.multifluid import vm_step_full
+
+        cfg = load_config(resolve_config_path("bundled/small2d"))
+        eps = cfg.eps_list[0]
+        ens, em = build_ensemble(cfg, eps), build_em_state(cfg, eps)
+        cloud0 = sample_cloud(build_ensemble(cfg, 0.0), cfg.n_particles, cfg.seed)
+        stages = []
+        for _ in range(20):
+            res = vm_step_full(ens, em, cfg.dt)
+            stages.append(res.stage_fields)
+            ens, em = res.ensemble, res.em
+
+        def push():
+            cloud = cloud0
+            for fields in stages:
+                cloud = flow_vm_step(cloud, [e for e, _ in fields], [b for _, b in fields], eps, cfg.dt)
+            return cloud
+
+        fast = push()
+        monkeypatch.setattr(SpectralField, "evaluate_at", SpectralField.evaluate_at_naive)
+        naive = push()
+        assert np.abs(torus_wrap(fast.x_vm - naive.x_vm)).max() < 1e-13
+        assert np.abs(fast.xi_vm - naive.xi_vm).max() < 1e-13
+        assert np.abs(fast.x_vm - cloud0.x_vm).max() > 1e-6  # the particles did move
 
 
 class TestConsistency:

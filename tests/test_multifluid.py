@@ -255,6 +255,19 @@ class TestStepping:
             vm_step(ens, em, 1e-3)
         assert exc.value.state_dump is not None
 
+    def test_mean_b_drift_aborts(self, monkeypatch):
+        # fault injection: a <B> that moves by 1e-9 in one step must abort the run
+        from vmvp import multifluid
+
+        ens = two_phase_2d(eps=0.2)
+        em = well_prepared_em(ens, 0.2)
+        exact_b = multifluid.assemble_b
+        drift = SpectralField.constant(2, ens.cutoff, 1e-9)
+        monkeypatch.setattr(multifluid, "assemble_b", lambda state: exact_b(state) + drift)
+        with pytest.raises(NumericalAbort, match=r"drifted by 1\.000e-09") as exc:
+            vm_step_full(ens, em, 1e-3)
+        assert exc.value.state_dump is ens
+
 
 class TestMoments:
     def test_static_uniform(self):

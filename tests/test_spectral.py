@@ -73,6 +73,32 @@ class TestEvaluate:
         b = f.evaluate_at_naive(pts)
         assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [0, 1, 5, 16])
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_half_box_matches_naive(self, dim, cutoff, vector, hermitian):
+        # the folded half-box sum keeps Re(full sum) for any coefficient array
+        components = dim if vector else 1
+        seed = 100 * dim + cutoff
+        if hermitian:
+            f = random_field(dim, cutoff, components=components, seed=seed)
+            assert reality_residual(f) < 1e-13
+        else:
+            rng = np.random.default_rng(seed)
+            shape = (components,) + (2 * cutoff + 1,) * dim
+            f = SpectralField(dim, cutoff, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        pts = np.random.default_rng(seed + 1).uniform(-2.0, 9.0, (23, dim))
+        a = f.evaluate_at(pts)
+        b = f.evaluate_at_naive(pts)
+        assert a.shape == b.shape == (23, components)
+        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_points(self, dim):
+        f = random_field(dim, 2, components=dim)
+        assert f.evaluate_at(np.empty((0, dim))).shape == (0, dim)
+
 
 class TestAnalyticNorm:
     def test_cosine(self):

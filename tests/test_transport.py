@@ -111,6 +111,48 @@ def _perturb_uniform(n):
     return w
 
 
+class TestUniformWeights:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+    def test_exact_inverse_n_is_uniform(self, n):
+        assert EmpiricalMeasure(np.zeros((n, 1)), None, np.full(n, 1.0 / n)).is_uniform()
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, 100_000])
+    def test_relative_perturbation_is_not_uniform(self, n):
+        w = np.full(n, 1.0 / n)
+        w[0] += 1e-9 / n
+        w[1] -= 1e-9 / n
+        assert not EmpiricalMeasure(np.zeros((n, 1)), None, w).is_uniform()
+
+
+def _cost_matrix_sq_accumulated(mu, nu):
+    """The cost matrix as a sum of fresh per-axis temporaries onto zeros."""
+    d = np.zeros((mu.size, nu.size))
+    for a in range(mu.x.shape[1]):
+        diff = np.abs((mu.x[:, a] % TWO_PI)[:, None] - (nu.x[:, a] % TWO_PI)[None, :])
+        np.minimum(diff, TWO_PI - diff, out=diff)
+        d += diff * diff
+    if mu.xi is not None:
+        for a in range(mu.xi.shape[1]):
+            diff = mu.xi[:, a, None] - nu.xi[None, :, a]
+            d += diff * diff
+    return d
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("dx,dv", [(1, None), (2, None), (1, 1), (2, 2), (3, 3)])
+    def test_bit_identical_to_accumulated_formula(self, dx, dv):
+        rng = np.random.default_rng(10 * dx + (dv or 0))
+        # positions off the fundamental cell and exactly pi apart exercise the wrap
+        x1 = np.concatenate([rng.uniform(-7.0, 13.0, (60, dx)), np.full((1, dx), np.pi), np.zeros((1, dx))])
+        x2 = np.concatenate([rng.uniform(-7.0, 13.0, (45, dx)), np.zeros((1, dx)), np.full((1, dx), TWO_PI)])
+        v1 = None if dv is None else rng.normal(size=(x1.shape[0], dv))
+        v2 = None if dv is None else rng.normal(size=(x2.shape[0], dv))
+        mu, nu = EmpiricalMeasure.uniform(x1, v1), EmpiricalMeasure.uniform(x2, v2)
+        got = cost_matrix_sq(mu, nu)
+        assert got.shape == (62, 47)
+        assert np.array_equal(got, _cost_matrix_sq_accumulated(mu, nu))
+
+
 class TestCircular:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
