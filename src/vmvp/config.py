@@ -164,9 +164,8 @@ def save_config(cfg: RunConfig, path) -> None:
 
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
-    text = Path(path).read_text(encoding="utf-8")
-    cp.read_string(text)
     try:
+        cp.read_string(Path(path).read_text(encoding="utf-8"))
         run = cp["run"]
         dim = int(run["dim"])
         phases = []
@@ -205,6 +204,10 @@ def load_config(path) -> RunConfig:
         )
     except KeyError as exc:
         raise ValidationError(f"config {path} is missing key {exc}") from exc
+    except ValidationError:
+        raise
+    except (ValueError, configparser.Error) as exc:  # a value that does not parse, or malformed INI
+        raise ValidationError(f"config {path} does not parse: {exc}") from exc
     return cfg
 
 

@@ -21,13 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .multifluid import PhaseEnsemble
-from .spectral import SpectralField, gradient, stack
+from .multifluid import RK4_NODES, PhaseEnsemble, _velocity_grid, rk4_update
+from .spectral import SpectralField, expect_bytes, gradient, read_binary, stack
 from .transport import TWO_PI, rejection_sample_positions, torus_distance_sq
-
-_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
-_RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
-
 
 @dataclass(frozen=True)
 class ParticleCloud:
@@ -91,12 +87,6 @@ def _as_stages(field_or_stages, n_stages: int = 4):
     return seq
 
 
-def _relativistic_v(xi: np.ndarray, eps: float) -> np.ndarray:
-    if eps == 0:
-        return xi
-    return xi / np.sqrt(1.0 + eps ** 2 * (xi ** 2).sum(axis=1, keepdims=True))
-
-
 def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:
     """Advance the electrostatic trajectories by one 4-stage step.
 
@@ -116,13 +106,13 @@ def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:
     x, xi = cloud.x_vp, cloud.xi_vp
     kx = [None] * 4
     kxi = [None] * 4
-    for i, ci in enumerate(_RK4_NODES):
+    for i, ci in enumerate(RK4_NODES):
         xs = x if i == 0 else x + dt * ci * kx[i - 1]
         xis = xi if i == 0 else xi + dt * ci * kxi[i - 1]
         kx[i] = xis
         kxi[i] = forces[i].evaluate_at(xs) if forces[i] is not None else np.zeros_like(xis)
-    x_new = x + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kx))
-    xi_new = xi + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kxi))
+    x_new = rk4_update(x, kx, dt)
+    xi_new = rk4_update(xi, kxi, dt)
     return replace(cloud, x_vp=x_new % TWO_PI, xi_vp=xi_new, t=cloud.t + dt)
 
 
@@ -140,11 +130,10 @@ def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleC
     d = cloud.dim
     kx = [None] * 4
     kxi = [None] * 4
-    for i in range(4):
-        ci = _RK4_NODES[i]
+    for i, ci in enumerate(RK4_NODES):
         xs = x if i == 0 else x + dt * ci * kx[i - 1]
         xis = xi if i == 0 else xi + dt * ci * kxi[i - 1]
-        v = _relativistic_v(xis, eps)
+        v = _velocity_grid(xis, eps, axis=1)
         kx[i] = v
         e_f, b_f = e_stages[i], b_stages[i]
         if e_f is None:
@@ -165,8 +154,8 @@ def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleC
             else:
                 raise ValidationError("magnetic force needs d in {2,3}")
         kxi[i] = force
-    x_new = x + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kx))
-    xi_new = xi + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kxi))
+    x_new = rk4_update(x, kx, dt)
+    xi_new = rk4_update(xi, kxi, dt)
     return replace(cloud, x_vm=x_new % TWO_PI, xi_vm=xi_new)
 
 
@@ -251,17 +240,16 @@ def save_cloud(cloud: ParticleCloud, path) -> None:
 
 
 def load_cloud(path) -> ParticleCloud:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != "vmvp-cloud-v1":
-            raise ValidationError(f"unrecognized cloud file format in {path}")
-        n, d = header["n"], header["dim"]
-        arrays = {}
-        for name in _BLOCKS:
-            cols = 1 if name == "weights" else d
-            raw = np.frombuffer(fh.read(8 * n * cols), dtype=np.float64)
-            arrays[name] = raw.copy() if cols == 1 else raw.reshape(n, d).copy()
-        phase_idx = np.frombuffer(fh.read(8 * n), dtype=np.int64).copy()
+    header, raw = read_binary(path, "vmvp-cloud-v1", counts=("n", "dim", "seed"), numbers=("t",))
+    n, d = header["n"], header["dim"]
+    expect_bytes(path, raw, 8 * n * (6 * d + 2))  # six d-wide blocks, the weights, phase_idx
+    arrays, offset = {}, 0
+    for name in _BLOCKS:
+        cols = 1 if name == "weights" else d
+        block = np.frombuffer(raw, dtype=np.float64, count=n * cols, offset=offset)
+        arrays[name] = block.copy() if cols == 1 else block.reshape(n, d).copy()
+        offset += 8 * n * cols
+    phase_idx = np.frombuffer(raw, dtype=np.int64, offset=offset).copy()
     return ParticleCloud(seed=header["seed"], t=header["t"], phase_idx=phase_idx, **arrays)
 
 

@@ -52,6 +52,8 @@ GATE_BOUND = 1.0 / np.sqrt(2.0)
 DEFAULT_GATE_DELTA = 1.1
 POSITIVITY_TOL = -1e-8
 MEAN_B_TOL = 1e-12  # <B> is conserved exactly; a step may move it by round-off only
+# time slices per ck_iterate kernel call: all 257 slices of ck2d at once nearly double peak memory
+CK_SLICE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,9 @@ def check_validity(ens: PhaseEnsemble, gate_delta: float = DEFAULT_GATE_DELTA, c
             f"validity gate violated{context}: eps*sup|xi|_delta = {g:.6g} > 1/sqrt(2)",
             state_dump=ens,
         )
-    n = padded_grid_size(ens.cutoff)
-    for i, ph in enumerate(ens.phases):
-        m = ph.rho.to_grid(n).min()
+    r, _, _ = _pack(ens)
+    mins = sp.to_grid(r, ens.dim).reshape(len(ens.phases), -1).min(axis=1)
+    for i, m in enumerate(mins):
         if m < POSITIVITY_TOL:
             raise NumericalAbort(
                 f"phase {i} density negative on the grid{context}: min = {m:.3e}",
@@ -157,21 +159,34 @@ def relativistic_velocity(
         g = eps * analytic_norm(xi, gate_delta)
         if g > GATE_BOUND:
             raise NumericalAbort(f"relativistic velocity gate violated: {g:.6g} > 1/sqrt(2)")
-    n = padded_grid_size(xi.cutoff)
-    grid = xi.to_grid(n)
-    v = grid / np.sqrt(1.0 + eps ** 2 * (grid ** 2).sum(axis=0, keepdims=True))
-    return SpectralField.from_grid(v, xi.cutoff)
+    return SpectralField.from_grid(_velocity_grid(xi.to_grid(), eps), xi.cutoff)
 
 
-def _velocity_grid(xi_grid: np.ndarray, eps: float) -> np.ndarray:
+def _velocity_grid(xi: np.ndarray, eps: float, axis: int = 0) -> np.ndarray:
+    """v(xi) = xi / sqrt(1 + eps^2 |xi|^2) pointwise; `axis` holds the components."""
     if eps == 0:
-        return xi_grid
-    return xi_grid / np.sqrt(1.0 + eps ** 2 * (xi_grid ** 2).sum(axis=0, keepdims=True))
+        return xi
+    return xi / np.sqrt(1.0 + eps ** 2 * (xi ** 2).sum(axis=axis, keepdims=True))
 
 
 # ----------------------------------------------------------------------
 # fluid right-hand sides (dealiased, grid-based)
 # ----------------------------------------------------------------------
+
+def _lorentz_grid(v: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """v x B on the grid, components on axis 0; the planar (v2 B, -v1 B) for d=2."""
+    if dim == 2:
+        out = [v[1] * b[0], -v[0] * b[0]]
+    elif dim == 3:
+        out = [
+            v[1] * b[2] - v[2] * b[1],
+            v[2] * b[0] - v[0] * b[2],
+            v[0] * b[1] - v[1] * b[0],
+        ]
+    else:
+        raise ValidationError("magnetic force needs d in {2,3}")
+    return np.stack(out)
+
 
 def _phase_rhs_arrays(
     rho_c: np.ndarray,
@@ -182,76 +197,77 @@ def _phase_rhs_arrays(
     dim: int,
     cutoff: int,
 ):
-    """RHS coefficients for one phase plus its current density on the grid.
+    """RHS coefficients of the phases plus their current densities.
 
-    Returns (drho, dxi, j_grid) where j_grid = v(xi) * rho on the padded grid
-    (the phase's unweighted contribution to the current).
+    rho_c (..., 1, J..) and xi_c (..., d, J..) may carry leading (time slice,
+    phase) axes; e_c and b_grid broadcast against them.  Returns (drho, dxi,
+    flux) where flux (..., d, J..) holds the coefficients of v(xi) * rho,
+    each phase's unweighted contribution to the current (the analysis is
+    linear, so their mu-weighted sum is the total current).  rho, xi and the
+    Jacobian d_a xi_b go through one synthesis; flux, advection and Lorentz
+    force through one analysis.  Internally the component axis comes first,
+    so every pointwise product runs on contiguous slabs.  Each field is
+    transformed on its own, so a batched call returns exactly what per-phase
+    calls return.
     """
     n = padded_grid_size(cutoff)
-    xi_f = SpectralField(dim, cutoff, xi_c)
-    rho_f = SpectralField(dim, cutoff, rho_c)
-    xi_g = xi_f.to_grid(n)
-    rho_g = rho_f.to_grid(n)
-    v_g = _velocity_grid(xi_g, eps)
-
-    j_grid = v_g * rho_g
-
-    flux = SpectralField.from_grid(j_grid, cutoff)
+    ax = -(dim + 1)  # the component axis of the arguments and results
     k = sp.mode_vectors(dim, cutoff)
-    drho = -(1j * k * flux.coeffs).sum(axis=0, keepdims=True)
-
-    # (v . grad) xi via the stacked Jacobian d_a xi_b
-    jac = np.empty((dim * dim,) + rho_c.shape[1:], dtype=np.complex128)
+    xi_m = np.moveaxis(xi_c, ax, 0)
+    c = np.empty((1 + dim + dim * dim,) + xi_m.shape[1:], dtype=np.complex128)
+    c[0] = np.moveaxis(rho_c, ax, 0)[0]
+    c[1 : 1 + dim] = xi_m
     for b in range(dim):
         for a in range(dim):
-            jac[b * dim + a] = 1j * k[a] * xi_c[b]
-    jac_g = SpectralField(dim, cutoff, jac).to_grid(n)
-    adv_g = np.empty_like(xi_g)
-    for b in range(dim):
-        adv_g[b] = (v_g * jac_g[b * dim : (b + 1) * dim]).sum(axis=0)
-    adv = SpectralField.from_grid(adv_g, cutoff)
+            np.multiply(1j * k[a], xi_m[b], out=c[1 + dim + b * dim + a])   # d_a xi_b
+    g = sp.to_grid(c, dim, n)
+    rho_g, xi_g, jac_g = g[0], g[1 : 1 + dim], g[1 + dim :]
+    v_g = _velocity_grid(xi_g, eps)
+    magnetic = eps > 0 and b_grid is not None
+    src = np.empty(((3 if magnetic else 2) * dim,) + g.shape[1:])
+    np.multiply(v_g, rho_g, out=src[:dim])                                # j = v rho
+    for b in range(dim):                                                   # (v . grad) xi_b
+        adv_b = np.multiply(v_g[0], jac_g[b * dim], out=src[dim + b])
+        for a in range(1, dim):
+            adv_b += v_g[a] * jac_g[b * dim + a]
+    if magnetic:
+        src[2 * dim :] = _lorentz_grid(v_g, np.moveaxis(b_grid, ax, 0), dim)
+    coeffs = sp.from_grid(src, dim, cutoff)
 
-    dxi = -adv.coeffs + e_c
-    if eps > 0 and b_grid is not None:
-        if dim == 2:
-            lorentz = np.stack([v_g[1] * b_grid[0], -v_g[0] * b_grid[0]])
-        elif dim == 3:
-            lorentz = np.stack(
-                [
-                    v_g[1] * b_grid[2] - v_g[2] * b_grid[1],
-                    v_g[2] * b_grid[0] - v_g[0] * b_grid[2],
-                    v_g[0] * b_grid[1] - v_g[1] * b_grid[0],
-                ]
-            )
-        else:
-            raise ValidationError("magnetic force needs d in {2,3}")
-        dxi = dxi + eps * SpectralField.from_grid(lorentz, cutoff).coeffs
+    flux = np.moveaxis(coeffs[:dim], 0, ax)
+    drho = -(1j * k * flux).sum(axis=ax, keepdims=True)
+    force = -coeffs[dim : 2 * dim]
+    if magnetic:
+        force = force + eps * coeffs[2 * dim :]
+    dxi = np.moveaxis(force, 0, ax) + e_c
     if not np.isfinite(dxi).all() or not np.isfinite(drho).all():
         raise NumericalAbort("non-finite values in phase right-hand side")
-    return drho, dxi, j_grid
+    return drho, dxi, flux
 
 
 def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
     """Per-phase (drho/dt, dxi/dt) for the relativistic system at frozen fields."""
     check_validity(ens)
     b_grid = b.to_grid(padded_grid_size(ens.cutoff)) if b is not None else None
-    out = []
-    for ph in ens.phases:
-        drho, dxi, _ = _phase_rhs_arrays(
-            ph.rho.coeffs, ph.xi.coeffs, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff
-        )
-        out.append(
-            (SpectralField(ens.dim, ens.cutoff, drho), SpectralField(ens.dim, ens.cutoff, dxi))
-        )
-    return out
+    r, x, _ = _pack(ens)
+    drho, dxi, _ = _phase_rhs_arrays(r, x, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
+    return [
+        (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
+        for dr, dx in zip(drho, dxi)
+    ]
 
 
 # ----------------------------------------------------------------------
 # time stepping (classical 4-stage scheme, wave modes in a rotating frame)
 # ----------------------------------------------------------------------
 
-_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
-_RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+
+
+def rk4_update(y0: np.ndarray, slopes, dt: float) -> np.ndarray:
+    """y0 + dt * sum_i w_i k_i with the classical 4-stage weights."""
+    return y0 + dt * sum(w * k for w, k in zip(RK4_WEIGHTS, slopes))
 
 
 def _pack(ens: PhaseEnsemble):
@@ -325,7 +341,7 @@ def vm_step_full(
     stage_fields = []
     gate_w = gate_delta ** kn0
 
-    for i, ci in enumerate(_RK4_NODES):
+    for i, ci in enumerate(RK4_NODES):
         if i == 0:
             rs, xs, as_, ws = r0, x0, a0, w0
         else:
@@ -351,13 +367,8 @@ def vm_step_full(
         b_field = curl(SpectralField(dim, cutoff, a_hat)) + b_const
         b_grid = b_field.to_grid(n)
 
-        dr = np.empty_like(r0)
-        dx = np.empty_like(x0)
-        j_grid = 0.0
-        for p in range(len(mus)):
-            dr[p], dx[p], jg = _phase_rhs_arrays(rs[p], xs[p], e_field.coeffs, b_grid, eps, dim, cutoff)
-            j_grid = j_grid + mus[p] * jg
-        j_hat = SpectralField.from_grid(j_grid, cutoff)
+        dr, dx, flux = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_grid, eps, dim, cutoff)
+        j_hat = SpectralField(dim, cutoff, np.tensordot(mus, flux, axes=(0, 0)))
         s_hat = leray_project(j_hat).coeffs
 
         kr[i], kx[i] = dr, dx
@@ -366,11 +377,11 @@ def vm_step_full(
         kj[i] = mean(j_hat)
         stage_fields.append((e_field, b_field))
 
-    r1 = r0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kr))
-    x1 = x0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kx))
-    a1 = a0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, ka))
-    w1 = w0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kw))
-    mean_j_inc = dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kj))
+    r1 = rk4_update(r0, kr, dt)
+    x1 = rk4_update(x0, kx, dt)
+    a1 = rk4_update(a0, ka, dt)
+    w1 = rk4_update(w0, kw, dt)
+    mean_j_inc = dt * sum(w * k for w, k in zip(RK4_WEIGHTS, kj))
 
     theta = kn0 / eps * dt
     cth, sth = np.cos(theta), np.sin(theta)
@@ -402,7 +413,7 @@ def _electrostatic_step(ens, em, dt, r0, x0, mus) -> VMStepResult:
     kr = [None] * 4
     kx = [None] * 4
     stage_fields = []
-    for i, ci in enumerate(_RK4_NODES):
+    for i, ci in enumerate(RK4_NODES):
         if i == 0:
             rs, xs = r0, x0
         else:
@@ -411,14 +422,10 @@ def _electrostatic_step(ens, em, dt, r0, x0, mus) -> VMStepResult:
         rho_tot = SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))
         phi = solve_poisson(rho_tot)
         e_field = -1.0 * gradient(phi)
-        dr = np.empty_like(r0)
-        dx = np.empty_like(x0)
-        for p in range(len(mus)):
-            dr[p], dx[p], _ = _phase_rhs_arrays(rs[p], xs[p], e_field.coeffs, None, 0.0, dim, cutoff)
-        kr[i], kx[i] = dr, dx
+        kr[i], kx[i], _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
         stage_fields.append((e_field, None))
-    r1 = r0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kr))
-    x1 = x0 + dt * sum(w * k for w, k in zip(_RK4_WEIGHTS, kx))
+    r1 = rk4_update(r0, kr, dt)
+    x1 = rk4_update(x0, kx, dt)
     return VMStepResult(_unpack(ens, r1, x1), em, tuple(stage_fields), np.zeros(dim))
 
 
@@ -458,29 +465,27 @@ class Moments:
 
 def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
     """Macroscopic density, current, sup of m_alpha, and L1 fourth moment."""
-    dim, cutoff = ens.dim, ens.cutoff
-    n = padded_grid_size(cutoff)
-    rho_tot = 0.0
-    j_tot = 0.0
-    malpha = 0.0
-    fourth = 0.0
-    for ph in ens.phases:
-        rg = ph.rho.to_grid(n)
-        xg = ph.xi.to_grid(n)
-        vg = _velocity_grid(xg, ens.eps)
-        speed = np.sqrt((vg ** 2).sum(axis=0, keepdims=True))
-        xinorm2 = (xg ** 2).sum(axis=0, keepdims=True)
-        rho_tot = rho_tot + ph.mu * rg
-        j_tot = j_tot + ph.mu * vg * rg
-        malpha = malpha + ph.mu * speed ** alpha * rg
-        fourth = fourth + ph.mu * xinorm2 ** 2 * rg
+    rg, xg, mu = _phase_grids(ens)
+    vg = _velocity_grid(xg, ens.eps, axis=1)
+    speed = np.sqrt((vg ** 2).sum(axis=1, keepdims=True))
+    xinorm2 = (xg ** 2).sum(axis=1, keepdims=True)
+    totals = (mu * np.concatenate([rg, vg * rg, speed ** alpha * rg, xinorm2 ** 2 * rg], axis=1)).sum(axis=0)
+    rho_tot, j_tot, malpha, fourth = np.split(totals, [1, 1 + ens.dim, 2 + ens.dim])
     return Moments(
-        rho_total=SpectralField.from_grid(rho_tot, cutoff),
-        j_total=SpectralField.from_grid(j_tot, cutoff),
+        rho_total=SpectralField.from_grid(rho_tot, ens.cutoff),
+        j_total=SpectralField.from_grid(j_tot, ens.cutoff),
         m_alpha_sup=float(malpha.max()),
         fourth_moment_l1=float(np.abs(fourth).mean()),
         alpha=alpha,
     )
+
+
+def _phase_grids(ens: PhaseEnsemble):
+    """rho (P, 1, n..) and xi (P, d, n..) of every phase on the padded grid, from one
+    synthesis, plus the weights mu shaped to broadcast against them."""
+    r, x, mus = _pack(ens)
+    g = sp.to_grid(np.concatenate([r, x], axis=1), ens.dim)
+    return g[:, :1], g[:, 1:], mus.reshape((-1,) + (1,) * (ens.dim + 1))
 
 
 def measure_eval(ens: PhaseEnsemble, phi_test: Callable[[np.ndarray], np.ndarray]) -> SpectralField:
@@ -489,29 +494,21 @@ def measure_eval(ens: PhaseEnsemble, phi_test: Callable[[np.ndarray], np.ndarray
     phi_test maps an array of momentum samples with leading component axis
     (d, ...) to scalar values (...).
     """
-    n = padded_grid_size(ens.cutoff)
-    acc = 0.0
-    for ph in ens.phases:
-        xg = ph.xi.to_grid(n)
-        rg = ph.rho.to_grid(n)[0]
-        acc = acc + ph.mu * np.asarray(phi_test(xg)) * rg
-    return SpectralField.from_grid(acc[None], ens.cutoff)
+    rg, xg, mu = _phase_grids(ens)
+    # one phi_test call per phase, as documented; a scalar or constant result broadcasts
+    vals = np.stack([np.broadcast_to(phi_test(x), x.shape[1:]) for x in xg])[:, None]
+    return SpectralField.from_grid((mu * vals * rg).sum(axis=0), ens.cutoff)
 
 
 def kinetic_energy(ens: PhaseEnsemble) -> float:
     """sum_theta mu int e(xi_theta) rho_theta dx with the relativistic e(xi)."""
-    n = padded_grid_size(ens.cutoff)
-    total = 0.0
-    for ph in ens.phases:
-        xg = ph.xi.to_grid(n)
-        rg = ph.rho.to_grid(n)[0]
-        xi2 = (xg ** 2).sum(axis=0)
-        if ens.eps == 0:
-            e = 0.5 * xi2
-        else:
-            e = (np.sqrt(1.0 + ens.eps ** 2 * xi2) - 1.0) / ens.eps ** 2
-        total += ph.mu * float((e * rg).mean())
-    return total
+    rg, xg, mu = _phase_grids(ens)
+    xi2 = (xg ** 2).sum(axis=1, keepdims=True)
+    if ens.eps == 0:
+        e = 0.5 * xi2
+    else:
+        e = (np.sqrt(1.0 + ens.eps ** 2 * xi2) - 1.0) / ens.eps ** 2
+    return float((mu.ravel() * (e * rg).reshape(mu.size, -1).mean(axis=1)).sum())
 
 
 def total_energy(ens: PhaseEnsemble, em: EMState | None = None) -> float:
@@ -648,7 +645,6 @@ def ck_iterate(
     horizon = p.eta * (p.delta0 - p.delta)
     times = np.linspace(0.0, horizon, n_time + 1)
     dt = times[1] - times[0]
-    n_phases = len(init.phases)
     mus = np.array([ph.mu for ph in init.phases])
     mode_shape = init.phases[0].rho.coeffs.shape[1:]
 
@@ -663,11 +659,11 @@ def ck_iterate(
     rho = np.broadcast_to(rho0, (n_time + 1,) + rho0.shape).copy()
     xi = np.broadcast_to(xi0, (n_time + 1,) + xi0.shape).copy()
 
-    k = sp.mode_vectors(dim, cutoff)
-    n_grid = padded_grid_size(cutoff)
     a0_hat = em0.a.coeffs if em0 is not None else np.zeros((dim,) + mode_shape, dtype=complex)
     w0_hat = em0.eps_adot.coeffs if em0 is not None else np.zeros((dim,) + mode_shape, dtype=complex)
     mean_b0 = em0.mean_b0 if em0 is not None else np.zeros(1 if dim == 2 else dim)
+    ax = -(dim + 1)  # the component axis
+    blocks = [slice(lo, lo + CK_SLICE_BLOCK) for lo in range(0, n_time + 1, CK_SLICE_BLOCK)]
 
     diffs_rho, diffs_xi, ratios = [], [], []
     diverged = False
@@ -677,69 +673,36 @@ def ck_iterate(
         norm_idx.append(n_time)
 
     for it in range(1, n_max + 1):
-        # frozen-coefficient sources along the previous iterate
+        # frozen-coefficient sources along the previous iterate, a block of time slices at a time
+        rho_tot = np.tensordot(mus, rho, axes=(0, 1))
+        e_hat = -(1j * sp.mode_vectors(dim, cutoff)) * sp.poisson_coeffs(rho_tot, dim)
         drho = np.empty_like(rho)
-        adv = np.empty_like(xi)
-        lorentz = np.zeros_like(xi)
-        s_hat = np.zeros((n_time + 1, dim) + mode_shape, dtype=complex)
-        rho_tot = np.tensordot(mus, rho, axes=(0, 1)).reshape((n_time + 1, 1) + mode_shape)
-        gradphi = np.empty((n_time + 1, dim) + mode_shape, dtype=complex)
-        v_grids = np.empty((n_time + 1, n_phases, dim) + (n_grid,) * dim)
-        for j in range(n_time + 1):
-            phi = solve_poisson(SpectralField(dim, cutoff, rho_tot[j]))
-            gradphi[j] = gradient(phi).coeffs
-            j_grid = 0.0
-            for pph in range(n_phases):
-                xi_f = SpectralField(dim, cutoff, xi[j, pph])
-                rho_f = SpectralField(dim, cutoff, rho[j, pph])
-                xg = xi_f.to_grid(n_grid)
-                rg = rho_f.to_grid(n_grid)
-                vg = _velocity_grid(xg, eps)
-                v_grids[j, pph] = vg
-                jg = vg * rg
-                j_grid = j_grid + mus[pph] * jg
-                flux = SpectralField.from_grid(jg, cutoff)
-                drho[j, pph] = -(1j * k * flux.coeffs).sum(axis=0, keepdims=True)
-                jac = np.empty((dim * dim,) + mode_shape, dtype=complex)
-                for b in range(dim):
-                    for a in range(dim):
-                        jac[b * dim + a] = 1j * k[a] * xi[j, pph, b]
-                jac_g = SpectralField(dim, cutoff, jac).to_grid(n_grid)
-                adv_g = np.empty_like(vg)
-                for b in range(dim):
-                    adv_g[b] = (vg * jac_g[b * dim : (b + 1) * dim]).sum(axis=0)
-                adv[j, pph] = SpectralField.from_grid(adv_g, cutoff).coeffs
+        dxi = np.empty_like(xi)
+        j_hat = np.empty((n_time + 1, dim) + mode_shape, dtype=complex) if eps > 0 else None
+        for blk in blocks:
+            drho[blk], dxi[blk], flux = _phase_rhs_arrays(
+                rho[blk], xi[blk], np.expand_dims(e_hat[blk], 1), None, eps, dim, cutoff
+            )
             if eps > 0:
-                s_hat[j] = leray_project(SpectralField.from_grid(j_grid, cutoff)).coeffs
+                j_hat[blk] = np.tensordot(mus, flux, axes=(0, 1))
 
         if eps > 0:
-            a_traj, w_traj = _duhamel_series(s_hat, a0_hat, w0_hat, times, eps, dim, cutoff)
-            for j in range(n_time + 1):
-                b_field = curl(SpectralField(dim, cutoff, a_traj[j])) + SpectralField.constant(dim, cutoff, mean_b0)
-                bg = b_field.to_grid(n_grid)
-                for pph in range(n_phases):
-                    vg = v_grids[j, pph]
-                    if dim == 2:
-                        lz = np.stack([vg[1] * bg[0], -vg[0] * bg[0]])
-                    else:
-                        lz = np.stack(
-                            [
-                                vg[1] * bg[2] - vg[2] * bg[1],
-                                vg[2] * bg[0] - vg[0] * bg[2],
-                                vg[0] * bg[1] - vg[1] * bg[0],
-                            ]
-                        )
-                    lorentz[j, pph] = eps * SpectralField.from_grid(lz, cutoff).coeffs
+            a_traj, _ = _duhamel_series(sp.leray_coeffs(j_hat, dim), a0_hat, w0_hat, times, eps, dim, cutoff)
+            b_hat = sp.curl_coeffs(a_traj, dim)
+            b_hat[(..., slice(None)) + (cutoff,) * dim] += mean_b0
+            for blk in blocks:
+                v_g = _velocity_grid(sp.to_grid(np.moveaxis(xi[blk], ax, 0), dim), eps)
+                b_g = np.moveaxis(sp.to_grid(b_hat[blk], dim), ax, 0)[:, :, None]
+                dxi[blk] += eps * np.moveaxis(sp.from_grid(_lorentz_grid(v_g, b_g, dim), dim, cutoff), 0, ax)
 
         rho_new = rho0[None] + _cumint(drho, dt)
-        force = -gradphi[:, None] + lorentz
-        xi_new = xi0[None] + _cumint(-adv + force, dt)
+        xi_new = xi0[None] + _cumint(dxi, dt)
         if eps > 0:
             # the -eps dA/dt contribution integrates exactly to -eps (A(t) - A(0))
-            xi_new = xi_new - eps * (a_traj - a0_hat[None])[:, None]
+            xi_new -= eps * (a_traj - a0_hat[None])[:, None]
 
-        d_rho = _traj_diff_norm(rho_new - rho, times, norm_idx, p, dim, cutoff)
-        d_xi = _traj_diff_norm(xi_new - xi, times, norm_idx, p, dim, cutoff)
+        d_rho = _traj_diff_norm(rho_new[norm_idx] - rho[norm_idx], times[norm_idx], p, dim, cutoff)
+        d_xi = _traj_diff_norm(xi_new[norm_idx] - xi[norm_idx], times[norm_idx], p, dim, cutoff)
         diffs_rho.append(d_rho)
         diffs_xi.append(d_xi)
         if len(diffs_rho) >= 2:
@@ -771,13 +734,13 @@ def ck_iterate(
     )
 
 
-def _traj_diff_norm(diff, times, norm_idx, p, dim, cutoff) -> float:
-    """sup over phases of the shrinking norm of a difference trajectory."""
+def _traj_diff_norm(diff, times, p, dim, cutoff) -> float:
+    """sup over phases of the shrinking norm of a difference trajectory sampled at `times`."""
     n_phases = diff.shape[1]
     out = 0.0
     for pph in range(n_phases):
-        fields = [SpectralField(dim, cutoff, diff[j, pph]) for j in norm_idx]
-        out = max(out, shrinking_norm(times[norm_idx], fields, p))
+        fields = [SpectralField(dim, cutoff, d) for d in diff[:, pph]]
+        out = max(out, shrinking_norm(times, fields, p))
     return out
 
 
@@ -802,15 +765,17 @@ def save_ensemble(ens: PhaseEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PhaseEnsemble:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != "vmvp-ensemble-v1":
-            raise ValidationError(f"unrecognized ensemble file format in {path}")
-        dim, cutoff = header["dim"], header["cutoff"]
-        n_modes = (2 * cutoff + 1) ** dim
-        phases = []
-        for entry in header["phases"]:
-            rho = np.frombuffer(fh.read(16 * n_modes), dtype=complex).reshape((1,) + (2 * cutoff + 1,) * dim)
-            xi = np.frombuffer(fh.read(16 * dim * n_modes), dtype=complex).reshape((dim,) + (2 * cutoff + 1,) * dim)
-            phases.append(Phase(entry["mu"], SpectralField(dim, cutoff, rho), SpectralField(dim, cutoff, xi)))
+    header, raw = sp.read_binary(path, "vmvp-ensemble-v1", counts=("dim", "cutoff"), numbers=("eps",))
+    dim, cutoff, entries = header["dim"], header["cutoff"], header.get("phases")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("mu"), (int, float)) and not isinstance(e["mu"], bool) for e in entries
+    ):
+        raise ValidationError(f"{path}: header field 'phases' must list objects with a numeric 'mu'")
+    shape = (len(entries), 1 + dim) + (2 * cutoff + 1,) * dim
+    sp.expect_bytes(path, raw, 16 * int(np.prod(shape)))
+    blocks = np.frombuffer(raw, dtype=complex).reshape(shape)         # per phase: rho, then xi
+    phases = [
+        Phase(e["mu"], SpectralField(dim, cutoff, c[:1]), SpectralField(dim, cutoff, c[1:]))
+        for e, c in zip(entries, blocks)
+    ]
     return PhaseEnsemble(tuple(phases), header["eps"])

@@ -69,6 +69,82 @@ def _phase_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _dft_matrices(cutoff: int, n: int):
+    """Pruned DFT matrices between the K-box and an n-point axis.
+
+    full: (n, 2K+1) complex, exp(i k x_j) for k = -K..K;
+    half: (2(K+1), n) real, rows cos(k x_j), -sin(k x_j) interleaved, k = 0..K.
+    The analysis matrices are their conjugate transposes over n.  Angles are
+    reduced mod n before scaling, so every entry is accurate to an ulp.
+    """
+    j = np.arange(n)
+    angle = (2 * np.pi / n) * (np.outer(j, np.arange(-cutoff, cutoff + 1)) % n)
+    full = np.exp(1j * angle)
+    angle = (2 * np.pi / n) * (np.outer(np.arange(cutoff + 1), j) % n)
+    half = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(2 * (cutoff + 1), n)
+    mats = (full, half, np.ascontiguousarray(full.conj().T) / n, np.ascontiguousarray(half.T) / n)
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
+def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply mat (p, q) to axis `axis` (length q) of arr."""
+    return np.moveaxis(mat @ np.moveaxis(arr, axis, -2), -2, axis)
+
+
+def _synthesis(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
+    """Real part of the box sum on the uniform n^dim grid, for any leading axes.
+
+    coeffs has shape (..., 2K+1, ..., 2K+1) with dim trailing mode axes and
+    need not be Hermitian.  The last axis is folded onto k_d = 0..K by
+    Re(c e^{ik.x}) = Re(conj(c) e^{-ik.x}); the other mode axes go through
+    the complex (n, 2K+1) matrix and the last through the real [cos | sin]
+    one, each a batched matrix product.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    K = (c.shape[-1] - 1) // 2
+    if n is None:
+        n = padded_grid_size(K)
+    if n < 2 * K + 1:
+        raise ValidationError("grid too small for the cutoff box")
+    full, half, _, _ = _dft_matrices(K, n)
+    mode_axes = tuple(range(-dim, -1))
+    h = c[..., K:] + np.conj(np.flip(c[..., K::-1], axis=mode_axes))
+    h[..., 0] *= 0.5
+    for a in mode_axes:
+        h = _along(full, h, a)
+    h = np.ascontiguousarray(h).view(np.float64)             # (Re, Im) pairs, k_d = 0..K
+    return h @ half
+
+
+def _analysis(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
+    """Box coefficients of real grid samples (..., n_1, ..., n_dim), exactly Hermitian.
+
+    The real last axis goes through the [cos | sin] matrix, giving k_d = 0..K,
+    the other axes through the complex (2K+1, n) one; k_d < 0 is the mirror
+    conj(c(-k)), and the k_d = 0 plane is averaged with its mirror.
+    """
+    g = np.asarray(grid)
+    if np.iscomplexobj(g):
+        raise ValidationError("from_grid expects real grid samples")
+    if g.ndim < dim or min(g.shape[-dim:]) < 2 * cutoff + 1:
+        raise ValidationError(f"grid of shape {g.shape} too small for the cutoff box K={cutoff}")
+    K = cutoff
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    t = (g @ _dft_matrices(K, g.shape[-1])[3]).view(np.complex128)
+    mode_axes = tuple(range(-dim, -1))
+    for a in mode_axes:
+        t = _along(_dft_matrices(K, g.shape[a])[2], t, a)
+    out = np.empty(t.shape[:-1] + (2 * K + 1,), dtype=np.complex128)
+    out[..., K + 1:] = t[..., 1:]
+    out[..., :K] = np.conj(np.flip(t[..., 1:], axis=mode_axes + (-1,)))
+    t0 = t[..., 0]
+    out[..., K] = 0.5 * (t0 + np.conj(np.flip(t0, axis=tuple(a + 1 for a in mode_axes))))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable truncated Fourier representation of a real field.
@@ -148,36 +224,14 @@ class SpectralField:
     def from_grid(cls, grid: np.ndarray, cutoff: int) -> "SpectralField":
         """Transform (m, N, ..., N) real grid samples into box coefficients."""
         grid = np.asarray(grid)
-        dim = grid.ndim - 1
-        axes = tuple(range(1, dim + 1))
-        n_tot = np.prod(grid.shape[1:])
-        chat = np.fft.fftn(grid, axes=axes) / n_tot
-        chat = np.fft.fftshift(chat, axes=axes)
-        sl = [slice(None)]
-        for ax in axes:
-            center = grid.shape[ax] // 2
-            sl.append(slice(center - cutoff, center + cutoff + 1))
-        return cls(dim, cutoff, chat[tuple(sl)])
+        return cls(grid.ndim - 1, cutoff, _analysis(grid, grid.ndim - 1, cutoff))
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     def to_grid(self, n: int | None = None) -> np.ndarray:
         """Collocation values on the (padded) uniform grid, shape (m, n, ..., n)."""
-        if n is None:
-            n = padded_grid_size(self.cutoff)
-        if n < 2 * self.cutoff + 1:
-            raise ValidationError("grid too small for the cutoff box")
-        axes = tuple(range(1, self.dim + 1))
-        padded = np.zeros((self.components,) + (n,) * self.dim, dtype=np.complex128)
-        sl = [slice(None)]
-        for _ in range(self.dim):
-            center = n // 2
-            sl.append(slice(center - self.cutoff, center + self.cutoff + 1))
-        padded[tuple(sl)] = self.coeffs
-        padded = np.fft.ifftshift(padded, axes=axes)
-        vals = np.fft.ifftn(padded, axes=axes) * (n ** self.dim)
-        return vals.real
+        return _synthesis(self.coeffs, self.dim, n)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Exact trigonometric sum at arbitrary points, shape (n_pts, m).
@@ -254,6 +308,30 @@ class SpectralField:
 
     def component(self, i: int) -> "SpectralField":
         return self._like(self.coeffs[i : i + 1])
+
+
+def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
+    """SpectralField.to_grid for coefficients (..., m, 2K+1, ..., 2K+1) with leading batch axes.
+
+    The batch axes are folded into the component axis of one field, so the
+    methods stay the single entry point of every grid transform; each
+    component is transformed on its own, so the result equals per-field calls.
+    """
+    c = np.asarray(coeffs)
+    if c.ndim < dim:
+        raise ValidationError(f"coefficient array of shape {c.shape} has fewer than {dim} mode axes")
+    f = SpectralField(dim, (c.shape[-1] - 1) // 2, c.reshape((-1,) + c.shape[c.ndim - dim :]))
+    g = f.to_grid(n)
+    return g.reshape(c.shape[: c.ndim - dim] + g.shape[1:])
+
+
+def from_grid(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
+    """SpectralField.from_grid(...).coeffs for real grids (..., m, n_1, ..., n_dim) with leading batch axes."""
+    g = np.asarray(grid)
+    if g.ndim < dim:
+        raise ValidationError(f"grid of shape {g.shape} has fewer than {dim} axes")
+    c = SpectralField.from_grid(g.reshape((-1,) + g.shape[g.ndim - dim :]), cutoff).coeffs
+    return c.reshape(g.shape[: g.ndim - dim] + c.shape[1:])
 
 
 def stack(fields: Sequence[SpectralField]) -> SpectralField:
@@ -340,22 +418,17 @@ def shrinking_norm(
         raise ValidationError("times and fields length mismatch")
     grid = np.asarray(list(delta_grid), dtype=float) if delta_grid is not None else p.delta_grid()
     f0 = fields[0]
-    knorm = mode_norms(f0.dim, f0.cutoff)
-    sup = 0.0
-    sum_axes = tuple(range(1, f0.dim + 1))
-    for t, u in zip(times, fields):
-        au = np.abs(u.coeffs)
-        ag = np.abs(gradient_stack(u).coeffs)
-        for delta in grid:
-            margin = p.delta0 - delta - t / p.eta
-            if margin < 0 or delta <= 1.0:
-                continue
-            w = delta ** knorm
-            nu = float((au * w).sum(axis=sum_axes).max())
-            ng = float((ag * w).sum(axis=sum_axes).max())
-            val = nu + margin ** p.beta * ng
-            sup = max(sup, val)
-    return sup
+    # every time and delta at once: (times, components, modes) @ (modes, deltas)
+    au = np.abs(np.stack([u.coeffs for u in fields]).reshape(times.size, f0.components, -1))
+    # |d_a u| = |k_a| |u| mode by mode, for every component and axis
+    ag = np.abs(mode_vectors(f0.dim, f0.cutoff)).reshape(1, f0.dim, -1) * au[:, :, None]
+    w = grid[:, None] ** mode_norms(f0.dim, f0.cutoff).reshape(1, -1)
+    nu = (au @ w.T).max(axis=1)                                              # (times, deltas)
+    ng = (ag.reshape(times.size, -1, au.shape[-1]) @ w.T).max(axis=1)
+    margin = p.delta0 - grid[None, :] - times[:, None] / p.eta
+    ok = (margin >= 0) & (grid[None, :] > 1.0)
+    val = nu + np.where(ok, margin, 0.0) ** p.beta * ng
+    return float(val[ok].max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -385,23 +458,28 @@ def divergence(f: SpectralField) -> SpectralField:
     return SpectralField(f.dim, f.cutoff, out)
 
 
+def curl_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
+    """Curl of vector coefficients (..., d, J..): a vector for d=3, a scalar (d1 A2 - d2 A1) for d=2."""
+    k = mode_vectors(dim, (c.shape[-1] - 1) // 2)
+    c = np.moveaxis(c, -(dim + 1), 0)
+    if dim == 3:
+        out = [
+            1j * (k[1] * c[2] - k[2] * c[1]),
+            1j * (k[2] * c[0] - k[0] * c[2]),
+            1j * (k[0] * c[1] - k[1] * c[0]),
+        ]
+    elif dim == 2:
+        out = [1j * (k[0] * c[1] - k[1] * c[0])]
+    else:
+        raise ValidationError("curl defined for d=3 vectors and d=2 planar vectors")
+    return np.stack(out, axis=-(dim + 1))
+
+
 def curl(f: SpectralField) -> SpectralField:
     """Curl: vector->vector for d=3, vector->scalar (d1 A2 - d2 A1) for d=2."""
-    k = mode_vectors(f.dim, f.cutoff)
-    if f.dim == 3 and f.components == 3:
-        c = f.coeffs
-        out = np.stack(
-            [
-                1j * (k[1] * c[2] - k[2] * c[1]),
-                1j * (k[2] * c[0] - k[0] * c[2]),
-                1j * (k[0] * c[1] - k[1] * c[0]),
-            ]
-        )
-        return SpectralField(3, f.cutoff, out)
-    if f.dim == 2 and f.components == 2:
-        out = 1j * (k[0] * f.coeffs[1] - k[1] * f.coeffs[0])
-        return SpectralField(2, f.cutoff, out[None])
-    raise ValidationError("curl defined for d=3 vectors and d=2 planar vectors")
+    if f.components != f.dim:
+        raise ValidationError("curl defined for d=3 vectors and d=2 planar vectors")
+    return f._like(curl_coeffs(f.coeffs, f.dim))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -499,30 +577,49 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt((np.abs(f.coeffs) ** 2).sum()))
 
 
+def poisson_coeffs(rho_c: np.ndarray, dim: int, tol_neutrality: float = TOL_NEUTRALITY) -> np.ndarray:
+    """phi with -Lap(phi) = rho - 1, zero mean, for densities (..., 1, J..); requires <rho> = 1."""
+    cutoff = (rho_c.shape[-1] - 1) // 2
+    dev = rho_c[(...,) + (cutoff,) * dim].real - 1.0
+    worst = dev.flat[np.abs(dev).argmax()]
+    if abs(worst) > tol_neutrality:
+        raise ValidationError(f"charge neutrality violated: <rho> - 1 = {worst:.3e}")
+    return rho_c * _inverse_k2(dim, cutoff)
+
+
+@lru_cache(maxsize=32)
+def _inverse_k2(dim: int, cutoff: int) -> np.ndarray:
+    k2 = mode_norms_sq(dim, cutoff)
+    inv = np.zeros_like(k2)
+    nz = k2 > 0
+    inv[nz] = 1.0 / k2[nz]
+    inv.flags.writeable = False
+    return inv
+
+
 def solve_poisson(rho: SpectralField, tol_neutrality: float = TOL_NEUTRALITY) -> SpectralField:
     """Solve -Lap(phi) = rho - 1 with zero-mean phi; requires <rho> = 1."""
     if not rho.is_scalar:
         raise ValidationError("solve_poisson expects a scalar density")
-    m = mean(rho)[0]
-    if abs(m - 1.0) > tol_neutrality:
-        raise ValidationError(f"charge neutrality violated: <rho> - 1 = {m - 1.0:.3e}")
-    k2 = mode_norms_sq(rho.dim, rho.cutoff)
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    return rho._like(rho.coeffs * inv)
+    return rho._like(poisson_coeffs(rho.coeffs, rho.dim, tol_neutrality))
+
+
+def leray_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
+    """Mode-wise (Id - k k^T/|k|^2) on vector coefficients (..., d, J..); k = 0 passes through."""
+    cutoff = (c.shape[-1] - 1) // 2
+    k = mode_vectors(dim, cutoff).astype(float)
+    k2 = mode_norms_sq(dim, cutoff)
+    kdotf = (k * c).sum(axis=-(dim + 1), keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.where(k2 > 0, kdotf / np.where(k2 > 0, k2, 1.0), 0.0)
+    return c - k * factor
 
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Mode-wise (Id - k k^T/|k|^2); the k=0 mode passes through unchanged."""
     if f.dim < 2 or f.components != f.dim:
         raise ValidationError("leray_project expects a d-component vector field, d >= 2")
-    k = mode_vectors(f.dim, f.cutoff).astype(float)
-    k2 = mode_norms_sq(f.dim, f.cutoff)
-    kdotf = (k * f.coeffs).sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(k2 > 0, kdotf / np.where(k2 > 0, k2, 1.0), 0.0)
-    return f._like(f.coeffs - k * factor)
+    return f._like(leray_coeffs(f.coeffs, f.dim))
 
 
 def helmholtz_decompose(f: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -591,17 +688,47 @@ def save_field(f: SpectralField, path) -> None:
         fh.write(np.ascontiguousarray(f.coeffs).tobytes())
 
 
+def read_binary(path, fmt: str, counts: Sequence[str] = (), numbers: Sequence[str] = ()) -> tuple[dict, bytes]:
+    """JSON header line and the raw bytes after it, for vmvp's binary files.
+
+    Checks the format tag, that each header field in `counts` is a
+    non-negative integer and each one in `numbers` a finite real number.
+    Callers check the byte length with `expect_bytes`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline().decode("utf-8"))
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable or non-JSON header line
+        raise ValidationError(f"unreadable header in {path}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValidationError(f"unrecognized file format in {path} (expected {fmt})")
+    for key in counts:
+        v = header.get(key)
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValidationError(f"{path}: header field {key!r} must be a non-negative integer, got {v!r}")
+    for key in numbers:
+        v = header.get(key)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise ValidationError(f"{path}: header field {key!r} must be a finite number, got {v!r}")
+    return header, raw
+
+
+def expect_bytes(path, raw: bytes, n: int) -> None:
+    if len(raw) != n:
+        raise ValidationError(f"{path}: {len(raw)} data bytes, the header implies {n}")
+
+
 def load_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "vmvp-field-v1":
-            raise ValidationError(f"unrecognized field file format in {path}")
-        if header.get("convention") != FIELD_CONVENTION:
-            raise ValidationError("field file uses a different Fourier convention")
-        dim, cutoff, m = header["dim"], header["cutoff"], header["components"]
-        raw = fh.read()
-    coeffs = np.frombuffer(raw, dtype=np.complex128).reshape((m,) + (2 * cutoff + 1,) * dim)
-    return SpectralField(dim, cutoff, coeffs)
+    header, raw = read_binary(path, "vmvp-field-v1", counts=("dim", "cutoff", "components"))
+    if header.get("convention") != FIELD_CONVENTION:
+        raise ValidationError("field file uses a different Fourier convention")
+    dim, cutoff, m = header["dim"], header["cutoff"], header["components"]
+    shape = (m,) + (2 * cutoff + 1,) * dim
+    expect_bytes(path, raw, 16 * int(np.prod(shape)))
+    return SpectralField(dim, cutoff, np.frombuffer(raw, dtype=np.complex128).reshape(shape))
 
 
 def field_to_grid_csv(f: SpectralField, path) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from vmvp.cli import main
 from vmvp.config import load_config, resolve_config_path, save_config
+from vmvp.lagrangian import ParticleCloud, save_cloud
 
 
 @pytest.fixture()
@@ -35,6 +36,28 @@ class TestExitCodes:
 
     def test_sweep_too_few_eps(self, tiny_cfg_path):
         assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", "0.2,0.1"]) == 2
+
+    def test_unparsable_config_value(self, tmp_path):
+        text = resolve_config_path("bundled/ck2d").read_text(encoding="utf-8")
+        assert "\ncutoff = 8\n" in text
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace("\ncutoff = 8\n", "\ncutoff = eight\n"), encoding="utf-8")
+        assert main(["verify", "--config", str(p)]) == 2
+
+    def test_malformed_ini(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("no section header\n", encoding="utf-8")
+        assert main(["verify", "--config", str(p)]) == 2
+
+    def test_truncated_cloud(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x, xi = rng.uniform(0, 6, (10, 2)), rng.standard_normal((10, 2))
+        cloud = ParticleCloud(x, xi, np.full(10, 0.1), np.zeros(10, dtype=int), x, xi, x, xi, seed=1)
+        good, bad = tmp_path / "a.cloud", tmp_path / "b.cloud"
+        save_cloud(cloud, good)
+        bad.write_bytes(good.read_bytes()[:-200])  # 5 of the 20 xi_vm values left
+        assert main(["wasserstein", str(good), str(good)]) == 0
+        assert main(["wasserstein", str(good), str(bad)]) == 2
 
 
 class TestSimulate:

@@ -256,6 +256,35 @@ class TestCheckpoints:
         for name in ("x0", "xi0", "weights", "x_vp", "xi_vp", "x_vm", "xi_vm", "phase_idx"):
             assert np.array_equal(getattr(back, name), getattr(cloud, name))
 
+    @pytest.mark.parametrize("cut", [1, 8, 200])
+    def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
+        ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], 0.2)])])
+        p = tmp_path / "c.cloud"
+        save_cloud(sample_cloud(ens, 10, seed=9), p)
+        data = p.read_bytes()
+        p.write_bytes(data[:-cut])
+        with pytest.raises(ValidationError):
+            load_cloud(p)
+        p.write_bytes(data + b"\0" * cut)
+        with pytest.raises(ValidationError):
+            load_cloud(p)
+
+    @pytest.mark.parametrize("header", [
+        b'{"format": "vmvp-cloud-v1", "n": -1, "dim": 2, "seed": 0, "t": 0.0}',
+        b'{"format": "vmvp-cloud-v1", "n": 1, "dim": 2, "seed": 0}',
+        b'{"format": "vmvp-cloud-v2", "n": 0, "dim": 2, "seed": 0, "t": 0.0}',
+        b"\xff\xfe",
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        p = tmp_path / "c.cloud"
+        p.write_bytes(header + b"\n")
+        with pytest.raises(ValidationError):
+            load_cloud(p)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ValidationError):
+            load_cloud(tmp_path / "absent.cloud")
+
     def test_replay_q(self, tmp_path):
         ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], 0.2)])])
         cloud = sample_cloud(ens, 16, seed=10)

@@ -28,6 +28,7 @@ from vmvp.spectral import (
     SpectralField,
     gradient,
     mean,
+    padded_grid_size,
     solve_poisson,
 )
 
@@ -151,6 +152,51 @@ class TestRhs:
             dr2, dx2, _ = _phase_rhs_arrays(ph.rho.coeffs, ph.xi.coeffs, e.coeffs, None, 0.0, 2, 8)
             assert np.abs(drho.coeffs - dr2).max() == 0.0
             assert np.abs(dxi.coeffs - dx2).max() == 0.0
+
+
+    def test_batched_kernel_equals_per_phase_calls(self):
+        # leading (time slice, phase) axes; e broadcasts over phases, B over both
+        from vmvp.multifluid import _phase_rhs_arrays
+
+        K, eps = 6, 0.3
+        rng = np.random.default_rng(11)
+        shape = (2 * K + 1,) * 2
+        rho = np.stack([[two_phase_2d(K=K, rho_amp=0.05 * (1 + t), xi_amp=0.1 + 0.02 * t).phases[p].rho.coeffs
+                         for p in range(2)] for t in range(3)])
+        xi = np.stack([[two_phase_2d(K=K, xi_amp=0.1 + 0.02 * t).phases[p].xi.coeffs for p in range(2)] for t in range(3)])
+        e = rng.standard_normal((3, 1, 2) + shape) * 0.01
+        b_grid = rng.standard_normal((1, 1, 1) + (4 * K + 2,) * 2) * 0.1
+        for b in (b_grid, None):
+            drho, dxi, flux = _phase_rhs_arrays(rho, xi, e, b, eps, 2, K)
+            assert drho.shape == rho.shape and dxi.shape == flux.shape == xi.shape
+            for t in range(3):
+                for p in range(2):
+                    one = _phase_rhs_arrays(rho[t, p], xi[t, p], e[t, 0], None if b is None else b[0, 0], eps, 2, K)
+                    assert np.array_equal(one[0], drho[t, p])
+                    assert np.array_equal(one[1], dxi[t, p])
+                    assert np.array_equal(one[2], flux[t, p])
+
+    def test_kernel_current_is_the_moment_current(self):
+        # the mu-weighted flux coefficients are the total current of moments()
+        from vmvp.multifluid import _pack, _phase_rhs_arrays
+
+        p1 = make_phase(2, 6, 0.25, [([0, 0], 1.0), ([1, 0], 0.05)], [(0, [0, 0], 0.3), (1, [0, 1], 0.04j)])
+        p2 = make_phase(2, 6, 0.75, [([0, 0], 1.0)], [(1, [1, 1], 0.05)])
+        ens = PhaseEnsemble((p1, p2), 0.3)
+        r, x, mus = _pack(ens)
+        _, _, flux = _phase_rhs_arrays(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
+        j_total = moments(ens).j_total.coeffs
+        assert np.abs(j_total).max() > 1e-3
+        assert np.abs(np.tensordot(mus, flux, axes=(0, 0)) - j_total).max() < 1e-15
+
+    def test_kernel_aborts_on_non_finite(self):
+        from vmvp.multifluid import _phase_rhs_arrays
+
+        ens = two_phase_2d(K=4)
+        xi = ens.phases[0].xi.coeffs.copy()
+        xi[0, 4, 4] = np.nan
+        with pytest.raises(NumericalAbort):
+            _phase_rhs_arrays(ens.phases[0].rho.coeffs, xi, np.zeros_like(xi), None, 0.0, 2, 4)
 
 
 class TestStepping:
@@ -295,6 +341,22 @@ class TestMoments:
         xi_sq = measure_eval(ens, lambda xi: (xi ** 2).sum(axis=0))
         assert mean(xi_sq)[0] == pytest.approx(0.5 * c ** 2 + 0.5 * 4 * c ** 2, rel=1e-12)
 
+    def test_measure_eval_scalar_test_function(self):
+        # phi_test sees one phase's (d, n, n) samples; a scalar result broadcasts
+        p1 = make_phase(2, 4, 0.25, [([0, 0], 1.0), ([1, 0], 0.1)], [(0, [0, 0], 0.3)])
+        p2 = make_phase(2, 4, 0.75, [([0, 0], 1.0)], [(1, [0, 1], 0.2)])
+        ens = PhaseEnsemble((p1, p2), 0.0)
+        shapes = []
+
+        def two(xi):
+            shapes.append(xi.shape)
+            return 2.0
+
+        out = measure_eval(ens, two)
+        n = padded_grid_size(4)
+        assert shapes == [(2, n, n)] * 2
+        assert np.abs(out.coeffs - 2.0 * ens.rho_total().coeffs).max() < 1e-13
+
     def test_fourth_moment(self):
         c = 0.5
         p = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], c)])
@@ -355,6 +417,46 @@ class TestCKIteration:
             assert np.abs(rep.xi_traj[-1, pidx] - ph.xi.coeffs).max() < 1e-6
 
 
+# ck_iterate on bundled ck2d, recorded before the transforms became matrix DFTs
+CK2D_DIFFS_RHO = [
+    0.0013022507126305089, 0.00025075517473267453, 1.9754781365755363e-06, 1.0064210424982408e-07,
+    4.991845573187314e-10, 1.6272345793123185e-11, 6.474723480217943e-14, 1.472795765926992e-15,
+    2.520768207915629e-17, 4.304366078640608e-18,
+]
+CK2D_DIFFS_XI = [
+    0.005770038245381955, 4.33860361110642e-05, 3.913129463164449e-06, 1.5988794024524164e-08,
+    9.210626824139464e-10, 2.580505576979851e-12, 1.0461861566537019e-13, 2.27855598856126e-16,
+    8.088627402232992e-18, 3.358408435277308e-20,
+]
+
+
+class TestCkRecorded:
+    def test_bundled_ck2d_matches_recorded_differences(self):
+        from vmvp.config import build_em_state, build_ensemble, load_config, resolve_config_path
+
+        cfg = load_config(resolve_config_path("bundled/ck2d"))
+        eps = cfg.eps_list[0]
+        p = AnalyticNormParams(delta0=cfg.delta0, delta=cfg.delta1, eta=cfg.eta, beta=cfg.loss_beta)
+        rep = ck_iterate(build_ensemble(cfg, eps), build_em_state(cfg, eps), p,
+                         n_max=cfg.ck_n_iters, n_time=cfg.ck_n_time)
+        tol = 1e-12 * rep.c0_measured
+        assert np.abs(np.array(rep.diffs_rho) - CK2D_DIFFS_RHO).max() <= tol
+        assert np.abs(np.array(rep.diffs_xi) - CK2D_DIFFS_XI).max() <= tol
+
+    def test_slice_blocks_do_not_change_the_result(self, monkeypatch):
+        from vmvp import multifluid
+
+        ens = two_phase_2d(K=4, eps=0.25)
+        em = well_prepared_em(ens, 0.25)
+        p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
+        ref = ck_iterate(ens, em, p, n_max=3, n_time=20)
+        monkeypatch.setattr(multifluid, "CK_SLICE_BLOCK", 7)
+        blocked = ck_iterate(ens, em, p, n_max=3, n_time=20)
+        assert np.array_equal(ref.rho_traj, blocked.rho_traj)
+        assert np.array_equal(ref.xi_traj, blocked.xi_traj)
+        assert ref.diffs_xi == blocked.diffs_xi
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ens = two_phase_2d()
@@ -366,3 +468,21 @@ class TestSerialization:
             assert a.mu == b.mu
             assert np.array_equal(a.rho.coeffs, b.rho.coeffs)
             assert np.array_equal(a.xi.coeffs, b.xi.coeffs)
+
+    @pytest.mark.parametrize("cut", [1, 16])
+    def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "e.ens"
+        save_ensemble(two_phase_2d(K=3), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValidationError):
+            load_ensemble(path)
+        path.write_bytes(data + b"\0" * cut)
+        with pytest.raises(ValidationError):
+            load_ensemble(path)
+
+    def test_bad_phase_table_rejected(self, tmp_path):
+        path = tmp_path / "e.ens"
+        path.write_bytes(b'{"format": "vmvp-ensemble-v1", "eps": 0.1, "dim": 2, "cutoff": 1, "phases": [{}]}\n')
+        with pytest.raises(ValidationError):
+            load_ensemble(path)

@@ -100,6 +100,108 @@ class TestEvaluate:
         assert f.evaluate_at(np.empty((0, dim))).shape == (0, dim)
 
 
+def fft_from_grid(grid, cutoff):
+    """The former FFT analysis: fftn over the box axes, shifted and cropped."""
+    dim = grid.ndim - 1
+    axes = tuple(range(1, dim + 1))
+    chat = np.fft.fftshift(np.fft.fftn(grid, axes=axes) / np.prod(grid.shape[1:]), axes=axes)
+    crop = (slice(None),) + tuple(slice(n // 2 - cutoff, n // 2 + cutoff + 1) for n in grid.shape[1:])
+    return chat[crop]
+
+
+def fft_to_grid(coeffs, dim, n):
+    """The former FFT synthesis: zero-padded, unshifted inverse fftn, real part."""
+    cutoff = (coeffs.shape[-1] - 1) // 2
+    axes = tuple(range(1, dim + 1))
+    padded = np.zeros((coeffs.shape[0],) + (n,) * dim, dtype=np.complex128)
+    padded[(slice(None),) + (slice(n // 2 - cutoff, n // 2 + cutoff + 1),) * dim] = coeffs
+    return (np.fft.ifftn(np.fft.ifftshift(padded, axes=axes), axes=axes) * n ** dim).real
+
+
+def _close_to(a, ref):
+    return np.abs(a - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+class TestTransforms:
+    """The pruned matrix-DFT transforms against the FFT they replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [0, 1, 5, 16])
+    @pytest.mark.parametrize("size", ["tight", "padded", "odd"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_fft(self, dim, cutoff, size, hermitian):
+        n = {"tight": 2 * cutoff + 1, "padded": sp.padded_grid_size(cutoff), "odd": 2 * cutoff + 4}[size]
+        n += (n + 1) % 2 if size == "odd" else 0
+        rng = np.random.default_rng(1000 * dim + 10 * cutoff + n)
+        grid = rng.standard_normal((2,) + (n,) * dim)
+        c = sp.from_grid(grid, dim, cutoff)
+        assert _close_to(c, fft_from_grid(grid, cutoff))
+        assert reality_residual(SpectralField(dim, cutoff, c)) == 0.0
+        if not hermitian:
+            c = c + 1j * rng.standard_normal(c.shape) + rng.standard_normal(c.shape)
+        assert _close_to(sp.to_grid(c, dim, n), fft_to_grid(c, dim, n))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batched_equals_looped(self, dim):
+        cutoff, n = 3, 10
+        rng = np.random.default_rng(dim)
+        c = rng.standard_normal((3, 2, 2) + (2 * cutoff + 1,) * dim) * (1 + 1j)
+        grid = rng.standard_normal((3, 2, 2) + (n,) * dim)
+        vals = sp.to_grid(c, dim, n)
+        coeffs = sp.from_grid(grid, dim, cutoff)
+        assert vals.shape == (3, 2, 2) + (n,) * dim
+        assert coeffs.shape == c.shape
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(vals[i, j], sp.to_grid(c[i, j], dim, n))
+                assert np.array_equal(coeffs[i, j], sp.from_grid(grid[i, j], dim, cutoff))
+
+    def test_methods_use_the_transforms(self):
+        f = random_field(2, 4, components=2, seed=5)
+        assert np.array_equal(f.to_grid(12), sp.to_grid(f.coeffs, 2, 12))
+        grid = f.to_grid()
+        assert np.array_equal(SpectralField.from_grid(grid, 4).coeffs, sp.from_grid(grid, 2, 4))
+
+    def test_batched_transforms_go_through_the_methods(self, monkeypatch):
+        calls = []
+        to_grid, from_grid = SpectralField.to_grid, SpectralField.from_grid.__func__
+
+        def spy_to(f, n=None):
+            calls.append(("to", f.components))
+            return to_grid(f, n)
+
+        def spy_from(cls, grid, cutoff):
+            calls.append(("from", len(grid)))
+            return from_grid(cls, grid, cutoff)
+
+        monkeypatch.setattr(SpectralField, "to_grid", spy_to)
+        monkeypatch.setattr(SpectralField, "from_grid", classmethod(spy_from))
+        grid = sp.to_grid(np.zeros((4, 3, 2, 5, 5), dtype=complex), 2, 8)
+        sp.from_grid(grid, 2, 2)
+        assert calls == [("to", 24), ("from", 24)]
+
+    def test_round_trip(self):
+        f = random_field(3, 4, components=3, seed=9)
+        back = SpectralField.from_grid(f.to_grid(), 4)
+        assert np.abs(back.coeffs - f.coeffs).max() < 1e-15
+
+    def test_from_grid_rejects_complex(self):
+        with pytest.raises(ValidationError):
+            sp.from_grid(np.ones((1, 8, 8), dtype=complex), 2, 3)
+        with pytest.raises(ValidationError):
+            SpectralField.from_grid(np.ones((1, 8, 8), dtype=complex), 3)
+
+    def test_from_grid_rejects_small_grid(self):
+        with pytest.raises(ValidationError):
+            sp.from_grid(np.ones((1, 6, 6)), 2, 3)
+        with pytest.raises(ValidationError):
+            sp.from_grid(np.ones((1, 7, 6)), 2, 3)
+
+    def test_to_grid_rejects_small_grid(self):
+        with pytest.raises(ValidationError):
+            sp.to_grid(np.ones((1, 7, 7), dtype=complex), 2, 6)
+
+
 class TestAnalyticNorm:
     def test_cosine(self):
         assert analytic_norm(cos_axis(1, 4), 2.0) == pytest.approx(2.0, rel=1e-14)
@@ -140,6 +242,47 @@ class TestShrinkingNorm:
         p = AnalyticNormParams(delta0=2.0)
         with pytest.raises(ValidationError):
             shrinking_norm([], [], p)
+
+
+def looped_shrinking_norm(times, fields, p, grid):
+    """The former double loop over sampled times and delta values."""
+    knorm = sp.mode_norms(fields[0].dim, fields[0].cutoff)
+    axes = tuple(range(1, fields[0].dim + 1))
+    sup = 0.0
+    for t, u in zip(times, fields):
+        au = np.abs(u.coeffs)
+        ag = np.abs(sp.gradient_stack(u).coeffs)
+        for delta in grid:
+            margin = p.delta0 - delta - t / p.eta
+            if margin < 0 or delta <= 1.0:
+                continue
+            w = delta ** knorm
+            val = float((au * w).sum(axis=axes).max()) + margin ** p.beta * float((ag * w).sum(axis=axes).max())
+            sup = max(sup, val)
+    return sup
+
+
+class TestShrinkingNormVectorised:
+    @pytest.mark.parametrize("dim,components", [(1, 1), (2, 1), (2, 2), (3, 3)])
+    def test_matches_loop(self, dim, components):
+        p = AnalyticNormParams(delta0=1.6, delta=1.1, eta=0.5, beta=0.4)
+        # the last times lie outside the wedge t <= eta (delta0 - delta) for most deltas
+        times = np.linspace(0.0, 0.45, 7)
+        fields = [random_field(dim, 4, components=components, seed=10 * dim + j, decay=0.3) for j in range(7)]
+        grid = np.concatenate([p.delta_grid(), [0.9, 1.0, 1.05]])    # delta <= 1 is skipped
+        want = looped_shrinking_norm(times, fields, p, grid)
+        got = shrinking_norm(times, fields, p, delta_grid=grid)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-14)
+        assert shrinking_norm(times, fields, p) == pytest.approx(
+            looped_shrinking_norm(times, fields, p, p.delta_grid()), rel=1e-14
+        )
+
+    def test_nothing_admissible_gives_zero(self):
+        p = AnalyticNormParams(delta0=1.6, eta=0.5)
+        f = random_field(2, 3, seed=4)
+        assert shrinking_norm([5.0], [f], p, delta_grid=[0.8, 1.0, 1.5]) == 0.0
+        assert looped_shrinking_norm([5.0], [f], p, [0.8, 1.0, 1.5]) == 0.0
 
 
 class TestDerivative:
@@ -371,6 +514,26 @@ class TestSerialization:
         g = load_field(path)
         assert g.dim == f.dim and g.cutoff == f.cutoff
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("cut", [1, 16])
+    def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
+        f = random_field(2, 3, components=2, seed=1)
+        path = tmp_path / "f.field"
+        save_field(f, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValidationError):
+            load_field(path)
+        path.write_bytes(data + b"\0" * cut)
+        with pytest.raises(ValidationError):
+            load_field(path)
+
+    @pytest.mark.parametrize("header", [b"not json", b'{"format": "vmvp-field-v1", "dim": "2"}', b"[1]"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "f.field"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(ValidationError):
+            load_field(path)
 
     def test_grid_csv(self, tmp_path):
         f = cos_axis(1, 2)
