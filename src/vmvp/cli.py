@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericalAbort, ValidationError
 
 EXIT_OK = 0

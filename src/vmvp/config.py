@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 

@@ -2,10 +2,11 @@
 
 The vector potential solves  eps^2 d_tt A - Lap A = eps P(j)  per Fourier
 mode, an oscillator of frequency |k|/eps.  Steps advance (A_hat, eps*dA_hat)
-by the exact rotation of that oscillator composed with a
-variation-of-constants source term, so the homogeneous dynamics is exact for
-any dt.  The k=0 mode has no restoring force: d/dt <eps dA/dt> = <j>, while
-<A> itself is pinned to zero (a pure gauge choice; no observable reads it).
+by the exact rotation of that oscillator (`_rotate`, the one place it is
+written) composed with a variation-of-constants source term, so the
+homogeneous dynamics is exact for any dt.  The k=0 mode has no restoring
+force: d/dt <eps dA/dt> = <j>, while <A> itself is pinned to zero (a pure
+gauge choice; no observable reads it).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .spectral import (
     SpectralField,
+    biot_savart,
     curl,
     divergence,
     gradient,
@@ -111,7 +113,7 @@ def init_em_state(
         raise ValidationError(f"mean initial current must vanish (got {j0_mean})")
 
     phi = solve_poisson(rho0)
-    a = biot_from_b(b0)
+    a = biot_savart(b0)
     eps_adot = -1.0 * (e0 + gradient(phi))
     return EMState(
         eps=eps,
@@ -123,10 +125,17 @@ def init_em_state(
     )
 
 
-def biot_from_b(b0: SpectralField) -> SpectralField:
-    from .spectral import biot_savart
+def _rotate(a, w, t: float, eps: float, dim: int, cutoff: int):
+    """Exact free evolution of the wave modes (A_hat, eps*dA_hat/dt) over time t.
 
-    return biot_savart(b0)
+    Each mode k != 0 rotates by the angle |k| t / eps (t may be negative);
+    k = 0 has no restoring force and is left as it is.  a and w broadcast
+    against the (J, ..., J) mode box.
+    """
+    kn = mode_norms(dim, cutoff)
+    theta = kn / eps * t
+    c, s = np.cos(theta), np.sin(theta)
+    return c * a + s * w / _wave_knorm(dim, cutoff), -kn * s * a + c * w
 
 
 def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:
@@ -138,15 +147,13 @@ def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:
     if dt <= 0:
         raise ValidationError("dt must be positive")
     s = leray_project(source_j).coeffs
-    kn = _wave_knorm(state.dim, state.cutoff)
     mask0 = _center_mask(state.dim, state.cutoff)
-    theta = kn / state.eps * dt
-    c, sn = np.cos(theta), np.sin(theta)
-    sp = state.eps * s / kn ** 2  # particular solution of the frozen-source oscillator
+    # particular solution of the frozen-source oscillator
+    sp = state.eps * s / _wave_knorm(state.dim, state.cutoff) ** 2
 
     a, w = state.a.coeffs, state.eps_adot.coeffs
-    a_new = c * a + sn * w / kn + sp * (1.0 - c)
-    w_new = -kn * sn * a + c * w + sn * kn * sp
+    a_new, w_new = _rotate(a - sp, w, dt, state.eps, state.dim, state.cutoff)
+    a_new += sp
     # k=0: no restoring force; d/dt <eps dA/dt> = <j> and <A> stays pinned
     a_new[:, mask0] = a[:, mask0]
     w_new[:, mask0] = w[:, mask0] + dt * s[:, mask0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +429,7 @@ def verify_suite(cfg: RunConfig) -> list:
     from . import spectral as sp
     from .fields import EMState, wave_step
     from .multifluid import Phase, gate_margin, relativistic_velocity, vm_step
-    from .spectral import analytic_norm, divergence, gradient, multiply, reality_residual, solve_poisson
+    from .spectral import analytic_norm, divergence, multiply, reality_residual
     from .transport import pairing_cost_sq
 
     results = []

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .multifluid import RK4_NODES, PhaseEnsemble, _velocity_grid, rk4_update
 from .spectral import SpectralField, expect_bytes, gradient, read_binary, stack
-from .transport import TWO_PI, rejection_sample_positions, torus_distance_sq
+from .transport import TWO_PI, rejection_sample_positions
 
 @dataclass(frozen=True)
 class ParticleCloud:

@@ -22,20 +22,18 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import NumericalAbort, ValidationError
 from . import spectral as sp
-from .fields import EMState, _wave_knorm, assemble_b, field_energy
+from .fields import EMState, _rotate, _wave_knorm, assemble_b, field_energy
 from .spectral import (
     AnalyticNormParams,
     SpectralField,
     analytic_norm,
     curl,
-    derivative,
     gradient,
     l2_norm,
     leray_project,
@@ -325,8 +323,6 @@ def vm_step_full(
 
     if em is None:
         raise ValidationError("relativistic stepping requires an EMState")
-    kn0 = mode_norms(dim, cutoff)
-    knm = _wave_knorm(dim, cutoff)
     a0, w0 = em.a.coeffs.copy(), em.eps_adot.coeffs.copy()
     mean_b0 = em.mean_b0
 
@@ -339,7 +335,7 @@ def vm_step_full(
     kw = [None] * 4
     kj = [None] * 4
     stage_fields = []
-    gate_w = gate_delta ** kn0
+    gate_w = gate_delta ** mode_norms(dim, cutoff)
 
     for i, ci in enumerate(RK4_NODES):
         if i == 0:
@@ -356,10 +352,7 @@ def vm_step_full(
                     f"validity gate violated at stage {i + 1}: {stage_gate:.6g} > 1/sqrt(2)",
                     state_dump=ens,
                 )
-        theta = kn0 / eps * (ci * dt)
-        cth, sth = np.cos(theta), np.sin(theta)
-        a_hat = cth * as_ + sth * ws / knm
-        w_hat = -kn0 * sth * as_ + cth * ws
+        a_hat, w_hat = _rotate(as_, ws, ci * dt, eps, dim, cutoff)  # rotating frame -> lab frame
 
         rho_tot = SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))
         phi = solve_poisson(rho_tot)
@@ -372,8 +365,7 @@ def vm_step_full(
         s_hat = leray_project(j_hat).coeffs
 
         kr[i], kx[i] = dr, dx
-        ka[i] = -(sth / knm) * s_hat
-        kw[i] = cth * s_hat
+        ka[i], kw[i] = _rotate(0.0, s_hat, -ci * dt, eps, dim, cutoff)  # source pulled back to the frame
         kj[i] = mean(j_hat)
         stage_fields.append((e_field, b_field))
 
@@ -383,10 +375,7 @@ def vm_step_full(
     w1 = rk4_update(w0, kw, dt)
     mean_j_inc = dt * sum(w * k for w, k in zip(RK4_WEIGHTS, kj))
 
-    theta = kn0 / eps * dt
-    cth, sth = np.cos(theta), np.sin(theta)
-    a_new = cth * a1 + sth * w1 / knm
-    w_new = -kn0 * sth * a1 + cth * w1
+    a_new, w_new = _rotate(a1, w1, dt, eps, dim, cutoff)
 
     ens_new = _unpack(ens, r1, x1)
     a_field = leray_project(SpectralField(dim, cutoff, a_new))  # hygiene; already divergence-free
@@ -488,18 +477,6 @@ def _phase_grids(ens: PhaseEnsemble):
     return g[:, :1], g[:, 1:], mus.reshape((-1,) + (1,) * (ens.dim + 1))
 
 
-def measure_eval(ens: PhaseEnsemble, phi_test: Callable[[np.ndarray], np.ndarray]) -> SpectralField:
-    """Hydrodynamic observable <f, phi> (x) = sum mu phi(xi_theta(x)) rho_theta(x).
-
-    phi_test maps an array of momentum samples with leading component axis
-    (d, ...) to scalar values (...).
-    """
-    rg, xg, mu = _phase_grids(ens)
-    # one phi_test call per phase, as documented; a scalar or constant result broadcasts
-    vals = np.stack([np.broadcast_to(phi_test(x), x.shape[1:]) for x in xg])[:, None]
-    return SpectralField.from_grid((mu * vals * rg).sum(axis=0), ens.cutoff)
-
-
 def kinetic_energy(ens: PhaseEnsemble) -> float:
     """sum_theta mu int e(xi_theta) rho_theta dx with the relativistic e(xi)."""
     rg, xg, mu = _phase_grids(ens)
@@ -583,35 +560,20 @@ def _filon_weights(theta: np.ndarray, dt: float):
 def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np.ndarray, eps: float, dim: int, cutoff: int):
     """A(t_j) and eps*dA/dt(t_j) for a sampled source, per mode, gauge-pinned k=0.
 
-    Homogeneous part evaluated in closed form at each t_j; the Duhamel
-    integrals accumulate through a rotation recurrence with Filon-type local
-    quadrature, so the oscillation costs no accuracy.
+    One recurrence: each sample is the previous one rotated exactly over dt
+    (`_rotate`) plus a Filon-type local quadrature of the Duhamel integral
+    over [t_j, t_{j+1}], so the oscillation costs no accuracy.
     """
-    kn0 = mode_norms(dim, cutoff)
     knm = _wave_knorm(dim, cutoff)
     dt = times[1] - times[0]
-    theta = kn0 / eps * dt
-    cth, sth = np.cos(theta), np.sin(theta)
-    w_ss, w_se, w_cs, w_ce = _filon_weights(theta, dt)
-
-    n_t = len(times)
-    i_sin = np.zeros_like(s_hat[0])
-    i_cos = np.zeros_like(s_hat[0])
+    w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
     a_out = np.empty_like(s_hat)
     w_out = np.empty_like(s_hat)
-    for j in range(n_t):
-        t = times[j]
-        ph = kn0 / eps * t
-        cph, sph = np.cos(ph), np.sin(ph)
-        a_out[j] = cph * a0 + sph * w0 / knm + i_sin / knm
-        w_out[j] = -kn0 * sph * a0 + cph * w0 + i_cos
-        if j + 1 < n_t:
-            loc_sin = w_ss * s_hat[j] + w_se * s_hat[j + 1]
-            loc_cos = w_cs * s_hat[j] + w_ce * s_hat[j + 1]
-            i_sin, i_cos = (
-                cth * i_sin + sth * i_cos + loc_sin,
-                -sth * i_sin + cth * i_cos + loc_cos,
-            )
+    a_out[0], w_out[0] = a0, w0
+    for j in range(len(times) - 1):
+        a, w = _rotate(a_out[j], w_out[j], dt, eps, dim, cutoff)
+        a_out[j + 1] = a + (w_ss * s_hat[j] + w_se * s_hat[j + 1]) / knm
+        w_out[j + 1] = w + w_cs * s_hat[j] + w_ce * s_hat[j + 1]
     return a_out, w_out
 
 

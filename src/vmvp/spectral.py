@@ -14,17 +14,14 @@ restricted to the cutoff box.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-
-FIELD_CONVENTION = "exp(+ikx), normalized measure"
 
 
 @lru_cache(maxsize=32)
@@ -355,8 +352,8 @@ class AnalyticNormParams:
     """Parameters of the shrinking-radius norm.
 
     delta is the working (lower) radius, delta0 the initial one; eta sets the
-    shrink rate, beta in (0,1) the loss exponent.  norm_of_k records the fixed
-    choice of |k| in the weight delta^|k| (Euclidean; the only one built).
+    shrink rate, beta in (0,1) the loss exponent.  The weight delta^|k| uses
+    the Euclidean |k|.
     """
 
     delta0: float
@@ -364,7 +361,6 @@ class AnalyticNormParams:
     eta: float = 1.0
     beta: float = 0.5
     delta_grid_size: int = 16
-    norm_of_k: str = "l2"
 
     def __post_init__(self):
         if not (self.delta0 > 1.0):
@@ -373,16 +369,10 @@ class AnalyticNormParams:
             raise ValidationError("delta <= delta0 required")
         if not (0.0 < self.beta < 1.0):
             raise ValidationError("beta must lie in (0,1)")
-        if self.norm_of_k != "l2":
-            raise ValidationError("only the Euclidean mode norm is implemented")
 
     def delta_grid(self) -> np.ndarray:
         j = np.arange(self.delta_grid_size)
         return self.delta0 * (1.0 - j / self.delta_grid_size) + 1.0 * (j / self.delta_grid_size)
-
-    @property
-    def horizon(self) -> float:
-        return self.eta * (self.delta0 - 1.0)
 
 
 def analytic_norm(f: SpectralField, delta: float) -> float:
@@ -486,77 +476,10 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased pointwise product; scalar*scalar or scalar*vector."""
     _check_compatible(f, g)
     if f.components != 1 and g.components != 1:
-        raise ValidationError("multiply handles scalar*scalar or scalar*vector; use dot for pairs of vectors")
+        raise ValidationError("multiply handles scalar*scalar or scalar*vector")
     n = padded_grid_size(f.cutoff)
     prod = f.to_grid(n) * g.to_grid(n)
     return SpectralField.from_grid(prod, f.cutoff)
-
-
-def dot(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise dot product of two vector fields (scalar result)."""
-    _check_compatible(f, g, same_components=True)
-    n = padded_grid_size(f.cutoff)
-    prod = (f.to_grid(n) * g.to_grid(n)).sum(axis=0, keepdims=True)
-    return SpectralField.from_grid(prod, f.cutoff)
-
-
-def cross3(f: SpectralField, g: SpectralField) -> SpectralField:
-    _check_compatible(f, g, same_components=True)
-    if f.dim != 3 or f.components != 3:
-        raise ValidationError("cross3 requires 3-component fields on the 3-torus")
-    n = padded_grid_size(f.cutoff)
-    a = f.to_grid(n)
-    b = g.to_grid(n)
-    out = np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-    return SpectralField.from_grid(out, f.cutoff)
-
-
-def compose_analytic(
-    series: Sequence[float] | Callable[[int], float],
-    f: SpectralField,
-    radius: float,
-    delta: float,
-    n_terms: int = 24,
-) -> tuple[SpectralField, float]:
-    """Truncated power series h(f) = sum a_n f^n via repeated dealiased products.
-
-    Requires |f|_delta < radius.  Returns (field, tail) where tail majorizes
-    the dropped remainder by sum_{n>n_terms} |a_n| |f|_delta^n.
-    """
-    if not f.is_scalar:
-        raise ValidationError("compose_analytic expects a scalar argument field")
-    r = analytic_norm(f, delta)
-    if r >= radius:
-        raise ValidationError(f"|f|_delta = {r:.6g} is not below the series radius {radius:.6g}")
-    coeff = (lambda n: float(series(n))) if callable(series) else (lambda n: float(series[n]) if n < len(series) else 0.0)
-    out = SpectralField.constant(f.dim, f.cutoff, coeff(0))
-    power = None
-    for n in range(1, n_terms + 1):
-        power = f if power is None else multiply(power, f)
-        a = coeff(n)
-        if a != 0.0:
-            out = out + a * power
-    tail = 0.0
-    if r > 0:
-        rn = r ** (n_terms + 1)
-        for n in range(n_terms + 1, n_terms + 201):
-            tail += abs(coeff(n)) * rn
-            rn *= r
-    return out, tail
-
-
-def inverse_sqrt_series(n: int) -> float:
-    """Taylor coefficients of (1+z)^(-1/2): a_n = (-1)^n C(2n,n) / 4^n."""
-    a = 1.0
-    for m in range(n):
-        a *= -(0.5 + m) / (m + 1)
-    return a
 
 
 # ----------------------------------------------------------------------
@@ -674,20 +597,6 @@ def reality_residual(f: SpectralField) -> float:
 # serialization
 # ----------------------------------------------------------------------
 
-def save_field(f: SpectralField, path) -> None:
-    """Header line (JSON) + raw complex128 coefficients in row-major k order."""
-    header = {
-        "format": "vmvp-field-v1",
-        "dim": f.dim,
-        "cutoff": f.cutoff,
-        "components": f.components,
-        "convention": FIELD_CONVENTION,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(f.coeffs).tobytes())
-
-
 def read_binary(path, fmt: str, counts: Sequence[str] = (), numbers: Sequence[str] = ()) -> tuple[dict, bytes]:
     """JSON header line and the raw bytes after it, for vmvp's binary files.
 
@@ -719,28 +628,3 @@ def read_binary(path, fmt: str, counts: Sequence[str] = (), numbers: Sequence[st
 def expect_bytes(path, raw: bytes, n: int) -> None:
     if len(raw) != n:
         raise ValidationError(f"{path}: {len(raw)} data bytes, the header implies {n}")
-
-
-def load_field(path) -> SpectralField:
-    header, raw = read_binary(path, "vmvp-field-v1", counts=("dim", "cutoff", "components"))
-    if header.get("convention") != FIELD_CONVENTION:
-        raise ValidationError("field file uses a different Fourier convention")
-    dim, cutoff, m = header["dim"], header["cutoff"], header["components"]
-    shape = (m,) + (2 * cutoff + 1,) * dim
-    expect_bytes(path, raw, 16 * int(np.prod(shape)))
-    return SpectralField(dim, cutoff, np.frombuffer(raw, dtype=np.complex128).reshape(shape))
-
-
-def field_to_grid_csv(f: SpectralField, path) -> None:
-    """Plot-ready CSV of collocation values: x1..xd, then one column per component."""
-    n = padded_grid_size(f.cutoff)
-    vals = f.to_grid(n)
-    xs = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    mesh = np.meshgrid(*([xs] * f.dim), indexing="ij")
-    cols = [m.ravel() for m in mesh] + [vals[c].ravel() for c in range(f.components)]
-    headers = [f"x{a+1}" for a in range(f.dim)] + [f"f{c}" for c in range(f.components)]
-    buf = io.StringIO()
-    buf.write(",".join(headers) + "\n")
-    np.savetxt(buf, np.column_stack(cols), delimiter=",", fmt="%.17g")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())

@@ -3,9 +3,7 @@
 The metric is the product of the per-axis geodesic torus distance on
 positions and the Euclidean distance on velocities.  The exact solver is a
 Jonker-Volgenant style optimal assignment for equal-size uniform-weight
-clouds and a small LP (HiGHS) otherwise; the sliced estimator combines a
-deterministic per-axis circular rule for the periodic coordinates with
-random orthonormal frames on the velocity factor.
+clouds and a small LP (HiGHS) otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import ValidationError
-from .spectral import SpectralField, gradient, l2_norm, mean, padded_grid_size, solve_poisson
+from .spectral import SpectralField, gradient, l2_norm, padded_grid_size, solve_poisson
 
 TWO_PI = 2.0 * np.pi
 N_EXACT_DEFAULT = 2048
@@ -200,49 +198,6 @@ def circular_w2_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
         d = torus_wrap(a - b[list(perm)])
         best = min(best, float((d ** 2).mean()))
     return best
-
-
-def _haar_directions(dim: int, n_dirs: int, rng: np.random.Generator) -> np.ndarray:
-    """n_dirs unit vectors drawn as rows of Haar-random orthonormal frames.
-
-    Full frames make the estimator exact for pure translations whenever
-    n_dirs is a multiple of dim.
-    """
-    frames = []
-    remaining = n_dirs
-    while remaining > 0:
-        g = rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        frames.append(q.T[: min(dim, remaining)])
-        remaining -= dim
-    return np.concatenate(frames, axis=0)[:n_dirs]
-
-
-def w2_sliced(mu: EmpiricalMeasure, nu: EmpiricalMeasure, n_proj: int, seed: int) -> float:
-    """Sliced estimator of the product-metric W2 (not the exact distance).
-
-    Velocity factor: root-mean of 1-D squared W2 over n_proj random
-    directions (Haar frames), scaled by the velocity dimension so pure
-    translations are recovered exactly.  Periodic factor: the circular 1-D
-    rule applied per axis (the axis slices are the projections that remain
-    circles), which keeps the estimate invariant under common shifts.
-    """
-    if n_proj < 1:
-        raise ValidationError("n_proj must be at least 1")
-    if not (mu.is_uniform() and nu.is_uniform() and mu.size == nu.size):
-        raise ValidationError("sliced estimator needs equal-size uniform clouds")
-    total = 0.0
-    for a in range(mu.x.shape[1]):
-        total += circular_w2_sq(mu.x[:, a], nu.x[:, a])
-    if mu.xi is not None:
-        dv = mu.xi.shape[1]
-        rng = np.random.default_rng(seed)
-        dirs = _haar_directions(dv, n_proj, rng)
-        p1 = np.sort(mu.xi @ dirs.T, axis=0)
-        p2 = np.sort(nu.xi @ dirs.T, axis=0)
-        total += dv * ((p1 - p2) ** 2).mean()
-    return float(np.sqrt(total))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from vmvp.errors import ValidationError
 from vmvp.fields import (
     EMState,
+    _rotate,
     assemble_b,
     assemble_e,
     field_energy,
@@ -175,6 +176,29 @@ class TestWaveStep:
         st = free_oscillation_state()
         with pytest.raises(ValidationError):
             wave_step(st, SpectralField.zeros(2, 8, 2), 0.0)
+
+
+class TestRotate:
+    """The one exact propagator of the free wave modes."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_group_law_and_inverse(self, dim, eps):
+        K = 4
+        rng = np.random.default_rng(dim)
+        shape = (dim,) + (2 * K + 1,) * dim
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t1, t2 = 0.013, 0.021
+        once = _rotate(a, w, t1 + t2, eps, dim, K)
+        twice = _rotate(*_rotate(a, w, t1, eps, dim, K), t2, eps, dim, K)
+        back = _rotate(*_rotate(a, w, t1, eps, dim, K), -t1, eps, dim, K)
+        scale = max(np.abs(a).max(), np.abs(w).max())
+        for x, y in ((once, twice), (back, (a, w))):
+            assert np.abs(x[0] - y[0]).max() <= 1e-14 * scale
+            assert np.abs(x[1] - y[1]).max() <= 1e-14 * scale
+        k0 = (slice(None),) + (K,) * dim  # no restoring force: k = 0 is left as it is
+        assert np.array_equal(once[0][k0], a[k0]) and np.array_equal(once[1][k0], w[k0])
 
 
 class TestAssembleAndLedger:

@@ -273,7 +273,10 @@ class TestCheckpoints:
         b'{"format": "vmvp-cloud-v1", "n": -1, "dim": 2, "seed": 0, "t": 0.0}',
         b'{"format": "vmvp-cloud-v1", "n": 1, "dim": 2, "seed": 0}',
         b'{"format": "vmvp-cloud-v2", "n": 0, "dim": 2, "seed": 0, "t": 0.0}',
+        b'{"format":"vmvp-cloud-v1","n":"1"}',
         b"\xff\xfe",
+        b"not json",
+        b"[1]",
     ])
     def test_bad_header_rejected(self, tmp_path, header):
         p = tmp_path / "c.cloud"

@@ -12,7 +12,6 @@ from vmvp.multifluid import (
     gate_margin,
     kinetic_energy,
     load_ensemble,
-    measure_eval,
     moments,
     relativistic_velocity,
     save_ensemble,
@@ -28,7 +27,6 @@ from vmvp.spectral import (
     SpectralField,
     gradient,
     mean,
-    padded_grid_size,
     solve_poisson,
 )
 
@@ -331,32 +329,6 @@ class TestMoments:
         assert np.abs(m.j_total.coeffs).max() < 1e-14
         assert m.m_alpha_sup == pytest.approx(c, rel=1e-12)
 
-    def test_measure_eval(self):
-        c = 0.3
-        p1 = make_phase(2, 4, 0.5, [([0, 0], 1.0)], [(0, [0, 0], c)])
-        p2 = make_phase(2, 4, 0.5, [([0, 0], 1.0)], [(1, [0, 0], -2 * c)])
-        ens = PhaseEnsemble((p1, p2), 0.0)
-        one = measure_eval(ens, lambda xi: np.ones_like(xi[0]))
-        assert np.abs(one.coeffs - ens.rho_total().coeffs).max() < 1e-13
-        xi_sq = measure_eval(ens, lambda xi: (xi ** 2).sum(axis=0))
-        assert mean(xi_sq)[0] == pytest.approx(0.5 * c ** 2 + 0.5 * 4 * c ** 2, rel=1e-12)
-
-    def test_measure_eval_scalar_test_function(self):
-        # phi_test sees one phase's (d, n, n) samples; a scalar result broadcasts
-        p1 = make_phase(2, 4, 0.25, [([0, 0], 1.0), ([1, 0], 0.1)], [(0, [0, 0], 0.3)])
-        p2 = make_phase(2, 4, 0.75, [([0, 0], 1.0)], [(1, [0, 1], 0.2)])
-        ens = PhaseEnsemble((p1, p2), 0.0)
-        shapes = []
-
-        def two(xi):
-            shapes.append(xi.shape)
-            return 2.0
-
-        out = measure_eval(ens, two)
-        n = padded_grid_size(4)
-        assert shapes == [(2, n, n)] * 2
-        assert np.abs(out.coeffs - 2.0 * ens.rho_total().coeffs).max() < 1e-13
-
     def test_fourth_moment(self):
         c = 0.5
         p = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], c)])
@@ -415,6 +387,79 @@ class TestCKIteration:
         for pidx, ph in enumerate(cur.phases):
             assert np.abs(rep.rho_traj[-1, pidx] - ph.rho.coeffs).max() < 1e-6
             assert np.abs(rep.xi_traj[-1, pidx] - ph.xi.coeffs).max() < 1e-6
+
+
+def duhamel_closed_form(s_hat, a0, w0, times, eps, dim, cutoff):
+    """The former _duhamel_series: the homogeneous part in closed form at each
+    t_j plus a separate rotation recurrence for the Duhamel integrals."""
+    from vmvp.fields import _wave_knorm
+    from vmvp.multifluid import _filon_weights
+    from vmvp.spectral import mode_norms
+
+    kn0 = mode_norms(dim, cutoff)
+    knm = _wave_knorm(dim, cutoff)
+    dt = times[1] - times[0]
+    theta = kn0 / eps * dt
+    cth, sth = np.cos(theta), np.sin(theta)
+    w_ss, w_se, w_cs, w_ce = _filon_weights(theta, dt)
+    i_sin = np.zeros_like(s_hat[0])
+    i_cos = np.zeros_like(s_hat[0])
+    a_out = np.empty_like(s_hat)
+    w_out = np.empty_like(s_hat)
+    for j, t in enumerate(times):
+        cph, sph = np.cos(kn0 / eps * t), np.sin(kn0 / eps * t)
+        a_out[j] = cph * a0 + sph * w0 / knm + i_sin / knm
+        w_out[j] = -kn0 * sph * a0 + cph * w0 + i_cos
+        if j + 1 < len(times):
+            loc_sin = w_ss * s_hat[j] + w_se * s_hat[j + 1]
+            loc_cos = w_cs * s_hat[j] + w_ce * s_hat[j + 1]
+            i_sin, i_cos = cth * i_sin + sth * i_cos + loc_sin, -sth * i_sin + cth * i_cos + loc_cos
+    return a_out, w_out
+
+
+class TestDuhamelSeries:
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    @pytest.mark.parametrize("K", [0, 1, 4])
+    def test_matches_former_closed_form(self, eps, K):
+        from vmvp.multifluid import _duhamel_series
+
+        rng = np.random.default_rng(K)
+        shape = (2,) + (2 * K + 1,) * 2
+        times = np.linspace(0.0, 0.3, 65)
+        s_hat = rng.standard_normal((times.size,) + shape) + 1j * rng.standard_normal((times.size,) + shape)
+        a0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a0[:, K, K] = 0.0  # <A> is pinned to zero
+        w0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a, w = _duhamel_series(s_hat, a0, w0, times, eps, 2, K)
+        a_ref, w_ref = duhamel_closed_form(s_hat, a0, w0, times, eps, 2, K)
+        assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+        assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+        assert np.array_equal(a[:, :, K, K], np.zeros_like(a[:, :, K, K]))  # the pinned k = 0 mode
+
+    def test_constant_source_matches_wave_step(self):
+        from vmvp.fields import EMState, wave_step
+        from vmvp.multifluid import _duhamel_series
+        from vmvp.spectral import leray_project
+
+        K, eps, dt, n = 4, 0.1, 2e-3, 256
+        rng = np.random.default_rng(11)
+        n_grid = 2 * (2 * K + 1)
+
+        def divfree(mean_value):
+            f = leray_project(SpectralField.from_grid(rng.standard_normal((2, n_grid, n_grid)), K))
+            return f - SpectralField.constant(2, K, mean(f)) + SpectralField.constant(2, K, mean_value)
+
+        a0, w0, src = divfree([0.0, 0.0]), divfree([0.1, -0.2]), divfree([0.3, 0.05])
+        st = EMState(eps=eps, phi=SpectralField.zeros(2, K, 1), a=a0, eps_adot=w0,
+                     mean_b0=np.zeros(1), mean_eps_adot0=mean(w0))
+        times = dt * np.arange(n + 1)
+        a, w = _duhamel_series(np.broadcast_to(src.coeffs, (n + 1,) + src.coeffs.shape),
+                               a0.coeffs, w0.coeffs, times, eps, 2, K)
+        scale = max(np.abs(a).max(), np.abs(w).max())
+        for j in range(1, n + 1):
+            st = wave_step(st, src, dt)
+            assert np.abs(a[j] - st.a.coeffs).max() <= 1e-13 * scale
+            assert np.abs(w[j] - st.eps_adot.coeffs).max() <= 1e-13 * scale
 
 
 # ck_iterate on bundled ck2d, recorded before the transforms became matrix DFTs

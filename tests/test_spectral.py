@@ -9,21 +9,16 @@ from vmvp.spectral import (
     SpectralField,
     analytic_norm,
     biot_savart,
-    compose_analytic,
     curl,
     derivative,
     divergence,
-    dot,
     gradient,
     helmholtz_decompose,
-    inverse_sqrt_series,
     l2_norm,
     leray_project,
-    load_field,
     mean,
     multiply,
     reality_residual,
-    save_field,
     shrinking_norm,
     solve_poisson,
 )
@@ -344,31 +339,6 @@ class TestMultiply:
             multiply(random_field(1, 4), random_field(2, 4))
 
 
-class TestCompose:
-    def test_identity_series(self):
-        f = random_field(2, 4, seed=5, decay=1.0)
-        out, tail = compose_analytic([0.0, 1.0], f, radius=1e9, delta=1.2)
-        assert np.abs(out.coeffs - f.coeffs).max() < 1e-13
-        assert tail == 0.0
-
-    def test_square_series(self):
-        f = cos_axis(1, 4)
-        out, _ = compose_analytic([0.0, 0.0, 1.0], f, radius=10.0, delta=1.1)
-        expect = multiply(f, f)
-        assert np.abs(out.coeffs - expect.coeffs).max() < 1e-14
-
-    def test_inverse_sqrt_on_constant(self):
-        f = SpectralField.constant(1, 3, 0.21)
-        out, tail = compose_analytic(inverse_sqrt_series, f, radius=1.0, delta=1.5)
-        assert mean(out)[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
-        assert tail < 1e-12
-
-    def test_domain_violation(self):
-        f = SpectralField.constant(1, 3, 1.5)
-        with pytest.raises(ValidationError):
-            compose_analytic(inverse_sqrt_series, f, radius=1.0, delta=1.5)
-
-
 class TestPoisson:
     def test_single_mode(self):
         rho = SpectralField.constant(1, 4, 1.0) + cos_axis(1, 4)
@@ -494,52 +464,33 @@ class TestMeanAndReality:
 
 
 class TestDotAndL2:
-    def test_dot_matches_sum_of_products(self):
-        f = random_field(2, 4, components=2, seed=1)
-        g = random_field(2, 4, components=2, seed=2)
-        d = dot(f, g)
-        manual = multiply(f.component(0), g.component(0)) + multiply(f.component(1), g.component(1))
-        assert np.abs(d.coeffs - manual.coeffs).max() < 1e-13
-
     def test_parseval(self):
         f = cos_axis(2, 4, axis=1)
         assert l2_norm(f) ** 2 == pytest.approx(0.5, rel=1e-13)
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        f = random_field(2, 5, components=2, seed=77)
-        path = tmp_path / "f.field"
-        save_field(f, path)
-        g = load_field(path)
-        assert g.dim == f.dim and g.cutoff == f.cutoff
-        assert np.array_equal(g.coeffs, f.coeffs)
+    """The shared binary reader behind `load_cloud` and `load_ensemble`."""
 
     @pytest.mark.parametrize("cut", [1, 16])
     def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
         f = random_field(2, 3, components=2, seed=1)
-        path = tmp_path / "f.field"
-        save_field(f, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-cut])
-        with pytest.raises(ValidationError):
-            load_field(path)
-        path.write_bytes(data + b"\0" * cut)
-        with pytest.raises(ValidationError):
-            load_field(path)
+        path = tmp_path / "f.bin"
+        head = b'{"format": "vmvp-test-v1", "dim": 2, "cutoff": 3}\n'
+        data = np.ascontiguousarray(f.coeffs, dtype=np.complex128).tobytes()
 
-    @pytest.mark.parametrize("header", [b"not json", b'{"format": "vmvp-field-v1", "dim": "2"}', b"[1]"])
-    def test_bad_header_rejected(self, tmp_path, header):
-        path = tmp_path / "f.field"
-        path.write_bytes(header + b"\n")
-        with pytest.raises(ValidationError):
-            load_field(path)
+        def load():
+            header, raw = sp.read_binary(path, "vmvp-test-v1", counts=("dim", "cutoff"))
+            sp.expect_bytes(path, raw, data_len)
+            return header, raw
 
-    def test_grid_csv(self, tmp_path):
-        f = cos_axis(1, 2)
-        path = tmp_path / "f.csv"
-        sp.field_to_grid_csv(f, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,f0"
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[1] == pytest.approx(1.0)
+        data_len = len(data)
+        path.write_bytes(head + data)
+        header, raw = load()
+        assert header["cutoff"] == 3 and raw == data
+        path.write_bytes(head + data[:-cut])
+        with pytest.raises(ValidationError):
+            load()
+        path.write_bytes(head + data + b"\0" * cut)
+        with pytest.raises(ValidationError):
+            load()

@@ -16,7 +16,6 @@ from vmvp.transport import (
     torus_distance_sq,
     w2_exact,
     w2_exact_brute,
-    w2_sliced,
 )
 
 TWO_PI = 2 * np.pi
@@ -169,63 +168,6 @@ class TestCircular:
         base = circular_w2_sq(a, b)
         s = 2.2
         assert circular_w2_sq((a + s) % TWO_PI, (b + s) % TWO_PI) == pytest.approx(base, abs=1e-12)
-
-
-class TestSliced:
-    def test_identical(self):
-        mu = random_cloud(np.random.default_rng(0), 64)
-        assert w2_sliced(mu, mu, 32, seed=1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_velocity_translation_recovered(self):
-        rng = np.random.default_rng(11)
-        n, shift = 512, np.array([0.6, -0.3])
-        x = rng.uniform(0, TWO_PI, (n, 2))
-        xi = rng.normal(0, 0.5, (n, 2))
-        mu = EmpiricalMeasure.uniform(x, xi)
-        nu = EmpiricalMeasure.uniform(x, xi + shift)
-        est = w2_sliced(mu, nu, 256, seed=2)
-        assert est == pytest.approx(np.linalg.norm(shift), rel=0.02)
-
-    def test_translation_invariance_exact(self):
-        rng = np.random.default_rng(12)
-        mu, nu = random_cloud(rng, 64), random_cloud(rng, 64)
-        base = w2_sliced(mu, nu, 64, seed=3)
-        s = np.array([2.9, 0.4])
-        mu2 = EmpiricalMeasure.uniform((mu.x + s) % TWO_PI, mu.xi)
-        nu2 = EmpiricalMeasure.uniform((nu.x + s) % TWO_PI, nu.xi)
-        assert w2_sliced(mu2, nu2, 64, seed=3) == pytest.approx(base, abs=1e-12)
-
-    def test_seed_deterministic(self):
-        rng = np.random.default_rng(13)
-        mu, nu = random_cloud(rng, 64), random_cloud(rng, 64)
-        assert w2_sliced(mu, nu, 32, seed=5) == w2_sliced(mu, nu, 32, seed=5)
-
-    def test_correlation_with_exact(self):
-        # pairs of genuinely different measures (random location/scale per pair):
-        # the estimator must track the exact distance across the collection
-        rng = np.random.default_rng(14)
-
-        def draw(n=512):
-            cx = rng.uniform(0, TWO_PI, 2)
-            sx = rng.uniform(0.3, 1.2)
-            x = (cx + rng.normal(0, sx, (n, 2))) % TWO_PI
-            cv = rng.uniform(-1, 1, 2)
-            sv = rng.uniform(0.2, 0.8)
-            xi = cv + rng.normal(0, sv, (n, 2))
-            return EmpiricalMeasure.uniform(x, xi)
-
-        exact, sliced = [], []
-        for _ in range(50):
-            mu, nu = draw(), draw()
-            exact.append(w2_exact(mu, nu))
-            sliced.append(w2_sliced(mu, nu, 64, seed=int(rng.integers(1 << 30))))
-        r = np.corrcoef(exact, sliced)[0, 1]
-        assert r >= 0.99
-
-    def test_rejects_bad_nproj(self):
-        mu = random_cloud(np.random.default_rng(0), 8)
-        with pytest.raises(ValidationError):
-            w2_sliced(mu, mu, 0, seed=0)
 
 
 class TestCouplingQ:
