@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,11 +178,7 @@ def run_pair(
         ckpt_dir = Path(out_dir) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    sup_rho_run = 0.0
     l1_rho_run = 0.0
-    sup_malpha_run = 0.0
-    sup_l2_adot = 0.0
-    sup_l2_b = 0.0
     snap_counter = 0
 
     for step in range(cfg.n_steps + 1):
@@ -191,14 +187,7 @@ def run_pair(
         b_field = assemble_b(em)
         g = gauge_residuals(em)
         rho_grid = mom.rho_total.to_grid(n_pad)
-        sup_rho = rho_grid.max()
-        l2_adot = l2_norm(em.eps_adot)
-        l2_b = l2_norm(b_field)
-        sup_rho_run = max(sup_rho_run, sup_rho)
         l1_rho_run = max(l1_rho_run, float(np.abs(rho_grid).mean()))
-        sup_malpha_run = max(sup_malpha_run, mom.m_alpha_sup)
-        sup_l2_adot = max(sup_l2_adot, l2_adot)
-        sup_l2_b = max(sup_l2_b, l2_b)
         step_rows.append(
             [
                 t,
@@ -210,11 +199,11 @@ def run_pair(
                 g["mean_a"],
                 mean_momentum_ledger(em, int_mean_j),
                 vp_run.mean_j_drift[step],
-                sup_rho,
+                rho_grid.max(),
                 mom.m_alpha_sup,
                 vp_run.fourth_moment[step],
-                l2_adot,
-                l2_b,
+                l2_norm(em.eps_adot),
+                l2_norm(b_field),
             ]
         )
         if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
@@ -233,13 +222,7 @@ def run_pair(
                 w2_list.append(w2_val)
                 se_list.append(se_val)
                 if ckpt_dir is not None:
-                    merged = type(cloud)(
-                        x0=cloud.x0, xi0=cloud.xi0, weights=cloud.weights,
-                        phase_idx=cloud.phase_idx,
-                        x_vp=pairing.x_vp, xi_vp=pairing.xi_vp,
-                        x_vm=cloud.x_vm, xi_vm=cloud.xi_vm,
-                        seed=cloud.seed, t=t,
-                    )
+                    merged = replace(cloud, x_vp=pairing.x_vp, xi_vp=pairing.xi_vp, t=t)
                     save_cloud(merged, ckpt_dir / f"cloud_{snap_counter:04d}.cloud")
             snap_counter += 1
         if step == cfg.n_steps:
@@ -261,6 +244,10 @@ def run_pair(
             cloud = flow_vm_step(cloud, e_stages, b_stages, eps, cfg.dt)
 
     step_arr = np.array(step_rows)
+    col = {name: i for i, name in enumerate(STEP_COLUMNS.split(","))}
+    sup_rho_run, sup_malpha_run, sup_l2_adot, sup_l2_b = (
+        float(step_arr[:, col[name]].max()) for name in ("sup_rho_vm", "sup_m_alpha", "l2_eps_adot", "l2_b")
+    )
     ledger = {
         "eps": eps,
         "alpha": cfg.alpha,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .multifluid import RK4_NODES, PhaseEnsemble, _velocity_grid, rk4_update
+from .multifluid import PhaseEnsemble, _lorentz_grid, _velocity_grid, rk4_step
 from .spectral import SpectralField, expect_bytes, gradient, read_binary, stack
 from .transport import TWO_PI, rejection_sample_positions
 
@@ -87,6 +87,29 @@ def _as_stages(field_or_stages, n_stages: int = 4):
     return seq
 
 
+def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
+    """One 4-stage step of Xdot = v(Xi), Xidot = E(X) + eps v(Xi) x B(X) at the stage fields.
+
+    A None E entry means no force at that stage; a None B entry, or eps = 0,
+    means no magnetic force.  Positions come back wrapped onto the torus.
+    """
+    d = x.shape[1]
+
+    def slope(i, ys):
+        xs, xis = ys
+        v = _velocity_grid(xis, eps, axis=1)
+        e_f, b_f = e_stages[i], b_stages[i]
+        if e_f is None:
+            return v, np.zeros_like(xis)
+        if b_f is None or eps == 0:
+            return v, e_f.evaluate_at(xs)
+        vals = stack([e_f, b_f]).evaluate_at(xs)
+        return v, vals[:, :d] + eps * _lorentz_grid(v.T, vals[:, d:].T, d).T
+
+    x_new, xi_new = rk4_step((x, xi), slope, dt)
+    return x_new % TWO_PI, xi_new
+
+
 def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:
     """Advance the electrostatic trajectories by one 4-stage step.
 
@@ -94,26 +117,9 @@ def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:
     potentials/forces from the fluid step.  A sequence may contain scalar
     fields (potentials) or d-component fields (already-assembled -grad phi).
     """
-    stages = _as_stages(phi)
-    forces = []
-    for f in stages:
-        if f is None:
-            forces.append(None)
-        elif f.is_scalar:
-            forces.append(-1.0 * gradient(f))
-        else:
-            forces.append(f)
-    x, xi = cloud.x_vp, cloud.xi_vp
-    kx = [None] * 4
-    kxi = [None] * 4
-    for i, ci in enumerate(RK4_NODES):
-        xs = x if i == 0 else x + dt * ci * kx[i - 1]
-        xis = xi if i == 0 else xi + dt * ci * kxi[i - 1]
-        kx[i] = xis
-        kxi[i] = forces[i].evaluate_at(xs) if forces[i] is not None else np.zeros_like(xis)
-    x_new = rk4_update(x, kx, dt)
-    xi_new = rk4_update(xi, kxi, dt)
-    return replace(cloud, x_vp=x_new % TWO_PI, xi_vp=xi_new, t=cloud.t + dt)
+    forces = tuple(-1.0 * gradient(f) if f is not None and f.is_scalar else f for f in _as_stages(phi))
+    x, xi = _push(cloud.x_vp, cloud.xi_vp, forces, (None,) * 4, 0.0, dt)
+    return replace(cloud, x_vp=x, xi_vp=xi, t=cloud.t + dt)
 
 
 def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleCloud:
@@ -121,42 +127,12 @@ def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleC
 
     e and b are fields frozen over the step or 4-sequences of stage fields
     (b entries may be None when there is no magnetic field).  The magnetic
-    term uses the planar form eps*(v2 B, -v1 B) in d=2 and the full cross
-    product in d=3; |v| <= 1/eps holds pointwise by construction.
+    term is the fluid's `_lorentz_grid`: the planar eps*(v2 B, -v1 B) in d=2
+    and the full cross product in d=3; |v| <= 1/eps holds pointwise by
+    construction.
     """
-    e_stages = _as_stages(e)
-    b_stages = _as_stages(b)
-    x, xi = cloud.x_vm, cloud.xi_vm
-    d = cloud.dim
-    kx = [None] * 4
-    kxi = [None] * 4
-    for i, ci in enumerate(RK4_NODES):
-        xs = x if i == 0 else x + dt * ci * kx[i - 1]
-        xis = xi if i == 0 else xi + dt * ci * kxi[i - 1]
-        v = _velocity_grid(xis, eps, axis=1)
-        kx[i] = v
-        e_f, b_f = e_stages[i], b_stages[i]
-        if e_f is None:
-            force = np.zeros_like(xis)
-            vals_b = None
-        elif b_f is not None and eps > 0:
-            bundle = stack([e_f, b_f]).evaluate_at(xs)
-            force = bundle[:, :d]
-            vals_b = bundle[:, d:]
-        else:
-            force = e_f.evaluate_at(xs)
-            vals_b = None
-        if vals_b is not None:
-            if d == 2:
-                force = force + eps * np.column_stack([v[:, 1] * vals_b[:, 0], -v[:, 0] * vals_b[:, 0]])
-            elif d == 3:
-                force = force + eps * np.cross(v, vals_b)
-            else:
-                raise ValidationError("magnetic force needs d in {2,3}")
-        kxi[i] = force
-    x_new = rk4_update(x, kx, dt)
-    xi_new = rk4_update(xi, kxi, dt)
-    return replace(cloud, x_vm=x_new % TWO_PI, xi_vm=xi_new)
+    x, xi = _push(cloud.x_vm, cloud.xi_vm, _as_stages(e), _as_stages(b), eps, dt)
+    return replace(cloud, x_vm=x, xi_vm=xi)
 
 
 @dataclass(frozen=True)

@@ -263,9 +263,18 @@ RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
-def rk4_update(y0: np.ndarray, slopes, dt: float) -> np.ndarray:
-    """y0 + dt * sum_i w_i k_i with the classical 4-stage weights."""
-    return y0 + dt * sum(w * k for w, k in zip(RK4_WEIGHTS, slopes))
+def rk4_step(y0: tuple, slope, dt: float) -> tuple:
+    """One classical 4-stage step of the arrays y0.
+
+    slope(i, ys) returns one slope per array at stage i (time offset
+    RK4_NODES[i] * dt); stage i > 0 is ys = y0 + dt * c_i * k_{i-1}, and the
+    update is y0 + dt * sum_i w_i k_i.
+    """
+    ks = []
+    for i, ci in enumerate(RK4_NODES):
+        ys = y0 if i == 0 else tuple(y + dt * ci * k for y, k in zip(y0, ks[-1]))
+        ks.append(slope(i, ys))
+    return tuple(y + dt * sum(w * k for w, k in zip(RK4_WEIGHTS, k_y)) for y, k_y in zip(y0, zip(*ks)))
 
 
 def _pack(ens: PhaseEnsemble):
@@ -315,38 +324,21 @@ def vm_step_full(
     if dt <= 0:
         raise ValidationError("dt must be positive")
     check_validity(ens, gate_delta, context=" at step start")
-    dim, cutoff, eps = ens.dim, ens.cutoff, ens.eps
-    r0, x0, mus = _pack(ens)
-
-    if eps == 0:
-        return _electrostatic_step(ens, em, dt, r0, x0, mus)
-
+    if ens.eps == 0:
+        return _electrostatic_step(ens, em, dt)
     if em is None:
         raise ValidationError("relativistic stepping requires an EMState")
-    a0, w0 = em.a.coeffs.copy(), em.eps_adot.coeffs.copy()
-    mean_b0 = em.mean_b0
-
+    dim, cutoff, eps = ens.dim, ens.cutoff, ens.eps
+    r0, x0, mus = _pack(ens)
     n = padded_grid_size(cutoff)
-    b_const = SpectralField.constant(dim, cutoff, mean_b0)
-
-    kr = [None] * 4
-    kx = [None] * 4
-    ka = [None] * 4
-    kw = [None] * 4
-    kj = [None] * 4
+    b_const = SpectralField.constant(dim, cutoff, em.mean_b0)
     stage_fields = []
-    gate_w = gate_delta ** mode_norms(dim, cutoff)
 
-    for i, ci in enumerate(RK4_NODES):
-        if i == 0:
-            rs, xs, as_, ws = r0, x0, a0, w0
-        else:
-            step = dt * ci
-            rs = r0 + step * kr[i - 1]
-            xs = x0 + step * kx[i - 1]
-            as_ = a0 + step * ka[i - 1]
-            ws = w0 + step * kw[i - 1]
-            stage_gate = eps * (np.abs(xs) * gate_w).sum(axis=tuple(range(2, xs.ndim))).max()
+    def slope(i, ys):
+        rs, xs, as_, ws, _ = ys
+        ci = RK4_NODES[i]
+        if i > 0:
+            stage_gate = eps * analytic_norm(SpectralField(dim, cutoff, xs.reshape((-1,) + xs.shape[2:])), gate_delta)
             if stage_gate > GATE_BOUND:
                 raise NumericalAbort(
                     f"validity gate violated at stage {i + 1}: {stage_gate:.6g} > 1/sqrt(2)",
@@ -355,26 +347,18 @@ def vm_step_full(
         a_hat, w_hat = _rotate(as_, ws, ci * dt, eps, dim, cutoff)  # rotating frame -> lab frame
 
         rho_tot = SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))
-        phi = solve_poisson(rho_tot)
-        e_field = -1.0 * gradient(phi) - SpectralField(dim, cutoff, w_hat)
+        e_field = -1.0 * gradient(solve_poisson(rho_tot)) - SpectralField(dim, cutoff, w_hat)
         b_field = curl(SpectralField(dim, cutoff, a_hat)) + b_const
-        b_grid = b_field.to_grid(n)
-
-        dr, dx, flux = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_grid, eps, dim, cutoff)
-        j_hat = SpectralField(dim, cutoff, np.tensordot(mus, flux, axes=(0, 0)))
-        s_hat = leray_project(j_hat).coeffs
-
-        kr[i], kx[i] = dr, dx
-        ka[i], kw[i] = _rotate(0.0, s_hat, -ci * dt, eps, dim, cutoff)  # source pulled back to the frame
-        kj[i] = mean(j_hat)
         stage_fields.append((e_field, b_field))
 
-    r1 = rk4_update(r0, kr, dt)
-    x1 = rk4_update(x0, kx, dt)
-    a1 = rk4_update(a0, ka, dt)
-    w1 = rk4_update(w0, kw, dt)
-    mean_j_inc = dt * sum(w * k for w, k in zip(RK4_WEIGHTS, kj))
+        dr, dx, flux = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_field.to_grid(n), eps, dim, cutoff)
+        j_hat = SpectralField(dim, cutoff, np.tensordot(mus, flux, axes=(0, 0)))
+        # the divergence-free source, pulled back to the rotating frame
+        ka, kw = _rotate(0.0, leray_project(j_hat).coeffs, -ci * dt, eps, dim, cutoff)
+        return dr, dx, ka, kw, mean(j_hat)
 
+    y0 = (r0, x0, em.a.coeffs, em.eps_adot.coeffs, np.zeros(dim))
+    r1, x1, a1, w1, mean_j_inc = rk4_step(y0, slope, dt)
     a_new, w_new = _rotate(a1, w1, dt, eps, dim, cutoff)
 
     ens_new = _unpack(ens, r1, x1)
@@ -396,25 +380,20 @@ def vm_step_full(
     return VMStepResult(ens_new, em_new, tuple(stage_fields), mean_j_inc)
 
 
-def _electrostatic_step(ens, em, dt, r0, x0, mus) -> VMStepResult:
+def _electrostatic_step(ens, em, dt) -> VMStepResult:
     """eps = 0 reduction: no wave, force -grad phi (plus nothing magnetic)."""
     dim, cutoff = ens.dim, ens.cutoff
-    kr = [None] * 4
-    kx = [None] * 4
+    r0, x0, mus = _pack(ens)
     stage_fields = []
-    for i, ci in enumerate(RK4_NODES):
-        if i == 0:
-            rs, xs = r0, x0
-        else:
-            rs = r0 + dt * ci * kr[i - 1]
-            xs = x0 + dt * ci * kx[i - 1]
-        rho_tot = SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))
-        phi = solve_poisson(rho_tot)
-        e_field = -1.0 * gradient(phi)
-        kr[i], kx[i], _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
+
+    def slope(i, ys):
+        rs, xs = ys
+        e_field = -1.0 * gradient(solve_poisson(SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))))
         stage_fields.append((e_field, None))
-    r1 = rk4_update(r0, kr, dt)
-    x1 = rk4_update(x0, kx, dt)
+        dr, dx, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
+        return dr, dx
+
+    r1, x1 = rk4_step((r0, x0), slope, dt)
     return VMStepResult(_unpack(ens, r1, x1), em, tuple(stage_fields), np.zeros(dim))
 
 
@@ -430,8 +409,7 @@ def vp_step_full(ens: PhaseEnsemble, dt: float) -> VPStepResult:
     if ens.eps != 0:
         raise ValidationError("vp_step expects an eps = 0 ensemble")
     check_validity(ens, context=" at step start")
-    r0, x0, mus = _pack(ens)
-    res = _electrostatic_step(ens, None, dt, r0, x0, mus)
+    res = _electrostatic_step(ens, None, dt)
     return VPStepResult(res.ensemble, tuple(e for e, _ in res.stage_fields))
 
 
@@ -607,11 +585,8 @@ def ck_iterate(
     horizon = p.eta * (p.delta0 - p.delta)
     times = np.linspace(0.0, horizon, n_time + 1)
     dt = times[1] - times[0]
-    mus = np.array([ph.mu for ph in init.phases])
-    mode_shape = init.phases[0].rho.coeffs.shape[1:]
-
-    rho0 = np.stack([ph.rho.coeffs for ph in init.phases])
-    xi0 = np.stack([ph.xi.coeffs for ph in init.phases])
+    rho0, xi0, mus = _pack(init)
+    mode_shape = rho0.shape[2:]
     c0 = max(
         max(analytic_norm(ph.rho, p.delta0) for ph in init.phases),
         max(analytic_norm(ph.xi, p.delta0) for ph in init.phases),

@@ -1,9 +1,14 @@
-"""Every module of the library uses each name it imports.
+"""AST scans of the library's modules.
 
-No linter ships with the test dependencies, so this AST scan is the guard:
-a name bound by ``import`` or ``from ... import`` must appear as a name
-somewhere else in the module.  Package ``__init__`` files (re-exports) and
-``from __future__`` imports are exempt.
+No linter ships with the test dependencies, so these scans are the guard:
+
+* every module uses each name it imports: a name bound by ``import`` or
+  ``from ... import`` must appear as a name somewhere else in the module.
+  Package ``__init__`` files (re-exports) and ``from __future__`` imports
+  are exempt;
+* no module holds an ``assert`` statement: runtime invariants raise
+  ``NumericalAbort`` or ``ValidationError``, which ``python -O`` does not
+  strip.
 """
 
 import ast
@@ -13,7 +18,8 @@ import pytest
 
 import vmvp
 
-MODULES = sorted(p for p in Path(vmvp.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(vmvp.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +44,17 @@ def test_scan_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_scan_flags_an_assert():
+    src = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\nassert_x = 1\n"
+    assert assert_lines(src) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []

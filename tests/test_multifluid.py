@@ -14,6 +14,7 @@ from vmvp.multifluid import (
     load_ensemble,
     moments,
     relativistic_velocity,
+    rk4_step,
     save_ensemble,
     total_energy,
     vm_rhs,
@@ -195,6 +196,26 @@ class TestRhs:
         xi[0, 4, 4] = np.nan
         with pytest.raises(NumericalAbort):
             _phase_rhs_arrays(ens.phases[0].rho.coeffs, xi, np.zeros_like(xi), None, 0.0, 2, 4)
+
+
+class TestRk4Step:
+    def test_linear_system_gets_the_degree_four_taylor_polynomial(self):
+        lam = np.array([-1.3, 0.7 + 2.0j])
+        dt = 0.1
+        y0 = (np.array([1.0 + 0.0j, 2.0 - 1.0j]), np.array([[0.5 + 0.0j, -3.0 + 0.25j]]))
+        seen = []
+
+        def slope(i, ys):
+            seen.append(i)
+            return tuple(lam * y for y in ys)
+
+        y1 = rk4_step(y0, slope, dt)
+        z = lam * dt
+        growth = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        assert seen == [0, 1, 2, 3]
+        assert len(y1) == 2
+        for y, start in zip(y1, y0):
+            assert np.abs(y - growth * start).max() <= 1e-15 * np.abs(growth * start).max()
 
 
 class TestStepping:
