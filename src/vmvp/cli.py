@@ -131,9 +131,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     from .harness import run_sweep
 
-    cfg = _load_cfg(args.config, {"output_dir": args.out})
-    eps_list = [float(v) for v in args.eps.split(",")] if args.eps else None
-    report = run_sweep(cfg, eps_list=eps_list, out_dir=Path(cfg.output_dir))
+    try:
+        eps_list = [float(v) for v in args.eps.split(",")] if args.eps else None
+    except ValueError as exc:
+        raise ValidationError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
+    cfg = _load_cfg(args.config, {"output_dir": args.out, "eps_list": eps_list})
+    report = run_sweep(cfg, out_dir=Path(cfg.output_dir))
     print(f"sweep over eps={report.eps_values}")
     print(f"kappa_measured={report.kappa_measured:.4f} (R^2={report.r_squared:.4f}), monotone={report.monotone}")
     if report.partial:
@@ -184,7 +187,7 @@ def _cmd_wasserstein(args) -> int:
         xia = xib = None
     mu = EmpiricalMeasure.uniform(xa, xia)
     nu = EmpiricalMeasure.uniform(xb, xib)
-    val = w2_exact(mu, nu, n_exact=max(mu.size, 2048))
+    val = w2_exact(mu, nu)
     print(f"W2 = {val!r}")
     return EXIT_OK
 

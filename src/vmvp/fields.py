@@ -30,6 +30,9 @@ from .spectral import (
     solve_poisson,
 )
 
+# tolerance of the normalization checks on initial field data (Gauss law, div B, zero means)
+NORMALIZATION_TOL = 1e-9
+
 
 @lru_cache(maxsize=32)
 def _wave_knorm(dim: int, cutoff: int) -> np.ndarray:
@@ -83,7 +86,6 @@ def init_em_state(
     e0: SpectralField,
     b0: SpectralField,
     eps: float,
-    tol: float = 1e-9,
 ) -> EMState:
     """Build the potential-formulation state from normalized field data.
 
@@ -98,18 +100,18 @@ def init_em_state(
         raise ValidationError("eps must lie in (0, 1]")
     scale = max(np.abs(e0.coeffs).max(), np.abs(rho0.coeffs).max(), 1.0)
     gauss = divergence(e0).coeffs - (rho0.coeffs - SpectralField.constant(rho0.dim, rho0.cutoff, 1.0).coeffs)
-    if np.abs(gauss).max() > tol * scale:
+    if np.abs(gauss).max() > NORMALIZATION_TOL * scale:
         raise ValidationError(
             f"Gauss constraint div E0 = rho0 - 1 violated (residual {np.abs(gauss).max():.3e})"
         )
     if b0.dim == 3 and b0.components == 3:
         divb = np.abs(divergence(b0).coeffs).max()
-        if divb > tol * max(np.abs(b0.coeffs).max(), 1.0):
+        if divb > NORMALIZATION_TOL * max(np.abs(b0.coeffs).max(), 1.0):
             raise ValidationError(f"div B0 = 0 violated (residual {divb:.3e})")
-    if np.abs(mean(e0)).max() > tol:
+    if np.abs(mean(e0)).max() > NORMALIZATION_TOL:
         raise ValidationError(f"mean of E0 must vanish (got {mean(e0)})")
     j0_mean = np.asarray(j0_mean, dtype=float)
-    if np.abs(j0_mean).max() > tol:
+    if np.abs(j0_mean).max() > NORMALIZATION_TOL:
         raise ValidationError(f"mean initial current must vanish (got {j0_mean})")
 
     phi = solve_poisson(rho0)
@@ -197,8 +199,3 @@ def gauge_residuals(state: EMState) -> dict:
     mean_a = float(np.abs(mean(state.a)).max())
     return {"div_a": div_a, "mean_a": mean_a}
 
-
-def mode_oscillation_energy(state: EMState) -> np.ndarray:
-    """Per-mode invariant |A_hat|^2 + |eps dA_hat|^2 / |k|^2 of the free dynamics."""
-    kn = _wave_knorm(state.dim, state.cutoff)
-    return (np.abs(state.a.coeffs) ** 2 + np.abs(state.eps_adot.coeffs) ** 2 / kn ** 2).sum(axis=0)

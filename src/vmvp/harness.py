@@ -13,7 +13,6 @@ smallest constant closing the integral inequality on the measured Q series.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,10 +21,11 @@ import numpy as np
 from .errors import NumericalAbort, ValidationError
 from .config import RunConfig, build_em_state, build_ensemble
 from .fields import assemble_b, field_energy, gauge_residuals, mean_momentum_ledger
-from .lagrangian import flow_vm_step, flow_vp_step, sample_cloud, save_cloud
+from .lagrangian import ParticleCloud, flow_vm_step, flow_vp_step, sample_cloud, save_cloud
 from .multifluid import (
     PhaseEnsemble,
     check_validity,
+    electrostatic_energy,
     moments,
     total_energy,
     vm_step_full,
@@ -41,14 +41,6 @@ STEP_COLUMNS = (
 SNAP_COLUMNS = "t,Q,w2_sub,w2_sub_se"
 
 
-def worker_count(default: int | None = None) -> int:
-    """Process-level parallelism: VMVP_WORKERS wins, else the given default."""
-    env = os.environ.get("VMVP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return default if default is not None else 1
-
-
 @dataclass
 class RunReport:
     """Everything a pair run measures, plus the hypothesis ledger."""
@@ -58,8 +50,7 @@ class RunReport:
     q: np.ndarray
     w2: np.ndarray
     w2_se: np.ndarray
-    step_t: np.ndarray
-    step_rows: np.ndarray          # columns follow STEP_COLUMNS after t
+    step_rows: np.ndarray          # columns follow STEP_COLUMNS
     ledger: dict
     osgood_c: float
     kappa: float
@@ -80,66 +71,52 @@ class RunReport:
 class _VPRun:
     """The eps-independent electrostatic side, reusable across a sweep."""
 
-    snap_idx: list
-    x_vp: list
+    x_vp: list                     # particle positions and momenta at each snapshot
     xi_vp: list
     energy: np.ndarray
     mean_j_drift: np.ndarray
     fourth_moment: np.ndarray
     sup_rho: np.ndarray
-    final: PhaseEnsemble
 
 
 def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
     ens = build_ensemble(cfg, 0.0)
     cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
     j0 = mean(moments(ens).j_total)
-    snap_idx, xs, xis = [], [], []
+    xs, xis = [], []
     energy = np.empty(cfg.n_steps + 1)
     drift = np.empty(cfg.n_steps + 1)
     fourth = np.empty(cfg.n_steps + 1)
     sup_rho = np.empty(cfg.n_steps + 1)
-    n_pad = padded_grid_size(cfg.cutoff)
     for step in range(cfg.n_steps + 1):
         mom = moments(ens)
-        energy[step] = total_energy(ens)
+        energy[step] = mom.kinetic_energy + electrostatic_energy(ens)
         drift[step] = np.abs(mean(mom.j_total) - j0).max()
         fourth[step] = mom.fourth_moment_l1
-        sup_rho[step] = mom.rho_total.to_grid(n_pad).max()
-        if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
-            snap_idx.append(step)
-            if with_particles:
-                xs.append(cloud.x_vp.copy())
-                xis.append(cloud.xi_vp.copy())
+        sup_rho[step] = mom.rho_grid.max()
+        if with_particles and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
+            xs.append(cloud.x_vp.copy())
+            xis.append(cloud.xi_vp.copy())
         if step == cfg.n_steps:
             break
         res = vp_step_full(ens, cfg.dt)
         if with_particles:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
-    return _VPRun(snap_idx, xs, xis, energy, drift, fourth, sup_rho, ens)
+    return _VPRun(xs, xis, energy, drift, fourth, sup_rho)
 
 
-@dataclass
-class _Pairing:
-    x_vp: np.ndarray
-    xi_vp: np.ndarray
-    x_vm: np.ndarray
-    xi_vm: np.ndarray
-    weights: np.ndarray
-
-
-def _subsampled_w2(pairing: _Pairing, n_sub: int, rng: np.random.Generator, n_boot: int):
+def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
     """Exact W2 on a random subsample, with a bootstrap standard error of W2^2.
 
     Each bootstrap replicate resamples the subsample, so its cost matrix is a
     row/column gather of the subsample's one; the entries are the same floats
     a rebuilt matrix would hold.
     """
-    n = pairing.x_vp.shape[0]
+    n = cloud.x_vp.shape[0]
     idx = rng.choice(n, size=min(n_sub, n), replace=False)
-    mu = EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx])
-    nu = EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx])
+    mu = EmpiricalMeasure.uniform(cloud.x_vp[idx], cloud.xi_vp[idx])
+    nu = EmpiricalMeasure.uniform(cloud.x_vm[idx], cloud.xi_vm[idx])
     cost = cost_matrix_sq(mu, nu)
     w2 = w2_from_cost(cost)
     pos = np.empty(n, dtype=np.intp)
@@ -169,7 +146,6 @@ def run_pair(
     rng = np.random.default_rng(cfg.seed + 987654321)
 
     int_mean_j = np.zeros(cfg.dim)
-    n_pad = padded_grid_size(cfg.cutoff)
     step_rows = []
     snap_t, q_list, w2_list, se_list = [], [], [], []
     aborted, abort_message, truncation = False, "", None
@@ -185,21 +161,21 @@ def run_pair(
         t = step * cfg.dt
         mom = moments(ens, alpha=cfg.alpha)
         b_field = assemble_b(em)
+        energy_field = field_energy(em)
         g = gauge_residuals(em)
-        rho_grid = mom.rho_total.to_grid(n_pad)
-        l1_rho_run = max(l1_rho_run, float(np.abs(rho_grid).mean()))
+        l1_rho_run = max(l1_rho_run, float(np.abs(mom.rho_grid).mean()))
         step_rows.append(
             [
                 t,
-                total_energy(ens, em),
+                mom.kinetic_energy + energy_field,
                 vp_run.energy[step],
-                field_energy(em),
+                energy_field,
                 float(np.abs(mean(b_field) - em.mean_b0).max()),
                 g["div_a"],
                 g["mean_a"],
                 mean_momentum_ledger(em, int_mean_j),
                 vp_run.mean_j_drift[step],
-                rho_grid.max(),
+                mom.rho_grid.max(),
                 mom.m_alpha_sup,
                 vp_run.fourth_moment[step],
                 l2_norm(em.eps_adot),
@@ -208,22 +184,14 @@ def run_pair(
         )
         if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
             if with_particles and snap_counter < len(vp_run.x_vp):
-                pairing = _Pairing(
-                    vp_run.x_vp[snap_counter],
-                    vp_run.xi_vp[snap_counter],
-                    cloud.x_vm,
-                    cloud.xi_vm,
-                    cloud.weights,
-                )
-                q_val = coupling_Q(pairing)
-                w2_val, se_val = _subsampled_w2(pairing, cfg.w2_subsample, rng, cfg.bootstrap_reps)
+                snap = replace(cloud, x_vp=vp_run.x_vp[snap_counter], xi_vp=vp_run.xi_vp[snap_counter], t=t)
+                w2_val, se_val = _subsampled_w2(snap, cfg.w2_subsample, rng, cfg.bootstrap_reps)
                 snap_t.append(t)
-                q_list.append(q_val)
+                q_list.append(coupling_Q(snap))
                 w2_list.append(w2_val)
                 se_list.append(se_val)
                 if ckpt_dir is not None:
-                    merged = replace(cloud, x_vp=pairing.x_vp, xi_vp=pairing.xi_vp, t=t)
-                    save_cloud(merged, ckpt_dir / f"cloud_{snap_counter:04d}.cloud")
+                    save_cloud(snap, ckpt_dir / f"cloud_{snap_counter:04d}.cloud")
             snap_counter += 1
         if step == cfg.n_steps:
             break
@@ -276,7 +244,6 @@ def run_pair(
         q=q_arr,
         w2=np.array(w2_list),
         w2_se=np.array(se_list),
-        step_t=step_arr[:, 0],
         step_rows=step_arr,
         ledger=ledger,
         osgood_c=osgood_c,
@@ -325,9 +292,9 @@ def fit_kappa(eps_values, sup_w2):
     return float(slope), float(r2)
 
 
-def run_sweep(cfg: RunConfig, eps_list=None, out_dir: str | Path | None = None) -> SweepReport:
-    """Paired runs over a list of eps sharing seed, data and the VP side."""
-    eps_values = list(eps_list if eps_list is not None else cfg.eps_list)
+def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
+    """Paired runs over cfg.eps_list sharing seed, data and the VP side."""
+    eps_values = list(cfg.eps_list)
     if len(eps_values) < 3:
         raise ValidationError("a sweep needs at least 3 eps values")
     vp_run = _run_vp_side(cfg, with_particles=True)
@@ -415,7 +382,7 @@ def verify_suite(cfg: RunConfig) -> list:
     """Machine-readable invariant battery across all layers; failures are data."""
     from . import spectral as sp
     from .fields import EMState, wave_step
-    from .multifluid import Phase, gate_margin, relativistic_velocity, vm_step
+    from .multifluid import Phase, _velocity_grid, gate_margin, vm_step
     from .spectral import analytic_norm, divergence, multiply, reality_residual
     from .transport import pairing_cost_sq
 
@@ -484,8 +451,9 @@ def verify_suite(cfg: RunConfig) -> list:
     em = build_em_state(cfg, eps)
     results.append(_check("multifluid.neutrality", abs(sum(ph.mu * mean(ph.rho)[0] for ph in ens.phases) - 1.0), 1e-12))
     results.append(_check("multifluid.gate_margin", gate_margin(ens, cfg.delta1), 1.0 / np.sqrt(2.0), note="(bound, not residual)"))
-    vxi = relativistic_velocity(ens.phases[0].xi, eps, gate_delta=None)
-    ratio = analytic_norm(vxi, cfg.delta1) / max(analytic_norm(ens.phases[0].xi, cfg.delta1), 1e-300)
+    xi0 = ens.phases[0].xi
+    vxi = SpectralField.from_grid(_velocity_grid(xi0.to_grid(), eps), xi0.cutoff)
+    ratio = analytic_norm(vxi, cfg.delta1) / max(analytic_norm(xi0, cfg.delta1), 1e-300)
     results.append(_check("multifluid.velocity_norm_bound", max(ratio - np.sqrt(2.0), 0.0), 1e-10, note=f"|v|/|xi| = {ratio:.4f}"))
 
     masses0 = ens.phase_masses()
@@ -531,7 +499,7 @@ def verify_suite(cfg: RunConfig) -> list:
     xi2 = xi + rngt.normal(0, 0.05, xi.shape)
     nu = EmpiricalMeasure.uniform(x2, xi2)
     w = w2_exact(mu, nu)
-    pc = pairing_cost_sq(_Pairing(x, xi, x2, xi2, np.full(24, 1 / 24)))
+    pc = pairing_cost_sq(ParticleCloud(x, xi, np.full(24, 1 / 24), np.zeros(24, dtype=int), x, xi, x2, xi2, cfg.seed))
     results.append(_check("transport.pushforward_bound", max(w ** 2 - pc, 0.0), 1e-12))
 
     # expected abort: gate-violating data must refuse to run

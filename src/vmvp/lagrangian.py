@@ -135,63 +135,6 @@ def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleC
     return replace(cloud, x_vm=x, xi_vm=xi)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    density_rms: float
-    residual_max: float
-    residual_rms: float
-
-
-def consistency_check(cloud: ParticleCloud, ens: PhaseEnsemble, system: str = "vm", bins: int = 16) -> ConsistencyReport:
-    """Compare particle statistics against the fluid state at the same time.
-
-    density_rms: RMS over cells of (histogram density - exact cell-averaged
-    fluid density).  residual_*: per-sample monokinetic residual
-    |Xi - xi_theta(X)| for the phase each sample was drawn from.
-    """
-    if system == "vm":
-        x, xi = cloud.x_vm, cloud.xi_vm
-    elif system == "vp":
-        x, xi = cloud.x_vp, cloud.xi_vp
-    else:
-        raise ValidationError("system must be 'vm' or 'vp'")
-    d = cloud.dim
-
-    rho = ens.rho_total()
-    h = TWO_PI / bins
-    # exact cell averages: damp each mode by prod_a sinc(k_a h / 2)
-    from .spectral import mode_vectors
-
-    k = mode_vectors(d, rho.cutoff)
-    damp = np.ones(k.shape[1:])
-    for a in range(d):
-        damp = damp * np.sinc(k[a] * h / TWO_PI)
-    cell_avg = SpectralField(d, rho.cutoff, rho.coeffs * damp)
-    centers_1d = (np.arange(bins) + 0.5) * h
-    mesh = np.meshgrid(*([centers_1d] * d), indexing="ij")
-    centers = np.column_stack([m.ravel() for m in mesh])
-    fluid = cell_avg.evaluate_at(centers)[:, 0]
-
-    cells = np.floor(x / h).astype(int) % bins
-    flat = np.ravel_multi_index(tuple(cells.T), (bins,) * d)
-    counts = np.bincount(flat, weights=cloud.weights, minlength=bins ** d)
-    emp = counts * bins ** d  # cell fraction -> density w.r.t. normalized measure
-    density_rms = float(np.sqrt(((emp - fluid) ** 2).mean()))
-
-    resid = np.empty(cloud.size)
-    for p, ph in enumerate(ens.phases):
-        idx = np.flatnonzero(cloud.phase_idx == p)
-        if idx.size == 0:
-            continue
-        target = ph.xi.evaluate_at(x[idx])
-        resid[idx] = np.sqrt(((xi[idx] - target) ** 2).sum(axis=1))
-    return ConsistencyReport(
-        density_rms=density_rms,
-        residual_max=float(resid.max()),
-        residual_rms=float(np.sqrt((resid ** 2).mean())),
-    )
-
-
 # ----------------------------------------------------------------------
 # checkpoints
 # ----------------------------------------------------------------------

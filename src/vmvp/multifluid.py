@@ -52,6 +52,8 @@ POSITIVITY_TOL = -1e-8
 MEAN_B_TOL = 1e-12  # <B> is conserved exactly; a step may move it by round-off only
 # time slices per ck_iterate kernel call: all 257 slices of ck2d at once nearly double peak memory
 CK_SLICE_BLOCK = 32
+# ck_iterate measures iterate differences on every 4th time slice (and the last)
+NORM_TIME_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -142,24 +144,6 @@ def check_validity(ens: PhaseEnsemble, gate_delta: float = DEFAULT_GATE_DELTA, c
 # relativistic velocity
 # ----------------------------------------------------------------------
 
-def relativistic_velocity(
-    xi: SpectralField,
-    eps: float,
-    gate_delta: float | None = DEFAULT_GATE_DELTA,
-) -> SpectralField:
-    """v(xi) = xi / sqrt(1 + eps^2 |xi|^2), computed pointwise on the padded grid.
-
-    For eps = 0 this is the identity.  gate_delta=None skips the domain check.
-    """
-    if eps == 0:
-        return xi
-    if gate_delta is not None:
-        g = eps * analytic_norm(xi, gate_delta)
-        if g > GATE_BOUND:
-            raise NumericalAbort(f"relativistic velocity gate violated: {g:.6g} > 1/sqrt(2)")
-    return SpectralField.from_grid(_velocity_grid(xi.to_grid(), eps), xi.cutoff)
-
-
 def _velocity_grid(xi: np.ndarray, eps: float, axis: int = 0) -> np.ndarray:
     """v(xi) = xi / sqrt(1 + eps^2 |xi|^2) pointwise; `axis` holds the components."""
     if eps == 0:
@@ -241,18 +225,6 @@ def _phase_rhs_arrays(
     if not np.isfinite(dxi).all() or not np.isfinite(drho).all():
         raise NumericalAbort("non-finite values in phase right-hand side")
     return drho, dxi, flux
-
-
-def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
-    """Per-phase (drho/dt, dxi/dt) for the relativistic system at frozen fields."""
-    check_validity(ens)
-    b_grid = b.to_grid(padded_grid_size(ens.cutoff)) if b is not None else None
-    r, x, _ = _pack(ens)
-    drho, dxi, _ = _phase_rhs_arrays(r, x, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
-    return [
-        (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
-        for dr, dx in zip(drho, dxi)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -423,56 +395,50 @@ def vp_step(ens: PhaseEnsemble, dt: float) -> PhaseEnsemble:
 
 @dataclass(frozen=True)
 class Moments:
-    rho_total: SpectralField
+    rho_grid: np.ndarray          # total density on the padded grid, (1, n, .., n)
     j_total: SpectralField
     m_alpha_sup: float
     fourth_moment_l1: float
-    alpha: float
+    kinetic_energy: float
 
 
 def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
-    """Macroscopic density, current, sup of m_alpha, and L1 fourth moment."""
-    rg, xg, mu = _phase_grids(ens)
-    vg = _velocity_grid(xg, ens.eps, axis=1)
-    speed = np.sqrt((vg ** 2).sum(axis=1, keepdims=True))
-    xinorm2 = (xg ** 2).sum(axis=1, keepdims=True)
-    totals = (mu * np.concatenate([rg, vg * rg, speed ** alpha * rg, xinorm2 ** 2 * rg], axis=1)).sum(axis=0)
-    rho_tot, j_tot, malpha, fourth = np.split(totals, [1, 1 + ens.dim, 2 + ens.dim])
-    return Moments(
-        rho_total=SpectralField.from_grid(rho_tot, ens.cutoff),
-        j_total=SpectralField.from_grid(j_tot, ens.cutoff),
-        m_alpha_sup=float(malpha.max()),
-        fourth_moment_l1=float(np.abs(fourth).mean()),
-        alpha=alpha,
-    )
+    """Macroscopic density, current, sup of m_alpha, L1 fourth moment and kinetic energy.
 
-
-def _phase_grids(ens: PhaseEnsemble):
-    """rho (P, 1, n..) and xi (P, d, n..) of every phase on the padded grid, from one
-    synthesis, plus the weights mu shaped to broadcast against them."""
+    The one grid pass over a state: every phase's rho and xi come from one
+    synthesis.  The kinetic energy is sum_theta mu int e(xi_theta) rho_theta dx
+    with the relativistic e(xi).
+    """
     r, x, mus = _pack(ens)
     g = sp.to_grid(np.concatenate([r, x], axis=1), ens.dim)
-    return g[:, :1], g[:, 1:], mus.reshape((-1,) + (1,) * (ens.dim + 1))
-
-
-def kinetic_energy(ens: PhaseEnsemble) -> float:
-    """sum_theta mu int e(xi_theta) rho_theta dx with the relativistic e(xi)."""
-    rg, xg, mu = _phase_grids(ens)
+    rg, xg, mu = g[:, :1], g[:, 1:], mus.reshape((-1,) + (1,) * (ens.dim + 1))
+    vg = _velocity_grid(xg, ens.eps, axis=1)
+    speed = np.sqrt((vg ** 2).sum(axis=1, keepdims=True))
     xi2 = (xg ** 2).sum(axis=1, keepdims=True)
+    totals = (mu * np.concatenate([rg, vg * rg, speed ** alpha * rg, xi2 ** 2 * rg], axis=1)).sum(axis=0)
+    rho_tot, j_tot, malpha, fourth = np.split(totals, [1, 1 + ens.dim, 2 + ens.dim])
     if ens.eps == 0:
         e = 0.5 * xi2
     else:
         e = (np.sqrt(1.0 + ens.eps ** 2 * xi2) - 1.0) / ens.eps ** 2
-    return float((mu.ravel() * (e * rg).reshape(mu.size, -1).mean(axis=1)).sum())
+    return Moments(
+        rho_grid=rho_tot,
+        j_total=SpectralField.from_grid(j_tot, ens.cutoff),
+        m_alpha_sup=float(malpha.max()),
+        fourth_moment_l1=float(np.abs(fourth).mean()),
+        kinetic_energy=float((mu.ravel() * (e * rg).reshape(mu.size, -1).mean(axis=1)).sum()),
+    )
+
+
+def electrostatic_energy(ens: PhaseEnsemble) -> float:
+    """(1/2) ||grad phi||_L2^2 with -Lap phi = rho - 1, by Parseval."""
+    return 0.5 * l2_norm(gradient(solve_poisson(ens.rho_total()))) ** 2
 
 
 def total_energy(ens: PhaseEnsemble, em: EMState | None = None) -> float:
     """Kinetic plus field energy (electrostatic energy only when em is None)."""
-    kin = kinetic_energy(ens)
-    if em is not None:
-        return kin + field_energy(em)
-    phi = solve_poisson(ens.rho_total())
-    return kin + 0.5 * l2_norm(gradient(phi)) ** 2
+    kin = moments(ens).kinetic_energy
+    return kin + (field_energy(em) if em is not None else electrostatic_energy(ens))
 
 
 # ----------------------------------------------------------------------
@@ -502,10 +468,6 @@ class CKIterationReport:
     @property
     def c2_declared(self) -> float:
         return 8.0 * self.c1_declared
-
-    def ratios_below(self, factor: float, start: int = 2) -> bool:
-        tail = self.ratios[start - 1 :]
-        return bool(tail) and all(r <= factor for r in tail)
 
 
 def _cumint(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -561,7 +523,6 @@ def ck_iterate(
     p: AnalyticNormParams,
     n_max: int = 10,
     n_time: int = 256,
-    norm_time_stride: int = 4,
     gate_delta: float | None = None,
 ) -> CKIterationReport:
     """Run the successive-approximation scheme on [0, eta*(delta0 - delta)].
@@ -605,7 +566,7 @@ def ck_iterate(
     diffs_rho, diffs_xi, ratios = [], [], []
     diverged = False
     grow_streak = 0
-    norm_idx = list(range(0, n_time + 1, norm_time_stride))
+    norm_idx = list(range(0, n_time + 1, NORM_TIME_STRIDE))
     if norm_idx[-1] != n_time:
         norm_idx.append(n_time)
 

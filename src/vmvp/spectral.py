@@ -190,12 +190,12 @@ class SpectralField:
         return cls(dim, cutoff, c)
 
     @classmethod
-    def from_modes(cls, dim: int, cutoff: int, components: int, entries, symmetrize: bool = True) -> "SpectralField":
-        """Build a field from (component, k-vector, complex amplitude) entries.
+    def from_modes(cls, dim: int, cutoff: int, components: int, entries) -> "SpectralField":
+        """Build a real field from (component, k-vector, complex amplitude) entries.
 
-        With symmetrize=True each entry also deposits the conjugate at -k, so
-        listing only one representative of a +-k pair yields a real field.
-        The k = 0 entry is forced real in that case.
+        Each entry also deposits the conjugate at -k, so listing only one
+        representative of a +-k pair yields a real field; a k = 0 entry
+        contributes its real part.
         """
         c = np.zeros((components,) + (2 * cutoff + 1,) * dim, dtype=np.complex128)
         for comp, kvec, amp in entries:
@@ -206,15 +206,12 @@ class SpectralField:
                 raise ValidationError(f"mode {kvec} outside cutoff box K={cutoff}")
             idx = (int(comp),) + tuple(k + cutoff for k in kvec)
             amp = complex(amp)
-            if symmetrize:
-                if all(k == 0 for k in kvec):
-                    c[idx] += amp.real
-                else:
-                    c[idx] += amp
-                    nidx = (int(comp),) + tuple(-k + cutoff for k in kvec)
-                    c[nidx] += np.conj(amp)
+            if all(k == 0 for k in kvec):
+                c[idx] += amp.real
             else:
                 c[idx] += amp
+                nidx = (int(comp),) + tuple(-k + cutoff for k in kvec)
+                c[nidx] += np.conj(amp)
         return cls(dim, cutoff, c)
 
     @classmethod
@@ -274,13 +271,6 @@ class SpectralField:
             im = np.concatenate([sin, cos])                               # Im((x + iy) e^{ikx}) = [x, y] . im
             t = np.einsum("mjkn,rjn->mrkn", t, np.stack([re, im])).reshape(m, 2 * J, J ** (d - 2 - a), n)
 
-    def evaluate_at_naive(self, points: np.ndarray) -> np.ndarray:
-        """Reference direct summation (slow); used to validate evaluate_at."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        k = mode_vectors(self.dim, self.cutoff).reshape(self.dim, -1)
-        phase = np.exp(1j * pts @ k)                               # (n, modes)
-        return (phase @ self.coeffs.reshape(self.components, -1).T).real
-
     # ------------------------------------------------------------------
     # arithmetic in coefficient space
     # ------------------------------------------------------------------
@@ -302,9 +292,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return self._like(-self.coeffs)
-
-    def component(self, i: int) -> "SpectralField":
-        return self._like(self.coeffs[i : i + 1])
 
 
 def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
@@ -347,6 +334,10 @@ def _check_compatible(f: SpectralField, g: SpectralField, same_components: bool 
 # weighted analytic norms
 # ----------------------------------------------------------------------
 
+# radii delta0 > ... > 1 at which shrinking_norm takes its supremum
+DELTA_GRID_SIZE = 16
+
+
 @dataclass(frozen=True)
 class AnalyticNormParams:
     """Parameters of the shrinking-radius norm.
@@ -360,7 +351,6 @@ class AnalyticNormParams:
     delta: float = 1.0
     eta: float = 1.0
     beta: float = 0.5
-    delta_grid_size: int = 16
 
     def __post_init__(self):
         if not (self.delta0 > 1.0):
@@ -371,8 +361,8 @@ class AnalyticNormParams:
             raise ValidationError("beta must lie in (0,1)")
 
     def delta_grid(self) -> np.ndarray:
-        j = np.arange(self.delta_grid_size)
-        return self.delta0 * (1.0 - j / self.delta_grid_size) + 1.0 * (j / self.delta_grid_size)
+        j = np.arange(DELTA_GRID_SIZE)
+        return self.delta0 * (1.0 - j / DELTA_GRID_SIZE) + 1.0 * (j / DELTA_GRID_SIZE)
 
 
 def analytic_norm(f: SpectralField, delta: float) -> float:
@@ -382,12 +372,6 @@ def analytic_norm(f: SpectralField, delta: float) -> float:
     w = delta ** mode_norms(f.dim, f.cutoff)
     per_comp = (np.abs(f.coeffs) * w).sum(axis=tuple(range(1, f.dim + 1)))
     return float(per_comp.max())
-
-
-def gradient_stack(f: SpectralField) -> SpectralField:
-    """All first derivatives of all components stacked along the component axis."""
-    parts = [derivative(f.component(c), a + 1) for c in range(f.components) for a in range(f.dim)]
-    return stack(parts)
 
 
 def shrinking_norm(
@@ -487,6 +471,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
 # ----------------------------------------------------------------------
 
 TOL_NEUTRALITY = 1e-10
+TOL_DIV_B = 1e-10  # biot_savart: relative mode-wise div B residual accepted as solenoidal
 
 
 def mean(f: SpectralField) -> np.ndarray:
@@ -500,12 +485,12 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt((np.abs(f.coeffs) ** 2).sum()))
 
 
-def poisson_coeffs(rho_c: np.ndarray, dim: int, tol_neutrality: float = TOL_NEUTRALITY) -> np.ndarray:
+def poisson_coeffs(rho_c: np.ndarray, dim: int) -> np.ndarray:
     """phi with -Lap(phi) = rho - 1, zero mean, for densities (..., 1, J..); requires <rho> = 1."""
     cutoff = (rho_c.shape[-1] - 1) // 2
     dev = rho_c[(...,) + (cutoff,) * dim].real - 1.0
     worst = dev.flat[np.abs(dev).argmax()]
-    if abs(worst) > tol_neutrality:
+    if abs(worst) > TOL_NEUTRALITY:
         raise ValidationError(f"charge neutrality violated: <rho> - 1 = {worst:.3e}")
     return rho_c * _inverse_k2(dim, cutoff)
 
@@ -520,11 +505,11 @@ def _inverse_k2(dim: int, cutoff: int) -> np.ndarray:
     return inv
 
 
-def solve_poisson(rho: SpectralField, tol_neutrality: float = TOL_NEUTRALITY) -> SpectralField:
+def solve_poisson(rho: SpectralField) -> SpectralField:
     """Solve -Lap(phi) = rho - 1 with zero-mean phi; requires <rho> = 1."""
     if not rho.is_scalar:
         raise ValidationError("solve_poisson expects a scalar density")
-    return rho._like(poisson_coeffs(rho.coeffs, rho.dim, tol_neutrality))
+    return rho._like(poisson_coeffs(rho.coeffs, rho.dim))
 
 
 def leray_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
@@ -551,7 +536,7 @@ def helmholtz_decompose(f: SpectralField) -> tuple[SpectralField, SpectralField]
     return f - divfree, divfree
 
 
-def biot_savart(b: SpectralField, tol_div: float = 1e-10) -> SpectralField:
+def biot_savart(b: SpectralField) -> SpectralField:
     """Vector potential A with curl A = B - <B>, div A = 0, <A> = 0.
 
     d=3 expects a solenoidal vector B; d=2 expects a scalar B (planar curl).
@@ -560,7 +545,7 @@ def biot_savart(b: SpectralField, tol_div: float = 1e-10) -> SpectralField:
     if b.dim == 3 and b.components == 3:
         divres = np.abs(divergence(b).coeffs).max()
         scale = np.abs(b.coeffs).max()
-        if divres > tol_div * max(scale, 1.0):
+        if divres > TOL_DIV_B * max(scale, 1.0):
             raise ValidationError(f"biot_savart requires div B = 0 mode-wise (residual {divres:.3e})")
         k = mode_vectors(3, b.cutoff).astype(float)
         c = b.coeffs

@@ -17,8 +17,8 @@ from .errors import ValidationError
 from .spectral import SpectralField, gradient, l2_norm, padded_grid_size, solve_poisson
 
 TWO_PI = 2.0 * np.pi
-N_EXACT_DEFAULT = 2048
-N_LP_DEFAULT = 512
+N_LP = 512               # the general-weight LP has N_LP^2 unknowns at most
+EFFICIENCY_FLOOR = 1e-3  # rejection sampling aborts below this acceptance rate
 
 
 def torus_wrap(delta: np.ndarray) -> np.ndarray:
@@ -109,26 +109,18 @@ def w2_from_cost(cost: np.ndarray) -> float:
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def w2_exact(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    n_exact: int = N_EXACT_DEFAULT,
-    n_lp: int = N_LP_DEFAULT,
-) -> float:
+def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact W2 between empirical measures.
 
-    Equal-size uniform clouds route to the optimal-assignment solver (up to
-    n_exact points); general weights go through a transportation LP (up to
-    n_lp points each).  Tie-breaking is deterministic for a given input.
+    Equal-size uniform clouds route to the optimal-assignment solver; general
+    weights go through a transportation LP (up to N_LP points each).
+    Tie-breaking is deterministic for a given input.
     """
-    uniform_case = mu.is_uniform() and nu.is_uniform() and mu.size == nu.size
-    if uniform_case:
-        if mu.size > n_exact:
-            raise ValidationError(f"assignment path limited to {n_exact} points (got {mu.size})")
+    if mu.is_uniform() and nu.is_uniform() and mu.size == nu.size:
         return w2_from_cost(cost_matrix_sq(mu, nu))
-    if mu.size > n_lp or nu.size > n_lp:
+    if mu.size > N_LP or nu.size > N_LP:
         raise ValidationError(
-            f"general-weight LP path limited to {n_lp} points per side (got {mu.size}, {nu.size})"
+            f"general-weight LP path limited to {N_LP} points per side (got {mu.size}, {nu.size})"
         )
     cost = cost_matrix_sq(mu, nu)
     n, m = cost.shape
@@ -149,55 +141,6 @@ def w2_exact(
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(np.sqrt(max(res.fun, 0.0)))
-
-
-def w2_exact_brute(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Factorial-time oracle over all permutations (tests only, N <= 9)."""
-    from itertools import permutations
-
-    if not (mu.is_uniform() and nu.is_uniform() and mu.size == nu.size):
-        raise ValidationError("brute-force oracle needs equal-size uniform clouds")
-    cost = cost_matrix_sq(mu, nu)
-    n = mu.size
-    idx = np.arange(n)
-    best = np.inf
-    for perm in permutations(range(n)):
-        best = min(best, cost[idx, list(perm)].sum())
-    return float(np.sqrt(best / n))
-
-
-# ----------------------------------------------------------------------
-# circular 1-D optimal transport (uniform equal-size clouds)
-# ----------------------------------------------------------------------
-
-def circular_w2_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared W2 between uniform empirical measures on the circle [0, 2pi).
-
-    The optimal assignment between cyclically sorted sequences is one of the
-    n cyclic shifts; each candidate pairs by geodesic displacement.
-    """
-    a = np.sort(np.asarray(a, dtype=float) % TWO_PI)
-    b = np.sort(np.asarray(b, dtype=float) % TWO_PI)
-    n = a.size
-    if b.size != n:
-        raise ValidationError("circular rule needs equal-size clouds")
-    bb = np.concatenate([b, b])
-    windows = np.lib.stride_tricks.sliding_window_view(bb, n)[:n]  # row k: b shifted by k
-    diff = torus_wrap(a[None, :] - windows)
-    return float((diff ** 2).mean(axis=1).min())
-
-
-def circular_w2_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
-    from itertools import permutations
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.size
-    best = np.inf
-    for perm in permutations(range(n)):
-        d = torus_wrap(a - b[list(perm)])
-        best = min(best, float((d ** 2).mean()))
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +167,11 @@ def rejection_sample_positions(
     rho: SpectralField,
     n: int,
     rng: np.random.Generator,
-    efficiency_floor: float = 1e-3,
 ) -> np.ndarray:
     """Draw n positions from a probability density on the torus.
 
     Uniform proposals accepted against sup_grid rho; aborts if the observed
-    acceptance rate collapses below efficiency_floor.
+    acceptance rate collapses below EFFICIENCY_FLOOR.
     """
     if not rho.is_scalar:
         raise ValidationError("sampling expects a scalar density")
@@ -249,9 +191,9 @@ def rejection_sample_positions(
         out[filled : filled + take] = pts[accept][:take]
         filled += take
         proposed += batch
-        if proposed > 10_000 and filled / proposed < efficiency_floor:
+        if proposed > 10_000 and filled / proposed < EFFICIENCY_FLOOR:
             raise ValidationError(
-                f"rejection sampling efficiency {filled / proposed:.2e} below {efficiency_floor}"
+                f"rejection sampling efficiency {filled / proposed:.2e} below {EFFICIENCY_FLOOR}"
             )
     return out
 
@@ -278,6 +220,6 @@ def loeper_check(
     rng = np.random.default_rng(seed)
     x1 = rejection_sample_positions(rho1, n_samples, rng)
     x2 = rejection_sample_positions(rho2, n_samples, rng)
-    w2 = w2_exact(EmpiricalMeasure.uniform(x1), EmpiricalMeasure.uniform(x2), n_exact=max(n_samples, N_EXACT_DEFAULT))
+    w2 = w2_exact(EmpiricalMeasure.uniform(x1), EmpiricalMeasure.uniform(x2))
     rhs = float(np.sqrt(max(g1.max(), g2.max())) * w2)
     return lhs, rhs, bool(lhs <= rhs * (1.0 + slack))

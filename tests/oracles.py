@@ -1,0 +1,179 @@
+"""Reference implementations that only the tests use.
+
+Each is a slow or narrow counterpart of a library path (direct summation,
+brute-force assignment, per-phase right-hand sides) or a diagnostic of
+fluid/particle agreement; the tests check the library against them.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from itertools import permutations
+
+import numpy as np
+
+from vmvp.errors import ValidationError
+from vmvp.fields import EMState, _wave_knorm
+from vmvp.lagrangian import ParticleCloud
+from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _pack, _phase_rhs_arrays, check_validity
+from vmvp.spectral import SpectralField, derivative, mode_vectors, padded_grid_size, stack
+from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq, torus_wrap
+
+
+def worker_count(default: int | None = None) -> int:
+    """Process-level parallelism: VMVP_WORKERS wins, else the given default."""
+    env = os.environ.get("VMVP_WORKERS")
+    if env:
+        return max(1, int(env))
+    return default if default is not None else 1
+
+
+# ----------------------------------------------------------------------
+# spectral
+# ----------------------------------------------------------------------
+
+def evaluate_at_naive(f: SpectralField, points: np.ndarray) -> np.ndarray:
+    """Reference direct summation (slow); used to validate evaluate_at."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = mode_vectors(f.dim, f.cutoff).reshape(f.dim, -1)
+    phase = np.exp(1j * pts @ k)                               # (n, modes)
+    return (phase @ f.coeffs.reshape(f.components, -1).T).real
+
+
+def gradient_stack(f: SpectralField) -> SpectralField:
+    """All first derivatives of all components stacked along the component axis."""
+    comps = [SpectralField(f.dim, f.cutoff, f.coeffs[c : c + 1]) for c in range(f.components)]
+    parts = [derivative(g, a + 1) for g in comps for a in range(f.dim)]
+    return stack(parts)
+
+
+# ----------------------------------------------------------------------
+# fields and fluids
+# ----------------------------------------------------------------------
+
+def mode_oscillation_energy(state: EMState) -> np.ndarray:
+    """Per-mode invariant |A_hat|^2 + |eps dA_hat|^2 / |k|^2 of the free dynamics."""
+    kn = _wave_knorm(state.dim, state.cutoff)
+    return (np.abs(state.a.coeffs) ** 2 + np.abs(state.eps_adot.coeffs) ** 2 / kn ** 2).sum(axis=0)
+
+
+def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
+    """Per-phase (drho/dt, dxi/dt) for the relativistic system at frozen fields."""
+    check_validity(ens)
+    b_grid = b.to_grid(padded_grid_size(ens.cutoff)) if b is not None else None
+    r, x, _ = _pack(ens)
+    drho, dxi, _ = _phase_rhs_arrays(r, x, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
+    return [
+        (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
+        for dr, dx in zip(drho, dxi)
+    ]
+
+
+def ratios_below(rep: CKIterationReport, factor: float, start: int = 2) -> bool:
+    tail = rep.ratios[start - 1 :]
+    return bool(tail) and all(r <= factor for r in tail)
+
+
+# ----------------------------------------------------------------------
+# particles against the fluid
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    density_rms: float
+    residual_max: float
+    residual_rms: float
+
+
+def consistency_check(cloud: ParticleCloud, ens: PhaseEnsemble, system: str = "vm", bins: int = 16) -> ConsistencyReport:
+    """Compare particle statistics against the fluid state at the same time.
+
+    density_rms: RMS over cells of (histogram density - exact cell-averaged
+    fluid density).  residual_*: per-sample monokinetic residual
+    |Xi - xi_theta(X)| for the phase each sample was drawn from.
+    """
+    if system == "vm":
+        x, xi = cloud.x_vm, cloud.xi_vm
+    elif system == "vp":
+        x, xi = cloud.x_vp, cloud.xi_vp
+    else:
+        raise ValidationError("system must be 'vm' or 'vp'")
+    d = cloud.dim
+
+    rho = ens.rho_total()
+    h = TWO_PI / bins
+    # exact cell averages: damp each mode by prod_a sinc(k_a h / 2)
+    k = mode_vectors(d, rho.cutoff)
+    damp = np.ones(k.shape[1:])
+    for a in range(d):
+        damp = damp * np.sinc(k[a] * h / TWO_PI)
+    cell_avg = SpectralField(d, rho.cutoff, rho.coeffs * damp)
+    centers_1d = (np.arange(bins) + 0.5) * h
+    mesh = np.meshgrid(*([centers_1d] * d), indexing="ij")
+    centers = np.column_stack([m.ravel() for m in mesh])
+    fluid = cell_avg.evaluate_at(centers)[:, 0]
+
+    cells = np.floor(x / h).astype(int) % bins
+    flat = np.ravel_multi_index(tuple(cells.T), (bins,) * d)
+    counts = np.bincount(flat, weights=cloud.weights, minlength=bins ** d)
+    emp = counts * bins ** d  # cell fraction -> density w.r.t. normalized measure
+    density_rms = float(np.sqrt(((emp - fluid) ** 2).mean()))
+
+    resid = np.empty(cloud.size)
+    for p, ph in enumerate(ens.phases):
+        idx = np.flatnonzero(cloud.phase_idx == p)
+        if idx.size == 0:
+            continue
+        target = ph.xi.evaluate_at(x[idx])
+        resid[idx] = np.sqrt(((xi[idx] - target) ** 2).sum(axis=1))
+    return ConsistencyReport(
+        density_rms=density_rms,
+        residual_max=float(resid.max()),
+        residual_rms=float(np.sqrt((resid ** 2).mean())),
+    )
+
+
+# ----------------------------------------------------------------------
+# transport
+# ----------------------------------------------------------------------
+
+def w2_exact_brute(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Factorial-time oracle over all permutations (N <= 9)."""
+    if not (mu.is_uniform() and nu.is_uniform() and mu.size == nu.size):
+        raise ValidationError("brute-force oracle needs equal-size uniform clouds")
+    cost = cost_matrix_sq(mu, nu)
+    n = mu.size
+    idx = np.arange(n)
+    best = np.inf
+    for perm in permutations(range(n)):
+        best = min(best, cost[idx, list(perm)].sum())
+    return float(np.sqrt(best / n))
+
+
+def circular_w2_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared W2 between uniform empirical measures on the circle [0, 2pi).
+
+    The optimal assignment between cyclically sorted sequences is one of the
+    n cyclic shifts; each candidate pairs by geodesic displacement.
+    """
+    a = np.sort(np.asarray(a, dtype=float) % TWO_PI)
+    b = np.sort(np.asarray(b, dtype=float) % TWO_PI)
+    n = a.size
+    if b.size != n:
+        raise ValidationError("circular rule needs equal-size clouds")
+    bb = np.concatenate([b, b])
+    windows = np.lib.stride_tricks.sliding_window_view(bb, n)[:n]  # row k: b shifted by k
+    diff = torus_wrap(a[None, :] - windows)
+    return float((diff ** 2).mean(axis=1).min())
+
+
+def circular_w2_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.size
+    best = np.inf
+    for perm in permutations(range(n)):
+        d = torus_wrap(a - b[list(perm)])
+        best = min(best, float((d ** 2).mean()))
+    return best

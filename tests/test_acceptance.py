@@ -300,7 +300,7 @@ def test_criterion_7_loeper_inequality():
     seeds = list(range(700, 750))
     import os
 
-    from vmvp.harness import worker_count
+    from oracles import worker_count
 
     workers = worker_count(default=min(4, os.cpu_count() or 1))
     if workers > 1:

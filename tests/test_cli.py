@@ -37,6 +37,11 @@ class TestExitCodes:
     def test_sweep_too_few_eps(self, tiny_cfg_path):
         assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", "0.2,0.1"]) == 2
 
+    @pytest.mark.parametrize("eps", ["0.1,x,0.3", "2,3,4"])
+    def test_sweep_bad_eps_rejected_before_any_step(self, tiny_cfg_path, monkeypatch, eps):
+        monkeypatch.setattr("vmvp.harness.run_sweep", lambda *a, **k: pytest.fail("the sweep started"))
+        assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps]) == 2
+
     def test_unparsable_config_value(self, tmp_path):
         text = resolve_config_path("bundled/ck2d").read_text(encoding="utf-8")
         assert "\ncutoff = 8\n" in text

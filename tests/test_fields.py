@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import mode_oscillation_energy
 from vmvp.errors import ValidationError
 from vmvp.fields import (
     EMState,
@@ -11,7 +12,6 @@ from vmvp.fields import (
     gauge_residuals,
     init_em_state,
     mean_momentum_ledger,
-    mode_oscillation_energy,
     wave_step,
 )
 from vmvp.spectral import (

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from vmvp.config import load_config, resolve_config_path
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, gauge_residuals
+from vmvp.lagrangian import ParticleCloud
 from vmvp.harness import (
     SNAP_COLUMNS,
     STEP_COLUMNS,
-    _Pairing,
     _subsampled_w2,
     fit_kappa,
     osgood_diagnostic,
@@ -74,7 +75,7 @@ class TestFitKappa:
 
     def test_sweep_needs_three_points(self, small_cfg):
         with pytest.raises(ValidationError, match="3"):
-            run_sweep(small_cfg, eps_list=[0.2, 0.1])
+            run_sweep(replace(small_cfg, eps_list=[0.2, 0.1]))
 
 
 class TestVerifySuite:
@@ -153,13 +154,13 @@ def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
     idx = rng.choice(n, size=min(n_sub, n), replace=False)
     mu = EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx])
     nu = EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx])
-    w2 = w2_exact(mu, nu, n_exact=max(n_sub, 2048))
+    w2 = w2_exact(mu, nu)
     reps = np.empty(n_boot)
     for b in range(n_boot):
         take = rng.choice(idx, size=idx.size, replace=True)
         mu_b = EmpiricalMeasure.uniform(pairing.x_vp[take], pairing.xi_vp[take])
         nu_b = EmpiricalMeasure.uniform(pairing.x_vm[take], pairing.xi_vm[take])
-        reps[b] = w2_exact(mu_b, nu_b, n_exact=max(n_sub, 2048)) ** 2
+        reps[b] = w2_exact(mu_b, nu_b) ** 2
     se = float(reps.std(ddof=1)) if n_boot > 1 else 0.0
     return float(w2), se
 
@@ -170,7 +171,8 @@ class TestSubsampledW2:
         rng = np.random.default_rng(seed)
         x = rng.uniform(0, TWO_PI, (n, 2))
         xi = rng.normal(0, 0.5, (n, 2))
-        return _Pairing(
+        return ParticleCloud(
+            x0=x, xi0=xi, phase_idx=np.zeros(n, dtype=int), seed=seed,
             x_vp=x, xi_vp=xi,
             x_vm=(x + rng.normal(0, 0.05, (n, 2))) % TWO_PI, xi_vm=xi + rng.normal(0, 0.05, (n, 2)),
             weights=np.full(n, 1.0 / n),

@@ -8,10 +8,16 @@ No linter ships with the test dependencies, so these scans are the guard:
   are exempt;
 * no module holds an ``assert`` statement: runtime invariants raise
   ``NumericalAbort`` or ``ValidationError``, which ``python -O`` does not
-  strip.
+  strip;
+* no library code exists for the tests alone: every module-level function
+  and class and every method of the package is used by name somewhere in
+  the package, ``scripts/`` or ``perfbench/`` outside its own definition
+  (comments and docstrings do not count).  Test oracles live in
+  ``tests/oracles.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,3 +64,77 @@ def test_scan_flags_an_assert():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+# ----------------------------------------------------------------------
+# test-only library code
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# directories whose code may name a library definition; tests/ is not among them
+CALLER_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+# load_ensemble reads the abort_state.ens dump that a NumericalAbort leaves behind
+NAMED_ONLY_BY_TESTS = {"load_ensemble"}
+
+
+def used_names(tree) -> Counter:
+    """Names a tree uses: variables, attributes, imported names, and string
+    constants spelling an identifier (perfbench looks names up by string)."""
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out[n.value] += 1
+    return out
+
+
+def definitions(tree):
+    """Every module-level function and class and every method; dunder methods
+    are called implicitly and skipped."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                m
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("__")
+            ]
+    return out
+
+
+def unnamed_definitions(defining: list[str], callers: list[str]) -> list[str]:
+    """Definitions in the `defining` sources that no source in `callers` uses
+    by name, except inside the definition itself."""
+    used = sum((used_names(ast.parse(src)) for src in callers), Counter())
+    return sorted(
+        node.name
+        for src in defining
+        for node in definitions(ast.parse(src))
+        if used[node.name] == used_names(node)[node.name]
+    )
+
+
+def test_scan_flags_a_name_only_its_definition_uses():
+    lib = (
+        "def used(x):\n    return x\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def by_string():\n    pass\n\n"
+        "class Box:\n    def __init__(self):\n        self.v = used(1)\n\n"
+        "    def orphan(self):\n        \"Not Box.size, not Box.orphan.\"\n        return self.v  # orphan\n\n"
+        "    @property\n    def size(self):\n        return 1\n"
+    )
+    caller = "from lib import Box\nprint(Box().size, getattr(lib, 'by_string'))\n"
+    assert unnamed_definitions([lib], [lib, caller]) == ["orphan", "recursive"]
+
+
+def test_every_library_definition_is_named_outside_the_tests():
+    callers = [p.read_text(encoding="utf-8") for d in CALLER_DIRS for p in sorted(d.glob("*.py"))]
+    library = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(set(unnamed_definitions(library, callers)) - NAMED_ONLY_BY_TESTS) == []

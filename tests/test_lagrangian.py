@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import consistency_check, evaluate_at_naive
 from vmvp.errors import ValidationError
 from vmvp.lagrangian import (
     ParticleCloud,
-    consistency_check,
     flow_vm_step,
     flow_vp_step,
     load_cloud,
@@ -203,7 +203,7 @@ class TestVMFlow:
             return cloud
 
         fast = push()
-        monkeypatch.setattr(SpectralField, "evaluate_at", SpectralField.evaluate_at_naive)
+        monkeypatch.setattr(SpectralField, "evaluate_at", evaluate_at_naive)
         naive = push()
         assert np.abs(torus_wrap(fast.x_vm - naive.x_vm)).max() < 1e-13
         assert np.abs(fast.xi_vm - naive.xi_vm).max() < 1e-13

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import evaluate_at_naive, gradient_stack
 from vmvp.errors import ValidationError
 from vmvp import spectral as sp
 from vmvp.spectral import (
@@ -65,7 +66,7 @@ class TestEvaluate:
         f = random_field(dim, 3, components=dim, seed=dim)
         pts = np.random.default_rng(7).uniform(0, 2 * np.pi, (40, dim))
         a = f.evaluate_at(pts)
-        b = f.evaluate_at_naive(pts)
+        b = evaluate_at_naive(f, pts)
         assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -85,7 +86,7 @@ class TestEvaluate:
             f = SpectralField(dim, cutoff, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         pts = np.random.default_rng(seed + 1).uniform(-2.0, 9.0, (23, dim))
         a = f.evaluate_at(pts)
-        b = f.evaluate_at_naive(pts)
+        b = evaluate_at_naive(f, pts)
         assert a.shape == b.shape == (23, components)
         assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
@@ -246,7 +247,7 @@ def looped_shrinking_norm(times, fields, p, grid):
     sup = 0.0
     for t, u in zip(times, fields):
         au = np.abs(u.coeffs)
-        ag = np.abs(sp.gradient_stack(u).coeffs)
+        ag = np.abs(gradient_stack(u).coeffs)
         for delta in grid:
             margin = p.delta0 - delta - t / p.eta
             if margin < 0 or delta <= 1.0:
@@ -430,7 +431,7 @@ class TestBiotSavart:
         for seed in range(10):
             b = leray_project(random_field(3, 3, components=3, seed=seed))
             a = biot_savart(b)
-            grad_a = sp.gradient_stack(a)
+            grad_a = gradient_stack(a)
             target = b - SpectralField.constant(3, 3, mean(b))
             assert l2_norm(grad_a) <= l2_norm(target) * (1 + 1e-12)
 

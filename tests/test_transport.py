@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import circular_w2_sq, circular_w2_sq_brute, w2_exact_brute
 from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
 from vmvp.transport import (
     EmpiricalMeasure,
-    circular_w2_sq,
-    circular_w2_sq_brute,
     cost_matrix_sq,
     coupling_Q,
     loeper_check,
@@ -15,7 +14,6 @@ from vmvp.transport import (
     rejection_sample_positions,
     torus_distance_sq,
     w2_exact,
-    w2_exact_brute,
 )
 
 TWO_PI = 2 * np.pi
@@ -77,13 +75,6 @@ class TestW2Exact:
         nu = EmpiricalMeasure(np.array([[1.0], [TWO_PI - 1.0]]), None, np.array([0.5, 0.5]))
         val = w2_exact(mu, nu)
         assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_size_cap(self):
-        rng = np.random.default_rng(1)
-        mu = random_cloud(rng, 8)
-        nu = random_cloud(rng, 8)
-        with pytest.raises(ValidationError):
-            w2_exact(mu, nu, n_exact=4)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
