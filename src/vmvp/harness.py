@@ -32,7 +32,7 @@ from .multifluid import (
     vp_step_full,
 )
 from .spectral import SpectralField, l2_norm, mean, padded_grid_size
-from .transport import EmpiricalMeasure, cost_matrix_sq, coupling_Q, w2_exact, w2_from_cost
+from .transport import EmpiricalMeasure, cost_matrix_sq, coupling_Q, identity_pair_costs, w2_exact, w2_from_cost
 
 STEP_COLUMNS = (
     "t,energy_vm,energy_vp,field_energy_vm,mean_b_drift,gauge_div_a,gauge_mean_a,ledger_residual,"
@@ -109,22 +109,35 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
 def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
     """Exact W2 on a random subsample, with a bootstrap standard error of W2^2.
 
-    Each bootstrap replicate resamples the subsample, so its cost matrix is a
-    row/column gather of the subsample's one; the entries are the same floats
-    a rebuilt matrix would hold.
+    When identity_pair_costs proves the subsample's index pairing optimal,
+    W2 is the root mean of its pair costs and no assignment is solved.  A
+    bootstrap replicate then inherits the proof: with t its resampled
+    indices, c(t_a, t_b) >= c(t_b, t_b) for every a, b, equal only when
+    t_a = t_b, so its optimal pairings match only coincident copies and its
+    W2 is the root mean of the gathered pair costs, the same float the
+    solver would give.  Otherwise one cost matrix is built, and each
+    replicate's matrix is a row/column gather of it; the entries are the
+    same floats a rebuilt matrix would hold.
     """
     n = cloud.x_vp.shape[0]
     idx = rng.choice(n, size=min(n_sub, n), replace=False)
     mu = EmpiricalMeasure.uniform(cloud.x_vp[idx], cloud.xi_vp[idx])
     nu = EmpiricalMeasure.uniform(cloud.x_vm[idx], cloud.xi_vm[idx])
-    cost = cost_matrix_sq(mu, nu)
-    w2 = w2_from_cost(cost)
+    pair = identity_pair_costs(mu, nu)
+    if pair is None:
+        cost = cost_matrix_sq(mu, nu)
+        w2 = w2_from_cost(cost)
+    else:
+        w2 = float(np.sqrt(pair.mean()))
     pos = np.empty(n, dtype=np.intp)
     pos[idx] = np.arange(idx.size)
     reps = np.empty(n_boot)
     for b in range(n_boot):
         take = pos[rng.choice(idx, size=idx.size, replace=True)]
-        reps[b] = w2_from_cost(cost[np.ix_(take, take)]) ** 2
+        if pair is None:
+            reps[b] = w2_from_cost(cost[np.ix_(take, take)]) ** 2
+        else:
+            reps[b] = float(np.sqrt(pair[take].mean())) ** 2
     se = float(reps.std(ddof=1)) if n_boot > 1 else 0.0
     return w2, se
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .multifluid import PhaseEnsemble, _lorentz_grid, _velocity_grid, rk4_step
 from .spectral import SpectralField, expect_bytes, gradient, read_binary, stack
-from .transport import TWO_PI, rejection_sample_positions
+from .transport import rejection_sample_positions, wrap_positions
 
 @dataclass(frozen=True)
 class ParticleCloud:
@@ -91,7 +91,7 @@ def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
     """One 4-stage step of Xdot = v(Xi), Xidot = E(X) + eps v(Xi) x B(X) at the stage fields.
 
     A None E entry means no force at that stage; a None B entry, or eps = 0,
-    means no magnetic force.  Positions come back wrapped onto the torus.
+    means no magnetic force.  Positions come back wrapped into [0, 2pi).
     """
     d = x.shape[1]
 
@@ -107,7 +107,7 @@ def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
         return v, vals[:, :d] + eps * _lorentz_grid(v.T, vals[:, d:].T, d).T
 
     x_new, xi_new = rk4_step((x, xi), slope, dt)
-    return x_new % TWO_PI, xi_new
+    return wrap_positions(x_new), xi_new
 
 
 def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:

@@ -52,10 +52,10 @@ def padded_grid_size(cutoff: int) -> int:
 
 
 def _phase_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
-    """exp(i k x) for k = 0..K as a (K+1, n) matrix, one row per wavenumber.
+    """[cos(k x); sin(k x)] for k = 0..K as a real (2(K+1), n) matrix, one row per wavenumber.
 
     Built from one exponential per point and a power recurrence on the unit
-    circle; agrees with direct exp evaluation to a few ulps.
+    circle; agrees with direct evaluation to a few ulps.
     """
     out = np.empty((cutoff + 1, x.shape[0]), dtype=np.complex128)
     out[0] = 1.0
@@ -63,7 +63,7 @@ def _phase_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
         out[1] = np.exp(1j * x)
         for k in range(2, cutoff + 1):
             np.multiply(out[k - 1], out[1], out=out[k])
-    return out
+    return np.concatenate([out.real, out.imag])
 
 
 @lru_cache(maxsize=32)
@@ -234,42 +234,43 @@ class SpectralField:
         Re(c e^{ik.x}) = Re(conj(c) e^{-ik.x}), so each k1 < 0 term folds
         onto its mirror -k and only the half box k1 = 0..K is summed:
 
-            h[0] = (c[0, k'] + conj(c[0, -k'])) / 2,
-            h[k1] = c[k1, k'] + conj(c[-k1, -k'])        (k1 > 0).
+            h[0, k'] = (c[0, k'] + conj(c[0, -k'])) / 2,
+            h[k1, k'] = c[k1, k'] + conj(c[-k1, -k'])        (k1 > 0).
 
-        The first axis is then one real GEMM of [cos, sin] against
-        [[Re h, Im h], [-Im h, Re h]]; each further axis is a per-point
-        contraction that carries (real, imaginary) pairs, and the last one
-        keeps only the real part.  The same sum as the naive evaluation,
+        Each further axis folds k and -k by
+        h[k] e^{ikx} + h[-k] e^{-ikx} = (h[k] + h[-k]) cos kx + i (h[k] - h[-k]) sin kx,
+        so along it the coefficients of cos kx, sin kx (k = 0..K) are
+
+            g_cos[0] = h[0],  g_cos[k] = h[k] + h[-k],
+            g_sin[0] = 0,     g_sin[k] = i (h[k] - h[-k])          (k > 0),
+
+        against real basis functions.  Only the first axis keeps a complex
+        factor, and Re((a + ib) e^{ik1 x1}) = a cos k1x1 - b sin k1x1, so the
+        sum is the real tensor [Re g; -Im g], of shape
+        (m, 2(K+1), ..., 2(K+1)), contracted with [cos; sin](x_a) on every
+        axis: one GEMM for the first axis, then one per-point contraction
+        per further axis.  The same sum as the naive evaluation,
         reassociated; it agrees with it to round-off.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValidationError(f"points have dimension {pts.shape[1]}, field has {self.dim}")
         d, K, m, n = self.dim, self.cutoff, self.components, pts.shape[0]
-        J = 2 * K + 1
         c = self.coeffs
         h = c[:, K:] + np.conj(np.flip(c[:, K::-1], axis=tuple(range(2, d + 1))))
         h[:, 0] *= 0.5
-        h = np.moveaxis(h, 1, 0).reshape(K + 1, m, 1, -1)               # (K+1, m, 1, J^(d-1))
-        e = _phase_rows(pts[:, 0], K)
-        lhs = np.concatenate([e.real, e.imag])                           # (2(K+1), n): cos, sin
-        if d == 1:
-            return lhs.T @ np.concatenate([h.real, -h.imag]).reshape(2 * (K + 1), m)
-        rhs = np.concatenate(
-            [np.concatenate([h.real, h.imag], axis=2), np.concatenate([-h.imag, h.real], axis=2)]
-        ).reshape(2 * (K + 1), -1)
-        # t[m, (Re | Im, k2), k3.., point]: the first-axis sum, still complex in k2..kd
-        t = (rhs.T @ lhs).reshape(m, 2 * J, J ** (d - 2), n)
+        for a in range(2, d + 1):
+            pos = np.take(h, range(K + 1, 2 * K + 1), axis=a)
+            neg = np.take(h, range(K - 1, -1, -1), axis=a)
+            zero = np.take(h, [K], axis=a)
+            h = np.concatenate([zero, pos + neg, np.zeros_like(zero), 1j * (pos - neg)], axis=a)
+        g = np.concatenate([h.real, -h.imag], axis=1)                    # (m, 2(K+1), ..., 2(K+1))
+        P = 2 * (K + 1)
+        # t[m, j2.., point]: the first-axis sum, real in the folded j2..jd
+        t = np.moveaxis(g, 1, 0).reshape(P, -1).T @ _phase_rows(pts[:, 0], K)
         for a in range(1, d):
-            e = _phase_rows(pts[:, a], K)
-            cos = np.concatenate([e.real[::-1], e.real[1:]])              # k = -K..K
-            sin = np.concatenate([-e.imag[::-1], e.imag[1:]])
-            re = np.concatenate([cos, -sin])                              # Re((x + iy) e^{ikx}) = [x, y] . re
-            if a == d - 1:
-                return np.einsum("mjn,jn->nm", t[:, :, 0], re)
-            im = np.concatenate([sin, cos])                               # Im((x + iy) e^{ikx}) = [x, y] . im
-            t = np.einsum("mjkn,rjn->mrkn", t, np.stack([re, im])).reshape(m, 2 * J, J ** (d - 2 - a), n)
+            t = np.einsum("mjrn,jn->mrn", t.reshape(m, P, P ** (d - 1 - a), n), _phase_rows(pts[:, a], K))
+        return t.reshape(m, n).T
 
     # ------------------------------------------------------------------
     # arithmetic in coefficient space

@@ -3,7 +3,8 @@
 The metric is the product of the per-axis geodesic torus distance on
 positions and the Euclidean distance on velocities.  The exact solver is a
 Jonker-Volgenant style optimal assignment for equal-size uniform-weight
-clouds and a small LP (HiGHS) otherwise.
+clouds, skipped when a duality certificate proves the index pairing optimal,
+and a small LP (HiGHS) otherwise.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .spectral import SpectralField, gradient, l2_norm, padded_grid_size, solve_poisson
@@ -24,6 +26,16 @@ EFFICIENCY_FLOOR = 1e-3  # rejection sampling aborts below this acceptance rate
 def torus_wrap(delta: np.ndarray) -> np.ndarray:
     """Signed geodesic representative of a coordinate difference, in (-pi, pi]."""
     return delta - TWO_PI * np.round(delta / TWO_PI)
+
+
+def wrap_positions(x: np.ndarray) -> np.ndarray:
+    """Positions reduced into the fundamental cell [0, 2pi).
+
+    x % 2pi rounds to 2pi itself for tiny negative x (-1e-17 % 2pi == 2pi);
+    that point is the cell's origin.
+    """
+    r = np.asarray(x) % TWO_PI
+    return np.where(r == TWO_PI, 0.0, r)
 
 
 def torus_distance_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -71,32 +83,100 @@ class EmpiricalMeasure:
         return np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-12 / self.size)
 
 
-def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
-    """Pairwise squared product-metric distances, shape (len(mu), len(nu))."""
+def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
     if mu.x.shape[1] != nu.x.shape[1]:
         raise ValidationError("position dimensions differ")
     if (mu.xi is None) != (nu.xi is None):
         raise ValidationError("one measure has velocities, the other does not")
-    n, m = mu.size, nu.size
-    d, diff = np.empty((n, m)), np.empty((n, m))
+    if mu.xi is not None and mu.xi.shape[1] != nu.xi.shape[1]:
+        raise ValidationError("velocity dimensions differ")
+
+
+def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> np.ndarray:
+    """Squared product-metric distances of every (mu, nu) pair (outer) or of index pairs only.
+
+    Both forms run the same float operations per entry, so the index-pair
+    costs are bit-equal to the diagonal of the all-pairs matrix.
+    """
+    def sides(a, b):
+        return (a[:, None], b[None, :]) if outer else (a, b)
+
+    shape = (mu.size, nu.size) if outer else (mu.size,)
+    d, diff = np.empty(shape), np.empty(shape)
     for a in range(mu.x.shape[1]):
         out = d if a == 0 else diff
-        np.subtract((mu.x[:, a] % TWO_PI)[:, None], (nu.x[:, a] % TWO_PI)[None, :], out=out)
+        np.subtract(*sides(mu.x[:, a] % TWO_PI, nu.x[:, a] % TWO_PI), out=out)
         np.abs(out, out=out)
-        # inputs live in [0, 2pi): min(|dx|, 2pi - |dx|) avoids the round call;
-        # 2pi - |dx| is the smaller one exactly where |dx| > pi
+        # after % both coordinates lie in [0, 2pi] (2pi itself for tiny negative
+        # inputs), so |dx| <= 2pi and min(|dx|, 2pi - |dx|) is the geodesic
+        # distance without a round call; 2pi - |dx| is the smaller one exactly
+        # where |dx| > pi
         np.subtract(TWO_PI, out, out=out, where=out > np.pi)
         np.multiply(out, out, out=out)
         if a > 0:
             d += diff
     if mu.xi is not None:
-        if mu.xi.shape[1] != nu.xi.shape[1]:
-            raise ValidationError("velocity dimensions differ")
         for a in range(mu.xi.shape[1]):
-            np.subtract(mu.xi[:, a, None], nu.xi[None, :, a], out=diff)
+            np.subtract(*sides(mu.xi[:, a], nu.xi[:, a]), out=diff)
             np.multiply(diff, diff, out=diff)
             d += diff
     return d
+
+
+def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
+    """Pairwise squared product-metric distances, shape (len(mu), len(nu))."""
+    _check_same_space(mu, nu)
+    return _squared_costs(mu, nu, outer=True)
+
+
+def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray | None:
+    """Costs of the index pairing of two equal-size uniform clouds when it is provably optimal.
+
+    Returns cost_matrix_sq(mu, nu)'s diagonal, bit for bit, if the identity
+    pairing is an optimal assignment, and None when this test cannot show it.
+
+    Proof: u = 0 and v_j = c_jj are dual-feasible (u_i + v_j <= c_ij for all
+    i, j) exactly when each nu point's nearest mu point is its own partner,
+    and their dual value sum_j c_jj is the identity's cost, so by LP duality
+    the identity is optimal (Burkard, Dell'Amico & Martello, Assignment
+    Problems, SIAM 2009, sec. 4.1).  With the partner strictly nearest the
+    identity is the only optimal assignment, so the assignment solver would
+    return it and the same W2 float.
+
+    The nearest neighbours come from a kd-tree on the mu cloud: positions
+    wrapped into [0, 2pi) on a periodic box of 2pi, momenta shifted into
+    [0, s] on a box of 2s + 1, on which no momentum distance wraps.  The
+    tree's distances differ from sqrt(cost_matrix_sq) by a few ulps relative
+    (summation order, square root) plus a few ulps of max(2pi, s) absolute
+    (the 2pi - |dx| wrap, the momentum shift): below 5e-15 max(1, s) in all.
+    So the test declines unless, for every nu point, the partner is the
+    nearest and the second-nearest distance is at least (1 + 1e-9) times the
+    partner distance plus 1e-12 max(1, s).  Both slacks exceed those errors
+    more than a hundredfold, so an accepted partner is strictly nearest under
+    cost_matrix_sq's own floats.  Non-finite coordinates decline.
+    """
+    _check_same_space(mu, nu)
+    if mu.size != nu.size:
+        return None
+    mu_pts, nu_pts = [wrap_positions(mu.x)], [wrap_positions(nu.x)]
+    box = [np.full(mu.x.shape[1], TWO_PI)]
+    span = 0.0
+    if mu.xi is not None:
+        lo = np.minimum(mu.xi.min(axis=0), nu.xi.min(axis=0))
+        mu_pts.append(mu.xi - lo)
+        nu_pts.append(nu.xi - lo)
+        s = np.maximum(mu_pts[1].max(axis=0), nu_pts[1].max(axis=0))
+        box.append(2.0 * s + 1.0)
+        span = float(s.max(initial=0.0))
+    mu_pts, nu_pts = np.hstack(mu_pts), np.hstack(nu_pts)
+    if not (np.isfinite(mu_pts).all() and np.isfinite(nu_pts).all()):
+        return None
+    dist, idx = cKDTree(mu_pts, boxsize=np.concatenate(box)).query(nu_pts, k=2)
+    if (idx[:, 0] != np.arange(nu.size)).any():
+        return None
+    if (dist[:, 1] < (1.0 + 1e-9) * dist[:, 0] + 1e-12 * max(1.0, span)).any():
+        return None
+    return _squared_costs(mu, nu, outer=False)
 
 
 def w2_from_cost(cost: np.ndarray) -> float:
@@ -112,11 +192,17 @@ def w2_from_cost(cost: np.ndarray) -> float:
 def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact W2 between empirical measures.
 
-    Equal-size uniform clouds route to the optimal-assignment solver; general
-    weights go through a transportation LP (up to N_LP points each).
-    Tie-breaking is deterministic for a given input.
+    Equal-size uniform clouds first try identity_pair_costs: when it proves
+    the index pairing optimal, W2 is the root mean of the pair costs, the
+    float the assignment solver would give, and no cost matrix is built.
+    Otherwise they route to the optimal-assignment solver; general weights
+    go through a transportation LP (up to N_LP points each).  Tie-breaking
+    is deterministic for a given input.
     """
     if mu.is_uniform() and nu.is_uniform() and mu.size == nu.size:
+        pair = identity_pair_costs(mu, nu)
+        if pair is not None:
+            return float(np.sqrt(pair.mean()))
         return w2_from_cost(cost_matrix_sq(mu, nu))
     if mu.size > N_LP or nu.size > N_LP:
         raise ValidationError(

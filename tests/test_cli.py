@@ -64,6 +64,15 @@ class TestExitCodes:
         assert main(["wasserstein", str(good), str(good)]) == 0
         assert main(["wasserstein", str(good), str(bad)]) == 2
 
+    def test_wasserstein_dimension_mismatch(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = []
+        for d in (2, 3):
+            x, xi = rng.uniform(0, 6, (10, d)), rng.standard_normal((10, d))
+            paths.append(tmp_path / f"d{d}.cloud")
+            save_cloud(ParticleCloud(x, xi, np.full(10, 0.1), np.zeros(10, dtype=int), x, xi, x, xi, seed=1), paths[-1])
+        assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 2
+
 
 class TestSimulate:
     def test_pair_run_writes_outputs(self, tiny_cfg_path, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from vmvp.config import load_config, resolve_config_path
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, gauge_residuals
-from vmvp.lagrangian import ParticleCloud
+from vmvp.lagrangian import ParticleCloud, load_cloud
 from vmvp.harness import (
     SNAP_COLUMNS,
     STEP_COLUMNS,
@@ -19,7 +19,7 @@ from vmvp.harness import (
     verify_suite,
 )
 from vmvp.spectral import SpectralField
-from vmvp.transport import TWO_PI, EmpiricalMeasure, w2_exact
+from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq, identity_pair_costs, w2_exact, w2_from_cost
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,7 @@ class TestRunPairOutputs:
 
 
 def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
-    """The estimator with one w2_exact call, and one cost matrix, per replicate."""
+    """The estimator with one w2_exact call per replicate."""
     n = pairing.x_vp.shape[0]
     idx = rng.choice(n, size=min(n_sub, n), replace=False)
     mu = EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx])
@@ -165,7 +165,41 @@ def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
     return float(w2), se
 
 
+def _subsampled_w2_assigned(pairing, n_sub, rng, n_boot):
+    """The estimator on the assignment path: one cost matrix, gathered per replicate."""
+    n = pairing.x_vp.shape[0]
+    idx = rng.choice(n, size=min(n_sub, n), replace=False)
+    cost = cost_matrix_sq(
+        EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx]),
+        EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx]),
+    )
+    pos = np.empty(n, dtype=np.intp)
+    pos[idx] = np.arange(idx.size)
+    reps = np.empty(n_boot)
+    for b in range(n_boot):
+        take = pos[rng.choice(idx, size=idx.size, replace=True)]
+        reps[b] = w2_from_cost(cost[np.ix_(take, take)]) ** 2
+    return w2_from_cost(cost), float(reps.std(ddof=1))
+
+
+@pytest.fixture(scope="module")
+def small2d_snapshots(small_cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("small2d_pair")
+    run_pair(small_cfg, 0.2, out_dir=out)
+    return [load_cloud(p) for p in sorted((out / "checkpoints").glob("*.cloud"))]
+
+
 class TestSubsampledW2:
+    def test_certified_snapshots_equal_the_assignment_path(self, small_cfg, small2d_snapshots):
+        assert len(small2d_snapshots) == 6
+        n_sub, n_boot = small_cfg.w2_subsample, small_cfg.bootstrap_reps
+        for i, snap in enumerate(small2d_snapshots):
+            mu = EmpiricalMeasure.uniform(snap.x_vp, snap.xi_vp)
+            nu = EmpiricalMeasure.uniform(snap.x_vm, snap.xi_vm)
+            assert identity_pair_costs(mu, nu) is not None  # so every subsample is certified too
+            got = _subsampled_w2(snap, n_sub, np.random.default_rng(i), n_boot)
+            assert got == _subsampled_w2_assigned(snap, n_sub, np.random.default_rng(i), n_boot)
+
     @staticmethod
     def pairing(n, seed):
         rng = np.random.default_rng(seed)

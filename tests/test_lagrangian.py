@@ -180,6 +180,12 @@ class TestVMFlow:
         assert (stepped.x_vm >= 0).all() and (stepped.x_vm < TWO_PI).all()
         assert np.array_equal(stepped.xi_vm, cloud.xi_vm)
 
+    def test_tiny_negative_position_wraps_below_two_pi(self):
+        # -1e-17 % 2pi rounds to 2pi itself; the pushed position must stay in [0, 2pi)
+        cloud = single_cloud([[-1e-17, 1.0]], [[0.0, 0.0]])
+        stepped = flow_vm_step(cloud, None, None, 0.3, 0.1)
+        assert (stepped.x_vm >= 0).all() and (stepped.x_vm < TWO_PI).all()
+
     def test_half_box_forces_match_naive_trajectories(self, monkeypatch):
         # 20 coupled steps on the bundled small2d data: trajectories pushed by
         # the half-box evaluate_at stay on those pushed by the naive sum

@@ -9,6 +9,7 @@ from vmvp.transport import (
     EmpiricalMeasure,
     cost_matrix_sq,
     coupling_Q,
+    identity_pair_costs,
     loeper_check,
     pairing_cost_sq,
     rejection_sample_positions,
@@ -141,6 +142,62 @@ class TestCostMatrix:
         got = cost_matrix_sq(mu, nu)
         assert got.shape == (62, 47)
         assert np.array_equal(got, _cost_matrix_sq_accumulated(mu, nu))
+
+
+def nearby_cloud(mu, rng, step=1e-5):
+    """mu moved by a small step, positions left unwrapped."""
+    x = mu.x + rng.normal(0, step, mu.x.shape)
+    xi = None if mu.xi is None else mu.xi + rng.normal(0, step, mu.xi.shape)
+    return EmpiricalMeasure.uniform(x, xi)
+
+
+class TestIdentityCertificate:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("momenta", [True, False])
+    def test_pair_costs_are_the_cost_matrix_diagonal(self, d, momenta):
+        rng = np.random.default_rng(d + 10 * momenta)
+        x = rng.uniform(0, TWO_PI, (200, d))
+        # off the fundamental cell, at 2pi itself and at a tiny negative value
+        x[:3] += TWO_PI * np.array([[-2.0], [1.0], [3.0]])
+        x[3, 0], x[4, 0] = TWO_PI, -1e-17
+        mu = EmpiricalMeasure.uniform(x, rng.normal(size=(200, d)) if momenta else None)
+        nu = nearby_cloud(mu, rng)
+        pair = identity_pair_costs(mu, nu)
+        assert pair is not None
+        assert np.array_equal(pair, np.diag(cost_matrix_sq(mu, nu)))
+        assert w2_exact(mu, nu) == np.sqrt(pair.mean())
+
+    def test_swapped_close_pair_declines(self):
+        rng = np.random.default_rng(3)
+        mu = random_cloud(rng, 8)
+        x, xi = mu.x.copy(), mu.xi.copy()
+        x[1], xi[1] = x[0] + 0.01, xi[0] + 0.01
+        mu = EmpiricalMeasure.uniform(x, xi)
+        nu = nearby_cloud(mu, rng, step=1e-4)
+        nu = EmpiricalMeasure.uniform(nu.x[[1, 0, 2, 3, 4, 5, 6, 7]], nu.xi[[1, 0, 2, 3, 4, 5, 6, 7]])
+        assert identity_pair_costs(mu, nu) is None
+        assert w2_exact(mu, nu) == pytest.approx(w2_exact_brute(mu, nu), abs=1e-12)
+        assert w2_exact(mu, nu) ** 2 < np.diag(cost_matrix_sq(mu, nu)).mean()
+
+    def test_independent_clouds_decline(self):
+        rng = np.random.default_rng(4)
+        assert identity_pair_costs(random_cloud(rng, 300), random_cloud(rng, 300)) is None
+
+    def test_coincident_points_decline(self):
+        rng = np.random.default_rng(5)
+        mu = random_cloud(rng, 50)
+        x, xi = mu.x.copy(), mu.xi.copy()
+        x[7], xi[7] = x[3], xi[3]
+        mu = EmpiricalMeasure.uniform(x, xi)
+        assert identity_pair_costs(mu, mu) is None
+        assert w2_exact(mu, mu) == 0.0
+
+    def test_mismatched_spaces_raise_validation_errors(self):
+        rng = np.random.default_rng(6)
+        mu = random_cloud(rng, 10)
+        for nu in (random_cloud(rng, 10, d=3), random_cloud(rng, 10, dv=3), EmpiricalMeasure.uniform(mu.x)):
+            with pytest.raises(ValidationError):
+                identity_pair_costs(mu, nu)
 
 
 class TestCircular:
