@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .config import build_em_state, build_ensemble, load_config, parse_eps_list, resolve_config_path
 from .errors import NumericalAbort, ValidationError
 
 EXIT_OK = 0
@@ -31,35 +32,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=("vm", "vp", "pair"), default=None)
     sim.add_argument("--out", default=None, help="output directory override")
     sim.add_argument("--no-particles", action="store_true")
+    sim.set_defaults(func=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="paired runs over an eps list, with rate fit")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--eps", default=None, help="override: comma-separated eps list")
+    sw.add_argument("--eps", type=parse_eps_list, default=None, help="override: comma-separated eps list")
     sw.add_argument("--out", default=None)
+    sw.set_defaults(func=_cmd_sweep)
 
     ck = sub.add_parser("ck", help="successive-approximation run with contraction report")
     ck.add_argument("--config", required=True)
     ck.add_argument("--out", default=None)
+    ck.set_defaults(func=_cmd_ck)
 
     ws = sub.add_parser("wasserstein", help="exact W2 between two saved clouds")
     ws.add_argument("cloud_a")
     ws.add_argument("cloud_b")
     ws.add_argument("--side", choices=("vm", "vp", "initial"), default="vm")
     ws.add_argument("--position-only", action="store_true")
+    ws.set_defaults(func=_cmd_wasserstein)
 
     ve = sub.add_parser("verify", help="run the invariant battery")
     ve.add_argument("--config", required=True)
     ve.add_argument("--out", default=None, help="optional file for the pass/fail table")
+    ve.set_defaults(func=_cmd_verify)
 
     rp = sub.add_parser("report", help="rebuild summaries from saved outputs")
     rp.add_argument("--from-checkpoints", default=None, help="directory of cloud checkpoints: print the Q series")
     rp.add_argument("--run", default=None, help="run directory: re-print report.json")
+    rp.set_defaults(func=_cmd_report)
     return p
 
 
 def _load_cfg(path, overrides=None):
-    from .config import load_config, resolve_config_path
-
     cfg = load_config(resolve_config_path(path))
     if overrides:
         for key, value in overrides.items():
@@ -77,7 +82,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
         return EXIT_VALIDATION if code != 0 else EXIT_OK
     try:
-        return _dispatch(args)
+        return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -86,29 +91,13 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def _dispatch(args) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "ck":
-        return _cmd_ck(args)
-    if args.command == "wasserstein":
-        return _cmd_wasserstein(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    raise ValidationError(f"unknown command {args.command}")
-
-
 def _cmd_simulate(args) -> int:
     from .harness import run_pair
     from .multifluid import vp_step
-    from .config import build_ensemble
 
-    cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out})
-    eps = args.eps if args.eps is not None else cfg.eps_list[0]
+    eps_list = None if args.eps is None else [args.eps]
+    cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list})
+    eps = cfg.eps_list[0]
     out = Path(cfg.output_dir)
     if cfg.mode == "vp":
         ens = build_ensemble(cfg, 0.0)
@@ -131,11 +120,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     from .harness import run_sweep
 
-    try:
-        eps_list = [float(v) for v in args.eps.split(",")] if args.eps else None
-    except ValueError as exc:
-        raise ValidationError(f"--eps must be a comma-separated list of numbers: {exc}") from exc
-    cfg = _load_cfg(args.config, {"output_dir": args.out, "eps_list": eps_list})
+    cfg = _load_cfg(args.config, {"output_dir": args.out, "eps_list": args.eps})
     report = run_sweep(cfg, out_dir=Path(cfg.output_dir))
     print(f"sweep over eps={report.eps_values}")
     print(f"kappa_measured={report.kappa_measured:.4f} (R^2={report.r_squared:.4f}), monotone={report.monotone}")
@@ -145,7 +130,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ck(args) -> int:
-    from .config import build_em_state, build_ensemble
     from .multifluid import ck_iterate
     from .spectral import AnalyticNormParams
 

@@ -1,18 +1,19 @@
 """Run configuration: typed dataclasses and a flat-section text format.
 
-Config files are INI-style: one [run] section with the scalar knobs, [norms]
-and [hypotheses] for the analytic-norm and ledger exponents, [fields] for
-the initial electromagnetic mode tables, and one [phase.N] section per
-phase.  Mode tables are one mode per line, "comp k1 .. kd re im"; each line
-also deposits the conjugate at -k, so real fields list one representative
-per pair.  Floats are written with repr so a config round-trips losslessly.
+Config files are INI-style; SCHEMA below lists the sections in file order
+and the RunConfig fields each one holds.  Scalars are written with repr so a
+config round-trips losslessly, and eps is a comma-separated list.  Mode
+tables are one mode per line, "comp k1 .. kd re im"; each line also
+deposits the conjugate at -k, so real fields list one representative per
+pair.  One [phase.N] section per phase follows the schema's sections.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,32 @@ from .multifluid import Phase, PhaseEnsemble
 from .spectral import SpectralField, gradient, leray_project, mean, solve_poisson
 
 MODES = ("vm", "vp", "pair", "sweep", "ck", "verify")
+
+# The file layout: each INI section, in file order, with the RunConfig fields
+# it holds.  A field's file key is its name except where FILE_KEYS says
+# otherwise.  Scalar types come from the RunConfig annotations.
+SCHEMA = (
+    ("run", ("dim", "cutoff", "eps_list", "t_final", "dt", "n_particles", "seed", "mode", "output_dir",
+             "snapshot_every", "w2_subsample", "bootstrap_reps")),
+    ("hypotheses", ("alpha", "moment_beta", "gamma1", "gamma2")),
+    ("norms", ("delta0", "delta1", "eta", "loss_beta", "ck_n_iters", "ck_n_time")),
+    ("fields", ("gamma", "e0_modes", "b0_modes")),
+)
+FILE_KEYS = {"eps_list": "eps"}
+# The least value of each integer field.  Below it a run divides by zero
+# (n_particles, w2_subsample, snapshot_every), indexes past a one-sample time
+# grid (ck_n_time), hands numpy a negative seed or array size, or is asked
+# for a negative iteration count.  dim is checked where a run needs it: only
+# 2 and 3 have a field solver.
+INT_FLOORS = {"n_particles": 1, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
+              "seed": 0, "cutoff": 0, "bootstrap_reps": 0, "ck_n_iters": 0}
+
+
+def schema_keys():
+    """(section, field, file key) for every RunConfig field but phases, in file order."""
+    for section, names in SCHEMA:
+        for name in names:
+            yield section, name, FILE_KEYS.get(name, name)
 
 
 @dataclass
@@ -68,14 +95,18 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
+        for name, floor in INT_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValidationError(f"{name} must be at least {floor}, got {getattr(self, name)}")
         for eps in self.eps_list:
             if not (0.0 < eps <= 1.0):
                 raise ValidationError(f"eps must lie in (0,1], got {eps}")
         if not (self.delta0 > self.delta1 > 1.0):
             raise ValidationError("need delta0 > delta1 > 1")
-        n = round(self.t_final / self.dt)
+        steps = self.t_final / self.dt if self.dt > 0 else 0.0
+        n = round(steps) if math.isfinite(steps) else 0
         if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValidationError(f"dt = {self.dt} must divide T = {self.t_final}")
+            raise ValidationError(f"dt = {self.dt} must be positive and divide T = {self.t_final}")
 
     @property
     def n_steps(self) -> int:
@@ -88,16 +119,21 @@ class RunConfig:
 
 
 # ----------------------------------------------------------------------
-# mode-table text format
+# text forms
 # ----------------------------------------------------------------------
 
-def _format_modes(entries, dim: int) -> str:
+def parse_eps_list(text: str) -> list:
+    """The eps list from its text form: comma-separated floats."""
+    return [float(v) for v in text.split(",")]
+
+
+def _format_modes(entries) -> str:
     lines = []
     for comp, kvec, amp in entries:
         amp = complex(amp)
         ks = " ".join(str(int(k)) for k in kvec)
         lines.append(f"{int(comp)} {ks} {amp.real!r} {amp.imag!r}")
-    return "\n".join(lines) if lines else "none"
+    return "\n" + ("\n".join(lines) if lines else "none")
 
 
 def _parse_modes(text: str, dim: int):
@@ -116,47 +152,40 @@ def _parse_modes(text: str, dim: int):
     return out
 
 
+_SCALARS = {"int": int, "float": float, "str": str}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the fields that are not scalars: (to text, from text and dim)
+_LIST_FORMS = {
+    "eps_list": (lambda eps: ", ".join(repr(float(e)) for e in eps), lambda text, dim: parse_eps_list(text)),
+    "e0_modes": (_format_modes, _parse_modes),
+    "b0_modes": (_format_modes, _parse_modes),
+}
+
+
+def _to_text(name: str, value) -> str:
+    if name in _LIST_FORMS:
+        return _LIST_FORMS[name][0](value)
+    return str(_SCALARS[_FIELD_TYPES[name]](value))  # str of a float is its repr
+
+
+def _from_text(name: str, text: str, dim):
+    if name in _LIST_FORMS:
+        return _LIST_FORMS[name][1](text, dim)
+    return _SCALARS[_FIELD_TYPES[name]](text)
+
+
 def save_config(cfg: RunConfig, path) -> None:
-    cp = configparser.ConfigParser()
-    cp["run"] = {
-        "dim": str(cfg.dim),
-        "cutoff": str(cfg.cutoff),
-        "eps": ", ".join(repr(e) for e in cfg.eps_list),
-        "t_final": repr(cfg.t_final),
-        "dt": repr(cfg.dt),
-        "n_particles": str(cfg.n_particles),
-        "seed": str(cfg.seed),
-        "mode": cfg.mode,
-        "output_dir": cfg.output_dir,
-        "snapshot_every": str(cfg.snapshot_every),
-        "w2_subsample": str(cfg.w2_subsample),
-        "bootstrap_reps": str(cfg.bootstrap_reps),
-    }
-    cp["hypotheses"] = {
-        "alpha": repr(cfg.alpha),
-        "moment_beta": repr(cfg.moment_beta),
-        "gamma1": repr(cfg.gamma1),
-        "gamma2": repr(cfg.gamma2),
-    }
-    cp["norms"] = {
-        "delta0": repr(cfg.delta0),
-        "delta1": repr(cfg.delta1),
-        "eta": repr(cfg.eta),
-        "loss_beta": repr(cfg.loss_beta),
-        "ck_n_iters": str(cfg.ck_n_iters),
-        "ck_n_time": str(cfg.ck_n_time),
-    }
-    cp["fields"] = {
-        "gamma": repr(cfg.gamma),
-        "e0_modes": "\n" + _format_modes(cfg.e0_modes, cfg.dim),
-        "b0_modes": "\n" + _format_modes(cfg.b0_modes, cfg.dim),
-    }
+    sections = {}
+    for section, name, key in schema_keys():
+        sections.setdefault(section, {})[key] = _to_text(name, getattr(cfg, name))
     for i, ph in enumerate(cfg.phases, start=1):
-        cp[f"phase.{i}"] = {
-            "mu": repr(ph.mu),
-            "rho_modes": "\n" + _format_modes([(0, kv, a) for kv, a in ph.rho_modes], cfg.dim),
-            "xi_modes": "\n" + _format_modes(ph.xi_modes, cfg.dim),
+        sections[f"phase.{i}"] = {
+            "mu": repr(float(ph.mu)),
+            "rho_modes": _format_modes([(0, kv, a) for kv, a in ph.rho_modes]),
+            "xi_modes": _format_modes(ph.xi_modes),
         }
+    cp = configparser.ConfigParser()
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
@@ -166,42 +195,16 @@ def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(Path(path).read_text(encoding="utf-8"))
-        run = cp["run"]
-        dim = int(run["dim"])
+        values = {}
+        for section, name, key in schema_keys():  # dim comes first, before the mode tables need it
+            values[name] = _from_text(name, cp[section][key], values.get("dim"))
         phases = []
-        for name in sorted(s for s in cp.sections() if s.startswith("phase.")):
+        for name in (s for s in cp.sections() if s.startswith("phase.")):  # in file order
             sec = cp[name]
-            rho = [(kv, a) for _, kv, a in _parse_modes(sec["rho_modes"], dim)]
-            xi = _parse_modes(sec["xi_modes"], dim)
+            rho = [(kv, a) for _, kv, a in _parse_modes(sec["rho_modes"], values["dim"])]
+            xi = _parse_modes(sec["xi_modes"], values["dim"])
             phases.append(PhaseSpec(mu=float(sec["mu"]), rho_modes=rho, xi_modes=xi))
-        cfg = RunConfig(
-            dim=dim,
-            cutoff=int(run["cutoff"]),
-            eps_list=[float(v) for v in run["eps"].split(",")],
-            t_final=float(run["t_final"]),
-            dt=float(run["dt"]),
-            phases=phases,
-            e0_modes=_parse_modes(cp["fields"]["e0_modes"], dim),
-            b0_modes=_parse_modes(cp["fields"]["b0_modes"], dim),
-            gamma=float(cp["fields"]["gamma"]),
-            n_particles=int(run["n_particles"]),
-            seed=int(run["seed"]),
-            alpha=float(cp["hypotheses"]["alpha"]),
-            moment_beta=float(cp["hypotheses"]["moment_beta"]),
-            gamma1=float(cp["hypotheses"]["gamma1"]),
-            gamma2=float(cp["hypotheses"]["gamma2"]),
-            delta0=float(cp["norms"]["delta0"]),
-            delta1=float(cp["norms"]["delta1"]),
-            eta=float(cp["norms"]["eta"]),
-            loss_beta=float(cp["norms"]["loss_beta"]),
-            ck_n_iters=int(cp["norms"]["ck_n_iters"]),
-            ck_n_time=int(cp["norms"]["ck_n_time"]),
-            w2_subsample=int(run["w2_subsample"]),
-            snapshot_every=int(run["snapshot_every"]),
-            bootstrap_reps=int(run["bootstrap_reps"]),
-            output_dir=run["output_dir"],
-            mode=run["mode"],
-        )
+        cfg = RunConfig(phases=phases, **values)
     except KeyError as exc:
         raise ValidationError(f"config {path} is missing key {exc}") from exc
     except ValidationError:

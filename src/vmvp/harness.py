@@ -333,17 +333,13 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
 # the integral-inequality diagnostic
 # ----------------------------------------------------------------------
 
-def _osgood_feasible(c: float, q: np.ndarray, integral: np.ndarray, prefactor: float, eps_term: float) -> bool:
-    rhs = c * prefactor * (eps_term + integral)
-    return bool((q <= rhs + 1e-300).all())
-
-
 def osgood_diagnostic(times: np.ndarray, q: np.ndarray, kappa: float, eps: float, t_final: float) -> float:
     """Smallest C >= 0 with Q(t) <= C(1+T)^2 eps^kappa + int_0^t C(1+T)^2 Q(1+log+(1/Q)).
 
     The time integral is discretized by the trapezoid rule on the sampled
-    series; the minimal constant is located by bisection (the inequality is
-    monotone in C).  Returns 0 for an identically zero series.
+    series.  The inequality is linear in C, so the minimal constant is
+    max_t Q(t) / ((1+T)^2 (eps^kappa + I(t))) over the samples with Q > 0,
+    where I(t) is the integral.  Returns 0 for an identically zero series.
     """
     q = np.asarray(q, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -353,21 +349,12 @@ def osgood_diagnostic(times: np.ndarray, q: np.ndarray, kappa: float, eps: float
         logplus = np.where(q > 0, np.maximum(np.log(1.0 / np.where(q > 0, q, 1.0)), 0.0), 0.0)
     integrand = q * (1.0 + logplus)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
-    prefactor = (1.0 + t_final) ** 2
-    eps_term = eps ** kappa
-    hi = 1.0
-    while not _osgood_feasible(hi, q, integral, prefactor, eps_term):
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError("no finite constant closes the inequality")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _osgood_feasible(mid, q, integral, prefactor, eps_term):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q > 0, q / ((1.0 + t_final) ** 2 * (eps ** kappa + integral)), 0.0)
+    c = float(ratio.max())
+    if not np.isfinite(c):
+        raise RuntimeError("no finite constant closes the inequality")
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -530,17 +517,20 @@ def verify_suite(cfg: RunConfig) -> list:
 # emission
 # ----------------------------------------------------------------------
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row: numbers as repr(float(v)), so numpy scalars print
+    as plain floats; a str field (a 0/1 flag) is written as given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
+
+
 def emit_run(report: RunReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "steps.csv", "w", encoding="utf-8") as fh:
-        fh.write(STEP_COLUMNS + "\n")
-        for row in report.step_rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(out / "snapshots.csv", "w", encoding="utf-8") as fh:
-        fh.write(SNAP_COLUMNS + "\n")
-        for t, q, w2, se in zip(report.snap_t, report.q, report.w2, report.w2_se):
-            fh.write(f"{t!r},{q!r},{w2!r},{se!r}\n")
+    _write_csv(out / "steps.csv", STEP_COLUMNS, report.step_rows)
+    _write_csv(out / "snapshots.csv", SNAP_COLUMNS, zip(report.snap_t, report.q, report.w2, report.w2_se))
     payload = {
         "eps": report.eps,
         "kappa": report.kappa,
@@ -558,10 +548,9 @@ def emit_run(report: RunReport, out_dir) -> None:
 def emit_sweep(report: SweepReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("eps,sup_w2,sup_q,osgood_c,aborted\n")
-        for eps, run in zip(report.eps_values, report.runs):
-            fh.write(f"{eps!r},{run.sup_w2!r},{run.sup_q!r},{run.osgood_c!r},{int(run.aborted)}\n")
+    rows = [(eps, run.sup_w2, run.sup_q, run.osgood_c, str(int(run.aborted)))
+            for eps, run in zip(report.eps_values, report.runs)]
+    _write_csv(out / "sweep.csv", "eps,sup_w2,sup_q,osgood_c,aborted", rows)
     payload = {
         "eps_values": report.eps_values,
         "sup_w2": report.sup_w2,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
@@ -210,20 +211,14 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         )
     cost = cost_matrix_sq(mu, nu)
     n, m = cost.shape
-    # transportation polytope: row marginals mu.weights, column marginals nu.weights
-    a_eq = []
-    b_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m : (i + 1) * m] = 1.0
-        a_eq.append(row)
-        b_eq.append(mu.weights[i])
-    for j in range(m - 1):  # drop one redundant constraint
-        col = np.zeros(n * m)
-        col[j::m] = 1.0
-        a_eq.append(col)
-        b_eq.append(nu.weights[j])
-    res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=(0, None), method="highs")
+    # transportation polytope on the row-major plan: row marginals mu.weights,
+    # column marginals nu.weights, the last one dropped as redundant
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(n), np.ones((1, m))),
+        sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr")[:-1]),
+    ], format="csr")
+    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(np.sqrt(max(res.fun, 0.0)))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,13 @@ def tiny_cfg_path(tmp_path):
     return p
 
 
+def small2d_with(tmp_path, key, value):
+    text = resolve_config_path("bundled/small2d").read_text(encoding="utf-8")
+    p = tmp_path / "edited.cfg"
+    p.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M), encoding="utf-8")
+    return p
+
+
 class TestExitCodes:
     def test_verify_bundled(self):
         assert main(["verify", "--config", "bundled/small2d"]) == 0
@@ -41,6 +49,19 @@ class TestExitCodes:
     def test_sweep_bad_eps_rejected_before_any_step(self, tiny_cfg_path, monkeypatch, eps):
         monkeypatch.setattr("vmvp.harness.run_sweep", lambda *a, **k: pytest.fail("the sweep started"))
         assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "ck"])
+    @pytest.mark.parametrize("key,value", [
+        ("n_particles", 0), ("w2_subsample", 0), ("snapshot_every", 0), ("snapshot_every", -3), ("ck_n_time", 0),
+        ("seed", -5), ("cutoff", -1), ("bootstrap_reps", -1), ("ck_n_iters", -1),
+    ])
+    def test_integer_below_its_floor(self, tmp_path, key, value, command):
+        p = small2d_with(tmp_path, key, value)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+    def test_simulate_eps_override_checked_before_any_step(self, tiny_cfg_path, monkeypatch):
+        monkeypatch.setattr("vmvp.harness.run_pair", lambda *a, **k: pytest.fail("the run started"))
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--eps", "5"]) == 2
 
     def test_unparsable_config_value(self, tmp_path):
         text = resolve_config_path("bundled/ck2d").read_text(encoding="utf-8")
@@ -89,6 +110,17 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(tiny_cfg_path), "--mode", "vp", "--out", str(out)])
         assert rc == 0
         assert (out / "vp_final.ens").exists()
+
+
+class TestCsvOutputs:
+    def test_every_csv_parses_as_numbers(self, tiny_cfg_path, tmp_path):
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--out", str(run)]) == 0
+        assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", "0.4,0.2,0.1", "--out", str(sweep)]) == 0
+        paths = sorted(run.rglob("*.csv")) + sorted(sweep.rglob("*.csv"))
+        assert {p.name for p in paths} == {"steps.csv", "snapshots.csv", "sweep.csv"}
+        for p in paths:
+            np.loadtxt(p, delimiter=",", skiprows=1)
 
 
 class TestSweepCli:

@@ -1,5 +1,12 @@
+import math
+import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmvp.config import (
     PhaseSpec,
@@ -10,8 +17,17 @@ from vmvp.config import (
     load_config,
     resolve_config_path,
     save_config,
+    schema_keys,
 )
 from vmvp.errors import ValidationError
+
+
+# the least value each integer field accepts
+INT_FLOORS = {
+    "n_particles": 1, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
+    "seed": 0, "cutoff": 0, "bootstrap_reps": 0, "ck_n_iters": 0,
+}
+BUNDLED = ("small2d", "sweep2d", "ck2d")
 
 
 def sample_config(**kw):
@@ -41,6 +57,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="mode"):
             sample_config(mode="bogus")
 
+    @pytest.mark.parametrize("t_final,dt", [(math.inf, 1e-3), (math.nan, 1e-3), (0.01, 0.0), (0.01, -1e-3), (1e308, 1e-300)])
+    def test_dt_and_t_final_finite_and_positive(self, t_final, dt):
+        with pytest.raises(ValidationError, match="divide"):
+            sample_config(t_final=t_final, dt=dt)
+
+    @pytest.mark.parametrize("key,floor", sorted(INT_FLOORS.items()))
+    def test_integer_floor(self, key, floor):
+        sample_config(**{key: floor})
+        with pytest.raises(ValidationError, match=key):
+            sample_config(**{key: floor - 1})
+
     def test_kappa_formula(self):
         cfg = sample_config(alpha=0.9, moment_beta=0.1, gamma1=0.2, gamma2=0.15)
         assert cfg.kappa == pytest.approx(min(0.9 - (0.1 + 0.3), 1.0 - 0.35))
@@ -59,6 +86,19 @@ class TestRoundTrip:
         save_config(cfg, p)
         back = load_config(p)
         assert back == cfg
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_regenerate_byte_for_byte(self, name, tmp_path):
+        path = resolve_config_path(f"bundled/{name}")
+        cfg = load_config(path)
+        save_config(cfg, tmp_path / "cfg.cfg")
+        assert (tmp_path / "cfg.cfg").read_bytes() == path.read_bytes()
+        assert load_config(tmp_path / "cfg.cfg") == cfg
+
+    def test_phase_order_survives_ten_phases(self, tmp_path):
+        phases = [PhaseSpec(mu=(i + 1) / 66, rho_modes=[((0, 0), 1.0)], xi_modes=[]) for i in range(11)]
+        save_config(sample_config(phases=phases), tmp_path / "cfg.cfg")
+        assert load_config(tmp_path / "cfg.cfg").phases == phases
 
     def test_bundled_resolution(self):
         p = resolve_config_path("bundled/small2d")
@@ -96,3 +136,42 @@ class TestBuilders:
         cfg = sample_config(e0_modes=[(0, (1, 0), 0.1)])  # gradient-like mode
         with pytest.raises(ValidationError, match="transverse|divergence"):
             build_initial_fields(cfg, 0.2)
+
+
+class TestSchema:
+    def test_lists_every_field_but_phases_once(self):
+        listed = [name for _, name, _ in schema_keys()]
+        assert sorted(listed) == sorted(f.name for f in fields(RunConfig) if f.name != "phases")
+
+    def test_file_keys_are_distinct(self):
+        keys = [key for _, _, key in schema_keys()]
+        assert len(set(keys)) == len(keys)
+
+
+SMALL2D = resolve_config_path("bundled/small2d").read_text(encoding="utf-8")
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    """Config text with one key's value, continuation lines included, replaced."""
+    pattern = re.compile(rf"^{key} = .*(\n\t.*)*", re.M)
+    assert pattern.search(text), key
+    return pattern.sub(lambda _: f"{key} = {value}", text, count=1)
+
+
+fuzz_values = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([key for _, _, key in schema_keys()]), value=fuzz_values)
+def test_any_single_value_loads_or_fails_validation(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(with_value(SMALL2D, key, value), encoding="utf-8")
+        try:
+            load_config(path)
+        except ValidationError:
+            pass

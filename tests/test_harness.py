@@ -57,6 +57,15 @@ class TestOsgood:
         got = osgood_diagnostic(ts, q, kappa, eps, T)
         assert got == pytest.approx(0.02 / (1 + T) ** 2, rel=0.02)
 
+    def test_returns_a_python_float(self):
+        ts = np.linspace(0, 0.25, 26)
+        assert type(osgood_diagnostic(ts, 1e-3 * ts, 0.5, 0.2, 1.0)) is float
+
+    def test_no_finite_constant(self):
+        # eps^kappa underflows to 0, so nothing bounds Q(0) > 0
+        with pytest.raises(RuntimeError, match="finite"):
+            osgood_diagnostic(np.linspace(0, 1, 5), np.full(5, 0.1), 1e4, 0.2, 1.0)
+
     def test_monotone_in_amplitude(self):
         ts = np.linspace(0, 0.5, 21)
         base = 1e-4 * ts

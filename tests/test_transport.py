@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,19 @@ class TestW2Exact:
         lp = w2_exact(EmpiricalMeasure(mu_w.x, mu_w.xi, _perturb_uniform(12)), nu)
         # nearly-uniform weights must give nearly the assignment value
         assert lp == pytest.approx(exact, rel=5e-2)
+
+    def test_lp_path_memory(self):
+        # unequal sizes take the LP path; its 279 x 19200 equality matrix as a
+        # dense array would alone be 43 MB
+        rng = np.random.default_rng(5)
+        mu, nu = random_cloud(rng, 120), random_cloud(rng, 160)
+        tracemalloc.start()
+        try:
+            w2_exact(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_general_weights_dirac(self):
         mu = EmpiricalMeasure(np.array([[0.0]]), None, np.array([1.0]))
