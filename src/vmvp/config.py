@@ -184,7 +184,7 @@ def save_config(cfg: RunConfig, path) -> None:
             "rho_modes": _format_modes([(0, kv, a) for kv, a in ph.rho_modes]),
             "xi_modes": _format_modes(ph.xi_modes),
         }
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
@@ -192,7 +192,7 @@ def save_config(cfg: RunConfig, path) -> None:
 
 
 def load_config(path) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(Path(path).read_text(encoding="utf-8"))
         values = {}
@@ -271,5 +271,4 @@ def build_em_state(cfg: RunConfig, eps: float) -> EMState:
     ens = build_ensemble(cfg, eps)
     from .multifluid import moments
 
-    j0_mean = mean(moments(ens).j_total)
-    return init_em_state(rho0, j0_mean, e0, b0, eps)
+    return init_em_state(rho0, moments(ens).j_mean, e0, b0, eps)

@@ -71,6 +71,7 @@ class RunReport:
 class _VPRun:
     """The eps-independent electrostatic side, reusable across a sweep."""
 
+    cloud: ParticleCloud | None    # the shared cloud at t = 0; None without particles
     x_vp: list                     # particle positions and momenta at each snapshot
     xi_vp: list
     energy: np.ndarray
@@ -81,8 +82,8 @@ class _VPRun:
 
 def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
     ens = build_ensemble(cfg, 0.0)
-    cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
-    j0 = mean(moments(ens).j_total)
+    cloud0 = cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
+    j0 = moments(ens).j_mean
     xs, xis = [], []
     energy = np.empty(cfg.n_steps + 1)
     drift = np.empty(cfg.n_steps + 1)
@@ -91,7 +92,7 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
     for step in range(cfg.n_steps + 1):
         mom = moments(ens)
         energy[step] = mom.kinetic_energy + electrostatic_energy(ens)
-        drift[step] = np.abs(mean(mom.j_total) - j0).max()
+        drift[step] = np.abs(mom.j_mean - j0).max()
         fourth[step] = mom.fourth_moment_l1
         sup_rho[step] = mom.rho_grid.max()
         if with_particles and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
@@ -103,7 +104,7 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
         if with_particles:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
-    return _VPRun(xs, xis, energy, drift, fourth, sup_rho)
+    return _VPRun(cloud0, xs, xis, energy, drift, fourth, sup_rho)
 
 
 def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
@@ -149,13 +150,18 @@ def run_pair(
     with_particles: bool = True,
     out_dir: str | Path | None = None,
 ) -> RunReport:
-    """Advance the paired systems at one eps and assemble the full report."""
+    """Advance the paired systems at one eps and assemble the full report.
+
+    A given `vp_run` carries the particles: its cloud, or its lack of one,
+    decides them, and `with_particles` applies only when the VP side runs here.
+    """
     ens = build_ensemble(cfg, eps)
     em = build_em_state(cfg, eps)
     check_validity(ens, cfg.delta1, context=" in initial data")
     if vp_run is None:
         vp_run = _run_vp_side(cfg, with_particles)
-    cloud = sample_cloud(build_ensemble(cfg, 0.0), cfg.n_particles, cfg.seed) if with_particles else None
+    cloud = vp_run.cloud
+    with_particles = cloud is not None
     rng = np.random.default_rng(cfg.seed + 987654321)
 
     int_mean_j = np.zeros(cfg.dim)
@@ -220,9 +226,7 @@ def run_pair(
         ens, em = res.ensemble, res.em
         int_mean_j = int_mean_j + res.mean_j_increment
         if with_particles:
-            e_stages = tuple(e for e, _ in res.stage_fields)
-            b_stages = tuple(b for _, b in res.stage_fields)
-            cloud = flow_vm_step(cloud, e_stages, b_stages, eps, cfg.dt)
+            cloud = flow_vm_step(cloud, res.stage_fields, eps, cfg.dt)
 
     step_arr = np.array(step_rows)
     col = {name: i for i, name in enumerate(STEP_COLUMNS.split(","))}
@@ -389,11 +393,11 @@ def verify_suite(cfg: RunConfig) -> list:
     results = []
     rng = np.random.default_rng(cfg.seed)
 
-    def rand_field(components=1, decay=0.8, dim=2, cutoff=6):
-        n = padded_grid_size(cutoff)
-        f = SpectralField.from_grid(rng.standard_normal((components,) + (n,) * dim), cutoff)
-        damp = np.exp(-decay * sp.mode_norms(dim, cutoff))
-        return SpectralField(dim, cutoff, f.coeffs * damp)
+    def rand_field(components=1):
+        # a smooth random field in d = 2 on the K = 6 box, modes damped as exp(-0.8 |k|)
+        n = padded_grid_size(6)
+        f = SpectralField.from_grid(rng.standard_normal((components, n, n)), 6)
+        return SpectralField(2, 6, f.coeffs * np.exp(-0.8 * sp.mode_norms(2, 6)))
 
     # spectral layer
     worst_alg, worst_der, worst_real = 0.0, 0.0, 0.0
@@ -473,13 +477,25 @@ def verify_suite(cfg: RunConfig) -> list:
     e1 = total_energy(cur_ens, cur_em)
     results.append(_check("multifluid.energy_drift", abs(e1 - e0) / max(abs(e0), 1e-30), 1e-6, note=f"over {n_short} steps"))
 
-    vm0 = build_ensemble(cfg, eps)
-    red_vm, _ = vm_step(PhaseEnsemble(vm0.phases, 0.0), None, cfg.dt)
-    red_vp = vp_step_full(PhaseEnsemble(vm0.phases, 0.0), cfg.dt).ensemble
-    red_err = max(
-        np.abs(a.xi.coeffs - b.xi.coeffs).max() for a, b in zip(red_vm.phases, red_vp.phases)
-    )
-    results.append(_check("multifluid.eps_zero_reduction", red_err, 1e-10))
+    # the eps -> 0 limit: from well-prepared fields, the densities after n_short
+    # VM steps approach those after n_short VP steps at rate eps^2, so halving
+    # eps quarters the gap (the momenta carry a fast-wave part that does not)
+    prepared = replace(cfg, e0_modes=[], b0_modes=[])
+    vp_ens = build_ensemble(cfg, 0.0)
+    for _ in range(n_short):
+        vp_ens = vp_step_full(vp_ens, cfg.dt).ensemble
+    gaps = []
+    for e in (eps, eps / 2):
+        cur_ens, cur_em = build_ensemble(prepared, e), build_em_state(prepared, e)
+        for _ in range(n_short):
+            cur_ens, cur_em = vm_step(cur_ens, cur_em, cfg.dt, gate_delta=cfg.delta1)
+        gaps.append(max(np.abs(a.rho.coeffs - b.rho.coeffs).max() for a, b in zip(cur_ens.phases, vp_ens.phases)))
+    # densities that do not move leave gap(eps) at roundoff, with no rate to measure
+    moving = gaps[0] > 1e-13 * max(np.abs(p.rho.coeffs).max() for p in vp_ens.phases)
+    results.append(_check(
+        "multifluid.eps_zero_reduction", gaps[1] / gaps[0] if moving else 0.0, 0.3,
+        note="gap(eps/2)/gap(eps); eps^2 gives 0.25" if moving else "gap(eps) at roundoff; passes as 0",
+    ))
 
     # lagrangian determinism and coupling start
     ens0 = build_ensemble(cfg, 0.0)

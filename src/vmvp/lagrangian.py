@@ -7,10 +7,11 @@ between the two families is never reshuffled; it realizes the coupling whose
 mean squared gap the transport module turns into a Wasserstein bound.
 
 Forces are evaluated by exact trigonometric summation at particle positions
-(no grid interpolation).  Steppers take either a single frozen field or the
-four stage fields returned by the fluid step, in which case the combined
-fluid+particle update is one classical 4-stage step of the joint system
-(particles are passive and do not feed back currents).
+(no grid interpolation).  Both steppers take the stage fields of a fluid
+step's record (`multifluid.StepResult.stage_fields`, the (E, B) pair at each
+of the four stages), so the combined fluid+particle update is one classical
+4-stage step of the joint system (particles are passive and do not feed back
+currents).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
 from .multifluid import PhaseEnsemble, _lorentz_grid, _velocity_grid, rk4_step
-from .spectral import SpectralField, expect_bytes, gradient, read_binary, stack
+from .spectral import expect_bytes, read_binary, stack
 from .transport import rejection_sample_positions, wrap_positions
 
 @dataclass(frozen=True)
@@ -78,19 +78,10 @@ def sample_cloud(ens0: PhaseEnsemble, n: int, seed: int) -> ParticleCloud:
     )
 
 
-def _as_stages(field_or_stages, n_stages: int = 4):
-    if isinstance(field_or_stages, SpectralField) or field_or_stages is None:
-        return (field_or_stages,) * n_stages
-    seq = tuple(field_or_stages)
-    if len(seq) != n_stages:
-        raise ValidationError(f"expected {n_stages} stage fields, got {len(seq)}")
-    return seq
-
-
-def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
+def _push(x, xi, stage_fields, eps: float, dt: float):
     """One 4-stage step of Xdot = v(Xi), Xidot = E(X) + eps v(Xi) x B(X) at the stage fields.
 
-    A None E entry means no force at that stage; a None B entry, or eps = 0,
+    stage_fields holds the (E, B) pair of each stage; a None B, or eps = 0,
     means no magnetic force.  Positions come back wrapped into [0, 2pi).
     """
     d = x.shape[1]
@@ -98,9 +89,7 @@ def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
     def slope(i, ys):
         xs, xis = ys
         v = _velocity_grid(xis, eps, axis=1)
-        e_f, b_f = e_stages[i], b_stages[i]
-        if e_f is None:
-            return v, np.zeros_like(xis)
+        e_f, b_f = stage_fields[i]
         if b_f is None or eps == 0:
             return v, e_f.evaluate_at(xs)
         vals = stack([e_f, b_f]).evaluate_at(xs)
@@ -110,28 +99,26 @@ def _push(x, xi, e_stages, b_stages, eps: float, dt: float):
     return wrap_positions(x_new), xi_new
 
 
-def flow_vp_step(cloud: ParticleCloud, phi, dt: float) -> ParticleCloud:
+def flow_vp_step(cloud: ParticleCloud, stage_fields, dt: float) -> ParticleCloud:
     """Advance the electrostatic trajectories by one 4-stage step.
 
-    phi is a scalar potential field (frozen over the step) or the four stage
-    potentials/forces from the fluid step.  A sequence may contain scalar
-    fields (potentials) or d-component fields (already-assembled -grad phi).
+    stage_fields is the step record's: the (E, B) pair at each of the four
+    stages, of which only E = -grad phi acts.
     """
-    forces = tuple(-1.0 * gradient(f) if f is not None and f.is_scalar else f for f in _as_stages(phi))
-    x, xi = _push(cloud.x_vp, cloud.xi_vp, forces, (None,) * 4, 0.0, dt)
+    x, xi = _push(cloud.x_vp, cloud.xi_vp, stage_fields, 0.0, dt)
     return replace(cloud, x_vp=x, xi_vp=xi, t=cloud.t + dt)
 
 
-def flow_vm_step(cloud: ParticleCloud, e, b, eps: float, dt: float) -> ParticleCloud:
+def flow_vm_step(cloud: ParticleCloud, stage_fields, eps: float, dt: float) -> ParticleCloud:
     """Advance the relativistic trajectories by one 4-stage step.
 
-    e and b are fields frozen over the step or 4-sequences of stage fields
-    (b entries may be None when there is no magnetic field).  The magnetic
+    stage_fields is the step record's: the (E, B) pair at each of the four
+    stages (B may be None when there is no magnetic field).  The magnetic
     term is the fluid's `_lorentz_grid`: the planar eps*(v2 B, -v1 B) in d=2
     and the full cross product in d=3; |v| <= 1/eps holds pointwise by
     construction.
     """
-    x, xi = _push(cloud.x_vm, cloud.xi_vm, _as_stages(e), _as_stages(b), eps, dt)
+    x, xi = _push(cloud.x_vm, cloud.xi_vm, stage_fields, eps, dt)
     return replace(cloud, x_vm=x, xi_vm=xi)
 
 

@@ -265,17 +265,13 @@ def _unpack(ens: PhaseEnsemble, r: np.ndarray, x: np.ndarray) -> PhaseEnsemble:
 
 
 @dataclass(frozen=True)
-class VMStepResult:
-    ensemble: PhaseEnsemble
-    em: EMState | None
-    stage_fields: tuple          # ((E, B) at each of the 4 stages)
-    mean_j_increment: np.ndarray  # same quadrature as the step itself
+class StepResult:
+    """One fluid step of either system, with what the particle pushes reuse."""
 
-
-@dataclass(frozen=True)
-class VPStepResult:
     ensemble: PhaseEnsemble
-    stage_fields: tuple          # (E = -grad phi at each of the 4 stages)
+    em: EMState | None           # None for the electrostatic system
+    stage_fields: tuple          # ((E, B) at each of the 4 stages); B is None at eps = 0
+    mean_j_increment: np.ndarray  # same quadrature as the step itself; zero at eps = 0
 
 
 def vm_step_full(
@@ -283,7 +279,7 @@ def vm_step_full(
     em: EMState | None,
     dt: float,
     gate_delta: float = DEFAULT_GATE_DELTA,
-) -> VMStepResult:
+) -> StepResult:
     """One coupled fluid/field step of size dt.
 
     Fluid unknowns take a classical 4-stage explicit step with E and B
@@ -349,10 +345,10 @@ def vm_step_full(
             f"mean magnetic field drifted by {b_drift:.3e} in one step (tolerance {MEAN_B_TOL:g})",
             state_dump=ens,
         )
-    return VMStepResult(ens_new, em_new, tuple(stage_fields), mean_j_inc)
+    return StepResult(ens_new, em_new, tuple(stage_fields), mean_j_inc)
 
 
-def _electrostatic_step(ens, em, dt) -> VMStepResult:
+def _electrostatic_step(ens, em, dt) -> StepResult:
     """eps = 0 reduction: no wave, force -grad phi (plus nothing magnetic)."""
     dim, cutoff = ens.dim, ens.cutoff
     r0, x0, mus = _pack(ens)
@@ -366,7 +362,7 @@ def _electrostatic_step(ens, em, dt) -> VMStepResult:
         return dr, dx
 
     r1, x1 = rk4_step((r0, x0), slope, dt)
-    return VMStepResult(_unpack(ens, r1, x1), em, tuple(stage_fields), np.zeros(dim))
+    return StepResult(_unpack(ens, r1, x1), em, tuple(stage_fields), np.zeros(dim))
 
 
 def vm_step(ens: PhaseEnsemble, em: EMState | None, dt: float, **kw):
@@ -374,15 +370,14 @@ def vm_step(ens: PhaseEnsemble, em: EMState | None, dt: float, **kw):
     return res.ensemble, res.em
 
 
-def vp_step_full(ens: PhaseEnsemble, dt: float) -> VPStepResult:
-    """Electrostatic step: v(xi) = xi, force -grad phi re-solved each stage."""
+def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
+    """The eps = 0 branch of vm_step_full: v(xi) = xi, force -grad phi re-solved each stage."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if ens.eps != 0:
         raise ValidationError("vp_step expects an eps = 0 ensemble")
     check_validity(ens, context=" at step start")
-    res = _electrostatic_step(ens, None, dt)
-    return VPStepResult(res.ensemble, tuple(e for e, _ in res.stage_fields))
+    return _electrostatic_step(ens, None, dt)
 
 
 def vp_step(ens: PhaseEnsemble, dt: float) -> PhaseEnsemble:
@@ -396,14 +391,14 @@ def vp_step(ens: PhaseEnsemble, dt: float) -> PhaseEnsemble:
 @dataclass(frozen=True)
 class Moments:
     rho_grid: np.ndarray          # total density on the padded grid, (1, n, .., n)
-    j_total: SpectralField
+    j_mean: np.ndarray            # grid mean of the total current, one value per component
     m_alpha_sup: float
     fourth_moment_l1: float
     kinetic_energy: float
 
 
 def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
-    """Macroscopic density, current, sup of m_alpha, L1 fourth moment and kinetic energy.
+    """Macroscopic density, mean current, sup of m_alpha, L1 fourth moment and kinetic energy.
 
     The one grid pass over a state: every phase's rho and xi come from one
     synthesis.  The kinetic energy is sum_theta mu int e(xi_theta) rho_theta dx
@@ -423,7 +418,7 @@ def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
         e = (np.sqrt(1.0 + ens.eps ** 2 * xi2) - 1.0) / ens.eps ** 2
     return Moments(
         rho_grid=rho_tot,
-        j_total=SpectralField.from_grid(j_tot, ens.cutoff),
+        j_mean=j_tot.reshape(ens.dim, -1).mean(axis=1),
         m_alpha_sup=float(malpha.max()),
         fourth_moment_l1=float(np.abs(fourth).mean()),
         kinetic_energy=float((mu.ravel() * (e * rg).reshape(mu.size, -1).mean(axis=1)).sum()),
@@ -470,13 +465,13 @@ class CKIterationReport:
         return 8.0 * self.c1_declared
 
 
-def _cumint(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    # scipy's cumulative_simpson silently drops imaginary parts
+def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
+    # along the leading (time) axis; scipy's cumulative_simpson silently drops imaginary parts
     if np.iscomplexobj(y):
-        return cumulative_simpson(y.real, dx=dx, axis=axis, initial=0.0) + 1j * cumulative_simpson(
-            y.imag, dx=dx, axis=axis, initial=0.0
+        return cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0) + 1j * cumulative_simpson(
+            y.imag, dx=dx, axis=0, initial=0.0
         )
-    return cumulative_simpson(y, dx=dx, axis=axis, initial=0.0)
+    return cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
 
 
 def _filon_weights(theta: np.ndarray, dt: float):
@@ -523,7 +518,6 @@ def ck_iterate(
     p: AnalyticNormParams,
     n_max: int = 10,
     n_time: int = 256,
-    gate_delta: float | None = None,
 ) -> CKIterationReport:
     """Run the successive-approximation scheme on [0, eta*(delta0 - delta)].
 
@@ -538,8 +532,7 @@ def ck_iterate(
         raise ValidationError("the working radius p.delta must exceed 1")
     eps = init.eps
     dim, cutoff = init.dim, init.cutoff
-    gate_delta = gate_delta if gate_delta is not None else p.delta
-    check_validity(init, gate_delta, context=" in initial data")
+    check_validity(init, p.delta, context=" in initial data")
     if eps > 0 and em0 is None:
         raise ValidationError("relativistic iteration requires an EMState")
 

@@ -100,6 +100,17 @@ class TestRoundTrip:
         save_config(sample_config(phases=phases), tmp_path / "cfg.cfg")
         assert load_config(tmp_path / "cfg.cfg").phases == phases
 
+    def test_percent_in_a_value_saves_and_loads(self, tmp_path):
+        cfg = sample_config(output_dir="out/100%")
+        save_config(cfg, tmp_path / "cfg.cfg")
+        assert load_config(tmp_path / "cfg.cfg") == cfg
+
+    def test_interpolation_syntax_loads_literally(self, tmp_path):
+        save_config(sample_config(), tmp_path / "cfg.cfg")
+        text = (tmp_path / "cfg.cfg").read_text(encoding="utf-8")
+        (tmp_path / "cfg.cfg").write_text(re.sub(r"(?m)^output_dir = .*$", "output_dir = run_%(dim)s", text), encoding="utf-8")
+        assert load_config(tmp_path / "cfg.cfg").output_dir == "run_%(dim)s"
+
     def test_bundled_resolution(self):
         p = resolve_config_path("bundled/small2d")
         cfg = load_config(p)

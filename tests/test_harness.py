@@ -7,7 +7,7 @@ import pytest
 from vmvp.config import load_config, resolve_config_path
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, gauge_residuals
-from vmvp.lagrangian import ParticleCloud, load_cloud
+from vmvp.lagrangian import ParticleCloud, load_cloud, sample_cloud
 from vmvp.harness import (
     SNAP_COLUMNS,
     STEP_COLUMNS,
@@ -93,6 +93,31 @@ class TestVerifySuite:
         failures = [r.name for r in results if not r.passed]
         assert failures == []
 
+    def test_eps_zero_reduction_follows_eps_squared(self, small_cfg):
+        (check,) = [r for r in verify_suite(small_cfg) if r.name == "multifluid.eps_zero_reduction"]
+        assert 0.24 <= check.residual <= 0.26
+
+    def test_eps_zero_reduction_passes_on_a_stationary_state(self, small_cfg):
+        # uniform opposite streams never move: both gaps sit at roundoff, and the check passes
+        from vmvp.config import PhaseSpec
+
+        streams = [PhaseSpec(0.5, [((0, 0), 1.0)], [(0, (0, 0), s * 0.25)]) for s in (1, -1)]
+        cfg = replace(small_cfg, phases=streams)
+        (check,) = [r for r in verify_suite(cfg) if r.name == "multifluid.eps_zero_reduction"]
+        assert check.passed and check.residual == 0.0
+
+    def test_order_eps_velocity_fails_eps_zero_reduction(self, small_cfg, monkeypatch):
+        # fault injection: v = xi / sqrt(1 + eps |xi|^2) leaves an O(eps) gap to VP
+        from vmvp import multifluid
+
+        def velocity_grid_eps(xi, eps, axis=0):
+            return xi if eps == 0 else xi / np.sqrt(1.0 + eps * (xi ** 2).sum(axis=axis, keepdims=True))
+
+        monkeypatch.setattr(multifluid, "_velocity_grid", velocity_grid_eps)
+        results = verify_suite(small_cfg)
+        assert len(results) == 24
+        assert [r.name for r in results if not r.passed] == ["multifluid.eps_zero_reduction"]
+
     def test_broken_gauge_detected(self):
         # fault injection: a vector potential with nonzero mean must be flagged
         k = 4
@@ -144,6 +169,27 @@ class TestRunPairOutputs:
         ]
         ckpts = sorted((out / "checkpoints").glob("*.cloud"))
         assert len(ckpts) > 0
+
+    def test_sweep_samples_the_cloud_once(self, small_cfg, monkeypatch):
+        from vmvp import harness
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_cloud(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_cloud", counted)
+        cfg = replace(small_cfg, eps_list=[0.2, 0.1, 0.05], t_final=5 * small_cfg.dt)
+        assert len(run_sweep(cfg).runs) == 3
+        assert len(calls) == 1
+
+    def test_a_vp_run_without_a_cloud_runs_without_particles(self, small_cfg):
+        from vmvp.harness import _run_vp_side
+
+        cfg = replace(small_cfg, t_final=5 * small_cfg.dt)
+        rep = run_pair(cfg, 0.2, vp_run=_run_vp_side(cfg, with_particles=False))
+        assert not rep.aborted and len(rep.w2) == len(rep.q) == 0
 
     def test_gate_violation_refuses_to_run(self, small_cfg):
         import copy

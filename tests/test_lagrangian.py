@@ -13,7 +13,7 @@ from vmvp.lagrangian import (
     save_cloud,
 )
 from vmvp.multifluid import Phase, PhaseEnsemble
-from vmvp.spectral import SpectralField
+from vmvp.spectral import SpectralField, gradient
 from vmvp.transport import TWO_PI, coupling_Q, torus_wrap
 
 K = 6
@@ -26,6 +26,11 @@ def make_ensemble(entries, eps=0.0, dim=2):
         xi = SpectralField.from_modes(dim, K, dim, [(c, kv, a) for c, kv, a in xi_modes])
         phases.append(Phase(mu, rho, xi))
     return PhaseEnsemble(tuple(phases), eps)
+
+
+def frozen(e, b=None):
+    """Stage fields of a field frozen over the step: the same (E, B) pair at all four stages."""
+    return ((e, b),) * 4
 
 
 def single_cloud(x, xi, seed=0):
@@ -80,21 +85,22 @@ class TestVPFlow:
     def test_free_streaming(self):
         xi = np.array([[0.7, -0.4]])
         cloud = single_cloud([[1.0, 2.0]], xi)
-        phi = SpectralField.zeros(2, K, 1)
+        stages = frozen(SpectralField.zeros(2, K, 2))
         for _ in range(100):
-            cloud = flow_vp_step(cloud, phi, 1e-2)
+            cloud = flow_vp_step(cloud, stages, 1e-2)
         expect = (np.array([1.0, 2.0]) + 1.0 * xi[0]) % TWO_PI
         assert np.abs(cloud.x_vp[0] - expect).max() < 1e-12
         assert np.abs(cloud.xi_vp - xi).max() == 0.0
 
     def test_pendulum_energy_fourth_order(self):
         phi = SpectralField.from_modes(1, K, 1, [(0, [1], 0.5)])  # cos(x1)
+        stages = frozen(-gradient(phi))
 
         def energy_drift(dt, n):
             cloud = single_cloud([[np.pi / 2]], [[0.0]])
             h0 = 0.5 * cloud.xi_vp[0, 0] ** 2 + np.cos(cloud.x_vp[0, 0])
             for _ in range(n):
-                cloud = flow_vp_step(cloud, phi, dt)
+                cloud = flow_vp_step(cloud, stages, dt)
             h1 = 0.5 * cloud.xi_vp[0, 0] ** 2 + np.cos(cloud.x_vp[0, 0])
             return abs(h1 - h0)
 
@@ -105,17 +111,18 @@ class TestVPFlow:
 
     def test_reversibility(self):
         phi = SpectralField.from_modes(2, K, 1, [(0, [1, 0], 0.3), (0, [0, 1], 0.2j)])
+        stages = frozen(-gradient(phi))
         cloud = single_cloud([[1.0, 2.0], [4.0, 0.5]], [[0.3, -0.1], [0.0, 0.2]])
         x0, xi0 = cloud.x_vp.copy(), cloud.xi_vp.copy()
         dt, n = 0.02, 50
         for _ in range(n):
-            cloud = flow_vp_step(cloud, phi, dt)
+            cloud = flow_vp_step(cloud, stages, dt)
         back = ParticleCloud(
             x0=cloud.x0, xi0=cloud.xi0, weights=cloud.weights, phase_idx=cloud.phase_idx,
             x_vp=cloud.x_vp, xi_vp=-cloud.xi_vp, x_vm=cloud.x_vm, xi_vm=cloud.xi_vm, seed=0,
         )
         for _ in range(n):
-            back = flow_vp_step(back, phi, dt)
+            back = flow_vp_step(back, stages, dt)
         assert np.abs(back.x_vp - x0).max() < 1e-8
         assert np.abs(-back.xi_vp - xi0).max() < 1e-8
 
@@ -128,7 +135,7 @@ class TestVMFlow:
         cloud = single_cloud([[0.5, 0.5]], xi)
         e = SpectralField.zeros(2, K, 2)
         for _ in range(50):
-            cloud = flow_vm_step(cloud, e, None, eps, 0.02)
+            cloud = flow_vm_step(cloud, frozen(e), eps, 0.02)
         expect = (np.array([0.5, 0.5]) + 1.0 * v[0]) % TWO_PI
         assert np.abs(cloud.x_vm[0] - expect).max() < 1e-12
         assert np.linalg.norm(v) <= 1.0 / eps
@@ -141,12 +148,10 @@ class TestVMFlow:
         # pad to 3d cloud manually
         s0 = np.linalg.norm(cloud.xi_vm[0])
         for _ in range(100):
-            cloud = flow_vm_step(cloud, e, b, eps, 1e-2)
+            cloud = flow_vm_step(cloud, frozen(e, b), eps, 1e-2)
             assert abs(np.linalg.norm(cloud.xi_vm[0]) - s0) < 1e-10
 
     def test_eps_to_zero_richardson(self):
-        from vmvp.spectral import gradient
-
         phi = SpectralField.from_modes(2, K, 1, [(0, [1, 0], 0.2)])
         e = -1.0 * gradient(phi)
         b = SpectralField.constant(2, K, 0.8)
@@ -156,12 +161,12 @@ class TestVMFlow:
         def run_vm(eps):
             c = start
             for _ in range(int(T / dt)):
-                c = flow_vm_step(c, e, b, eps, dt)
+                c = flow_vm_step(c, frozen(e, b), eps, dt)
             return c.x_vm[0], c.xi_vm[0]
 
         c_vp = start
         for _ in range(int(T / dt)):
-            c_vp = flow_vp_step(c_vp, phi, dt)
+            c_vp = flow_vp_step(c_vp, frozen(e), dt)
         ref = c_vp.x_vp[0], c_vp.xi_vp[0]
 
         errs = []
@@ -176,14 +181,14 @@ class TestVMFlow:
         eps = 0.3
         e = SpectralField.zeros(2, K, 2)
         cloud = single_cloud([[6.2, 0.1]], [[2.0, 1.5]])
-        stepped = flow_vm_step(cloud, e, None, eps, 0.5)
+        stepped = flow_vm_step(cloud, frozen(e), eps, 0.5)
         assert (stepped.x_vm >= 0).all() and (stepped.x_vm < TWO_PI).all()
         assert np.array_equal(stepped.xi_vm, cloud.xi_vm)
 
     def test_tiny_negative_position_wraps_below_two_pi(self):
         # -1e-17 % 2pi rounds to 2pi itself; the pushed position must stay in [0, 2pi)
         cloud = single_cloud([[-1e-17, 1.0]], [[0.0, 0.0]])
-        stepped = flow_vm_step(cloud, None, None, 0.3, 0.1)
+        stepped = flow_vm_step(cloud, frozen(SpectralField.zeros(2, K, 2)), 0.3, 0.1)
         assert (stepped.x_vm >= 0).all() and (stepped.x_vm < TWO_PI).all()
 
     def test_half_box_forces_match_naive_trajectories(self, monkeypatch):
@@ -205,7 +210,7 @@ class TestVMFlow:
         def push():
             cloud = cloud0
             for fields in stages:
-                cloud = flow_vm_step(cloud, [e for e, _ in fields], [b for _, b in fields], eps, cfg.dt)
+                cloud = flow_vm_step(cloud, fields, eps, cfg.dt)
             return cloud
 
         fast = push()
@@ -241,7 +246,7 @@ class TestVMFlow:
 
         x, xi = cloud.x_vm, cloud.xi_vm
         for _ in range(3):
-            cloud = flow_vm_step(cloud, e_st, b_st, eps, dt)
+            cloud = flow_vm_step(cloud, tuple(zip(e_st, b_st)), eps, dt)
             x, xi = former_step(x, xi)
         assert np.array_equal(cloud.x_vm, x)
         assert np.array_equal(cloud.xi_vm, xi)
@@ -262,12 +267,12 @@ class TestConsistency:
         c = 0.4
         ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], c)])], eps=0.0)
         cloud = sample_cloud(ens, 256, seed=4)
-        phi = SpectralField.zeros(2, K, 1)
+        stages = frozen(SpectralField.zeros(2, K, 2))
         from vmvp.multifluid import vp_step
 
         cur = ens
         for _ in range(20):
-            cloud = flow_vp_step(cloud, phi, 0.01)
+            cloud = flow_vp_step(cloud, stages, 0.01)
             cur = vp_step(cur, 0.01)
         rep = consistency_check(cloud, cur, system="vp")
         assert rep.residual_max < 1e-10
@@ -286,7 +291,7 @@ class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], 0.2)])])
         cloud = sample_cloud(ens, 32, seed=9)
-        cloud = flow_vp_step(cloud, SpectralField.zeros(2, K, 1), 0.1)
+        cloud = flow_vp_step(cloud, frozen(SpectralField.zeros(2, K, 2)), 0.1)
         p = tmp_path / "c.cloud"
         save_cloud(cloud, p)
         back = load_cloud(p)
@@ -330,12 +335,12 @@ class TestCheckpoints:
         ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], 0.2)])])
         cloud = sample_cloud(ens, 16, seed=10)
         paths = []
-        phi = SpectralField.from_modes(2, K, 1, [(0, [1, 0], 0.2)])
+        stages = frozen(-gradient(SpectralField.from_modes(2, K, 1, [(0, [1, 0], 0.2)])))
         for i in range(3):
             path = tmp_path / f"ck{i}.cloud"
             save_cloud(cloud, path)
             paths.append(path)
-            cloud = flow_vp_step(cloud, phi, 0.05)
+            cloud = flow_vp_step(cloud, stages, 0.05)
         series = replay_coupling(paths)
         assert [t for t, _ in series] == pytest.approx([0.0, 0.05, 0.10])
         assert series[0][1] == 0.0

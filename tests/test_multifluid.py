@@ -177,7 +177,9 @@ class TestRhs:
                     assert np.array_equal(one[2], flux[t, p])
 
     def test_kernel_current_is_the_moment_current(self):
-        # the mu-weighted flux coefficients are the total current of moments()
+        # the mu-weighted flux coefficients are the total current sum mu v(xi) rho,
+        # and their k = 0 mode is the mean current of moments()
+        from vmvp import spectral as sp
         from vmvp.multifluid import _pack, _phase_rhs_arrays
 
         p1 = make_phase(2, 6, 0.25, [([0, 0], 1.0), ([1, 0], 0.05)], [(0, [0, 0], 0.3), (1, [0, 1], 0.04j)])
@@ -185,9 +187,15 @@ class TestRhs:
         ens = PhaseEnsemble((p1, p2), 0.3)
         r, x, mus = _pack(ens)
         _, _, flux = _phase_rhs_arrays(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
-        j_total = moments(ens).j_total.coeffs
+        kernel_j = np.tensordot(mus, flux, axes=(0, 0))
+        g = sp.to_grid(np.concatenate([r, x], axis=1), 2)
+        rg, vg = g[:, :1], _velocity_grid(g[:, 1:], ens.eps, axis=1)
+        j_total = SpectralField.from_grid((mus[:, None, None, None] * vg * rg).sum(axis=0), 6).coeffs
         assert np.abs(j_total).max() > 1e-3
-        assert np.abs(np.tensordot(mus, flux, axes=(0, 0)) - j_total).max() < 1e-15
+        assert np.abs(kernel_j - j_total).max() < 1e-15
+        j_mean = moments(ens).j_mean
+        assert np.abs(j_mean).max() > 1e-3
+        assert np.abs(mean(SpectralField(2, 6, kernel_j)) - j_mean).max() < 1e-15
 
     def test_kernel_aborts_on_non_finite(self):
         from vmvp.multifluid import _phase_rhs_arrays
@@ -305,12 +313,12 @@ class TestStepping:
 
     def test_mean_current_drift_vp(self):
         ens = two_phase_2d(eps=0.0)
-        j0 = mean(moments(ens).j_total)
+        j0 = moments(ens).j_mean
         assert np.abs(j0).max() < 1e-12  # normalized data
         cur = ens
         for _ in range(200):
             cur = vp_step(cur, 5e-3)  # T = 1
-        j1 = mean(moments(cur).j_total)
+        j1 = moments(cur).j_mean
         assert np.abs(j1 - j0).max() < 1e-8
 
     def test_gate_abort_mid_run(self):
@@ -339,7 +347,7 @@ class TestMoments:
     def test_static_uniform(self):
         m = moments(uniform_static())
         assert m.rho_grid.mean() == pytest.approx(1.0)
-        assert np.abs(m.j_total.coeffs).max() < 1e-14
+        assert np.abs(m.j_mean).max() < 1e-14
         assert m.m_alpha_sup == pytest.approx(0.0, abs=1e-14)
 
     def test_two_opposite_streams(self):
@@ -348,7 +356,7 @@ class TestMoments:
         p2 = make_phase(2, 4, 0.5, [([0, 0], 1.0)], [(0, [0, 0], -c)])
         ens = PhaseEnsemble((p1, p2), 0.0)
         m = moments(ens, alpha=1.0)
-        assert np.abs(m.j_total.coeffs).max() < 1e-14
+        assert np.abs(m.j_mean).max() < 1e-14
         assert m.m_alpha_sup == pytest.approx(c, rel=1e-12)
 
     def test_fourth_moment(self):
