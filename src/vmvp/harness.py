@@ -80,6 +80,13 @@ class _VPRun:
     sup_rho: np.ndarray
 
 
+def _abort_context(exc: NumericalAbort, step: int, t: float) -> str:
+    """Date an abort its raise site left undated; return its message led by the step index and time."""
+    if exc.t is None:
+        exc.t = t
+    return f"step {step}, t = {t:g}: {exc}"
+
+
 def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
     ens = build_ensemble(cfg, 0.0)
     cloud0 = cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
@@ -100,7 +107,10 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
             xis.append(cloud.xi_vp.copy())
         if step == cfg.n_steps:
             break
-        res = vp_step_full(ens, cfg.dt)
+        try:
+            res = vp_step_full(ens, cfg.dt)
+        except NumericalAbort as exc:
+            raise NumericalAbort(_abort_context(exc, step, step * cfg.dt), exc.state_dump, exc.t) from exc
         if with_particles:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
@@ -217,7 +227,7 @@ def run_pair(
         try:
             res = vm_step_full(ens, em, cfg.dt, gate_delta=cfg.delta1)
         except NumericalAbort as exc:
-            aborted, abort_message, truncation = True, str(exc), t
+            aborted, abort_message, truncation = True, _abort_context(exc, step, t), t
             if out_dir is not None and exc.state_dump is not None:
                 from .multifluid import save_ensemble
 

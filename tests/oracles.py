@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, _wave_knorm
@@ -149,6 +150,33 @@ def w2_exact_brute(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     for perm in permutations(range(n)):
         best = min(best, cost[idx, list(perm)].sum())
     return float(np.sqrt(best / n))
+
+
+def w2_from_cost_plain(cost: np.ndarray) -> float:
+    """transport.w2_from_cost without the auction warm start: the solver on cost as it is."""
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def subsampled_w2_plain(pairing, n_sub: int, rng: np.random.Generator, n_boot: int):
+    """harness._subsampled_w2 on its assignment path, solved by w2_from_cost_plain.
+
+    One cost matrix for the subsample; each bootstrap replicate solves a
+    row/column gather of it, repeated indices included.
+    """
+    n = pairing.x_vp.shape[0]
+    idx = rng.choice(n, size=min(n_sub, n), replace=False)
+    cost = cost_matrix_sq(
+        EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx]),
+        EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx]),
+    )
+    pos = np.empty(n, dtype=np.intp)
+    pos[idx] = np.arange(idx.size)
+    reps = np.empty(n_boot)
+    for b in range(n_boot):
+        take = pos[rng.choice(idx, size=idx.size, replace=True)]
+        reps[b] = w2_from_cost_plain(cost[np.ix_(take, take)]) ** 2
+    return w2_from_cost_plain(cost), float(reps.std(ddof=1))
 
 
 def circular_w2_sq(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import subsampled_w2_plain
 from vmvp.config import load_config, resolve_config_path
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, gauge_residuals
@@ -19,7 +20,15 @@ from vmvp.harness import (
     verify_suite,
 )
 from vmvp.spectral import SpectralField
-from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq, identity_pair_costs, w2_exact, w2_from_cost
+from vmvp.transport import (
+    AUCTION_K,
+    TWO_PI,
+    EmpiricalMeasure,
+    _auction_prices,
+    cost_matrix_sq,
+    identity_pair_costs,
+    w2_exact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +211,43 @@ class TestRunPairOutputs:
         with pytest.raises(NumericalAbort, match="gate"):
             run_pair(hot, 0.9, with_particles=False)
 
+    def test_an_abort_reports_its_step_and_time(self, small_cfg):
+        import copy
+
+        from vmvp.config import build_ensemble
+        from vmvp.multifluid import GATE_BOUND, gate_margin
+
+        # two mirrored streams whose gate starts 0.1% below its bound and
+        # crosses it in an RK stage of step 14
+        hot = copy.deepcopy(small_cfg)
+        hot.phases[0].xi_modes = [(0, (0, 0), 3.0), (0, (1, 0), 0.3j)]
+        hot.phases[1].rho_modes = list(hot.phases[0].rho_modes)
+        hot.phases[1].xi_modes = [(0, (0, 0), -3.0), (0, (1, 0), -0.3j)]
+        hot = replace(hot, t_final=20 * hot.dt)
+        eps = 0.999 * GATE_BOUND / gate_margin(build_ensemble(hot, 1.0), hot.delta1)
+        rep = run_pair(hot, eps, with_particles=False)
+        assert rep.aborted and rep.truncation_time == 14 * hot.dt
+        assert rep.abort_message.startswith(f"step 14, t = {14 * hot.dt:g}: validity gate violated at stage ")
+
+    def test_a_vp_side_abort_reports_its_step_and_time(self, small_cfg, monkeypatch):
+        from vmvp import harness
+        from vmvp.errors import NumericalAbort
+
+        real_step, calls = harness.vp_step_full, []
+
+        def fails_on_step_3(ens, dt):
+            calls.append(dt)
+            if len(calls) == 4:
+                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03")
+            return real_step(ens, dt)
+
+        monkeypatch.setattr(harness, "vp_step_full", fails_on_step_3)
+        cfg = replace(small_cfg, t_final=10 * small_cfg.dt)
+        with pytest.raises(NumericalAbort) as exc:
+            run_pair(cfg, 0.2)
+        assert str(exc.value).startswith(f"step 3, t = {3 * cfg.dt:g}: phase 0 density negative")
+        assert exc.value.t == 3 * cfg.dt
+
 
 def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
     """The estimator with one w2_exact call per replicate."""
@@ -220,23 +266,6 @@ def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):
     return float(w2), se
 
 
-def _subsampled_w2_assigned(pairing, n_sub, rng, n_boot):
-    """The estimator on the assignment path: one cost matrix, gathered per replicate."""
-    n = pairing.x_vp.shape[0]
-    idx = rng.choice(n, size=min(n_sub, n), replace=False)
-    cost = cost_matrix_sq(
-        EmpiricalMeasure.uniform(pairing.x_vp[idx], pairing.xi_vp[idx]),
-        EmpiricalMeasure.uniform(pairing.x_vm[idx], pairing.xi_vm[idx]),
-    )
-    pos = np.empty(n, dtype=np.intp)
-    pos[idx] = np.arange(idx.size)
-    reps = np.empty(n_boot)
-    for b in range(n_boot):
-        take = pos[rng.choice(idx, size=idx.size, replace=True)]
-        reps[b] = w2_from_cost(cost[np.ix_(take, take)]) ** 2
-    return w2_from_cost(cost), float(reps.std(ddof=1))
-
-
 @pytest.fixture(scope="module")
 def small2d_snapshots(small_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("small2d_pair")
@@ -253,7 +282,7 @@ class TestSubsampledW2:
             nu = EmpiricalMeasure.uniform(snap.x_vm, snap.xi_vm)
             assert identity_pair_costs(mu, nu) is not None  # so every subsample is certified too
             got = _subsampled_w2(snap, n_sub, np.random.default_rng(i), n_boot)
-            assert got == _subsampled_w2_assigned(snap, n_sub, np.random.default_rng(i), n_boot)
+            assert got == subsampled_w2_plain(snap, n_sub, np.random.default_rng(i), n_boot)
 
     @staticmethod
     def pairing(n, seed):
@@ -276,3 +305,31 @@ class TestSubsampledW2:
         want = _subsampled_w2_rebuilt(pairing, n_sub, np.random.default_rng(seed), 8)
         assert got == want
         assert got[1] > 0.0
+
+    def test_swapped_close_pair_takes_the_warm_started_fallback(self):
+        # the certificate declines on a near-identity cloud with one close pair
+        # swapped, so the whole cloud goes through cost_matrix_sq and the
+        # auction-warm-started solver, and the bootstrap replicates through
+        # gathers with repeated indices
+        n = 200
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, TWO_PI, (n, 2))
+        xi = rng.normal(0, 0.5, (n, 2))
+        x[1], xi[1] = x[0] + 0.01, xi[0] + 0.01
+        swap = np.arange(n)
+        swap[[0, 1]] = [1, 0]
+        x_vm = (x + rng.normal(0, 1e-4, (n, 2)))[swap] % TWO_PI
+        xi_vm = (xi + rng.normal(0, 1e-4, (n, 2)))[swap]
+        pairing = ParticleCloud(
+            x0=x, xi0=xi, phase_idx=np.zeros(n, dtype=int), seed=8,
+            x_vp=x, xi_vp=xi, x_vm=x_vm, xi_vm=xi_vm, weights=np.full(n, 1.0 / n),
+        )
+        mu, nu = EmpiricalMeasure.uniform(x, xi), EmpiricalMeasure.uniform(x_vm, xi_vm)
+        assert n > 2 * AUCTION_K
+        assert identity_pair_costs(mu, nu) is None
+        assert _auction_prices(cost_matrix_sq(mu, nu)) is not None
+        w2, se = _subsampled_w2(pairing, n, np.random.default_rng(0), 8)
+        w2_plain, se_plain = subsampled_w2_plain(pairing, n, np.random.default_rng(0), 8)
+        assert w2 == pytest.approx(w2_plain, rel=1e-13)
+        assert se == pytest.approx(se_plain, rel=1e-13)
+        assert se > 0.0

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import circular_w2_sq, circular_w2_sq_brute, w2_exact_brute
+from oracles import circular_w2_sq, circular_w2_sq_brute, w2_exact_brute, w2_from_cost_plain
+from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
 from vmvp.transport import (
+    AUCTION_K,
     EmpiricalMeasure,
+    _auction_prices,
     cost_matrix_sq,
     coupling_Q,
     identity_pair_costs,
@@ -17,6 +20,7 @@ from vmvp.transport import (
     rejection_sample_positions,
     torus_distance_sq,
     w2_exact,
+    w2_from_cost,
 )
 
 TWO_PI = 2 * np.pi
@@ -213,6 +217,56 @@ class TestIdentityCertificate:
         for nu in (random_cloud(rng, 10, d=3), random_cloud(rng, 10, dv=3), EmpiricalMeasure.uniform(mu.x)):
             with pytest.raises(ValidationError):
                 identity_pair_costs(mu, nu)
+
+
+class TestWarmStartedAssignment:
+    """w2_from_cost against the solver on the unshifted matrix."""
+
+    @pytest.mark.parametrize("n", [200, 1024])
+    @pytest.mark.parametrize("momenta", [True, False])
+    def test_random_torus_clouds(self, n, momenta):
+        rng = np.random.default_rng(n + momenta)
+        mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        if not momenta:
+            mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
+        cost = cost_matrix_sq(mu, nu)
+        kept = cost.copy()
+        assert _auction_prices(cost) is not None
+        assert w2_from_cost(cost) == pytest.approx(w2_from_cost_plain(cost), rel=1e-13)
+        assert np.array_equal(cost, kept)  # the prices shift a copy
+
+    def test_bootstrap_gather_with_repeated_indices(self):
+        # repeated indices make identical rows and columns, so optimal
+        # assignments tie exactly
+        rng = np.random.default_rng(2)
+        cost = cost_matrix_sq(random_cloud(rng, 300), random_cloud(rng, 300))
+        for _ in range(3):
+            take = rng.integers(0, 300, 300)
+            gathered = cost[np.ix_(take, take)]
+            assert np.unique(take).size < take.size
+            assert _auction_prices(gathered) is not None
+            assert w2_from_cost(gathered) == pytest.approx(w2_from_cost_plain(gathered), rel=1e-13)
+
+    def test_candidates_without_a_matching_fall_back(self):
+        # the first 60 rows find their AUCTION_K cheapest columns all among the
+        # first AUCTION_K columns: at least 60 - AUCTION_K rows stay unassigned,
+        # so the auction hits its round cap and the solver runs on cost itself
+        rng = np.random.default_rng(3)
+        n = 200
+        cost = rng.uniform(1.0, 2.0, (n, n))
+        cost[:60, :AUCTION_K] = rng.uniform(0.0, 0.5, (60, AUCTION_K))
+        assert 60 - AUCTION_K > transport.AUCTION_FREE_ROWS
+        assert _auction_prices(cost) is None
+        assert w2_from_cost(cost) == w2_from_cost_plain(cost)
+
+    def test_small_matrices_skip_the_auction(self, monkeypatch):
+        def refuse(cost):
+            raise AssertionError("the auction ran below its threshold")
+
+        monkeypatch.setattr(transport, "_auction_prices", refuse)
+        rng = np.random.default_rng(4)
+        cost = cost_matrix_sq(random_cloud(rng, 2 * AUCTION_K), random_cloud(rng, 2 * AUCTION_K))
+        assert w2_from_cost(cost) == w2_from_cost_plain(cost)
 
 
 class TestCircular:
