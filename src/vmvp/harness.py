@@ -32,7 +32,7 @@ from .multifluid import (
     vp_step_full,
 )
 from .spectral import SpectralField, l2_norm, mean, padded_grid_size
-from .transport import EmpiricalMeasure, cost_matrix_sq, coupling_Q, identity_pair_costs, w2_exact, w2_from_cost
+from .transport import EmpiricalMeasure, coupling_Q, identity_pair_costs, w2_assignment, w2_exact
 
 STEP_COLUMNS = (
     "t,energy_vm,energy_vp,field_energy_vm,mean_b_drift,gauge_div_a,gauge_mean_a,ledger_residual,"
@@ -126,29 +126,28 @@ def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n
     indices, c(t_a, t_b) >= c(t_b, t_b) for every a, b, equal only when
     t_a = t_b, so its optimal pairings match only coincident copies and its
     W2 is the root mean of the gathered pair costs, the same float the
-    solver would give.  Otherwise one cost matrix is built, and each
-    replicate's matrix is a row/column gather of it; the entries are the
-    same floats a rebuilt matrix would hold.
+    solver would give.  Otherwise the subsample and each replicate's
+    gathered points go through w2_assignment; the replicates skip the
+    certificate, which declines whenever points repeat.
     """
+    def clouds(t):
+        return (EmpiricalMeasure.uniform(cloud.x_vp[t], cloud.xi_vp[t]),
+                EmpiricalMeasure.uniform(cloud.x_vm[t], cloud.xi_vm[t]))
+
     n = cloud.x_vp.shape[0]
     idx = rng.choice(n, size=min(n_sub, n), replace=False)
-    mu = EmpiricalMeasure.uniform(cloud.x_vp[idx], cloud.xi_vp[idx])
-    nu = EmpiricalMeasure.uniform(cloud.x_vm[idx], cloud.xi_vm[idx])
+    mu, nu = clouds(idx)
     pair = identity_pair_costs(mu, nu)
-    if pair is None:
-        cost = cost_matrix_sq(mu, nu)
-        w2 = w2_from_cost(cost)
-    else:
-        w2 = float(np.sqrt(pair.mean()))
+    w2 = w2_assignment(mu, nu) if pair is None else float(np.sqrt(pair.mean()))
     pos = np.empty(n, dtype=np.intp)
     pos[idx] = np.arange(idx.size)
     reps = np.empty(n_boot)
     for b in range(n_boot):
-        take = pos[rng.choice(idx, size=idx.size, replace=True)]
+        take = rng.choice(idx, size=idx.size, replace=True)
         if pair is None:
-            reps[b] = w2_from_cost(cost[np.ix_(take, take)]) ** 2
+            reps[b] = w2_assignment(*clouds(take)) ** 2
         else:
-            reps[b] = float(np.sqrt(pair[take].mean())) ** 2
+            reps[b] = float(np.sqrt(pair[pos[take]].mean())) ** 2
     se = float(reps.std(ddof=1)) if n_boot > 1 else 0.0
     return w2, se
 

@@ -4,11 +4,14 @@ The metric is the product of the per-axis geodesic torus distance on
 positions and the Euclidean distance on velocities.  Equal-size uniform-weight
 clouds get an exact optimal assignment: skipped when a duality certificate
 proves the index pairing optimal, and otherwise scipy's shortest augmenting
-path solver, warm-started on large matrices by column prices from an
-epsilon-scaling auction.  Adding a price to every entry of a column adds the
-same constant to every assignment's cost, so the optimal assignments do not
-change; only the solver's work does.  General weights go through a small LP
-(HiGHS).
+path solver on the one cost matrix of the solve, warm-started on large
+clouds by column prices from an epsilon-scaling auction.  The auction sees
+only each point's nearest partners, found by a periodic kd-tree, so no pass
+over the dense matrix feeds it.  Adding a price to every entry of a column
+adds the same constant to every assignment's cost, so the optimal
+assignments do not change; only the solver's work does, and W2 is read from
+the unshifted pair costs at the assignment.  General weights go through a
+small LP (HiGHS).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
@@ -26,9 +30,10 @@ from .spectral import SpectralField, gradient, l2_norm, padded_grid_size, solve_
 TWO_PI = 2.0 * np.pi
 N_LP = 512               # the general-weight LP has N_LP^2 unknowns at most
 EFFICIENCY_FLOOR = 1e-3  # rejection sampling aborts below this acceptance rate
+_COST_BLOCK = 1 << 15    # entries per cost-kernel temporary (256 KiB), so a row block stays in cache
 
-# the auction that warm-starts w2_from_cost (Bertsekas, Ann. Oper. Res. 14 (1988))
-AUCTION_K = 48                 # candidate columns per row; matrices up to 2 K skip the auction
+# the auction that warm-starts w2_assignment (Bertsekas, Ann. Oper. Res. 14 (1988))
+AUCTION_K = 48                 # candidate columns per row; clouds up to 2 K points skip the auction
 AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
@@ -107,38 +112,85 @@ def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
 def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> np.ndarray:
     """Squared product-metric distances of every (mu, nu) pair (outer) or of index pairs only.
 
-    Both forms run the same float operations per entry, so the index-pair
-    costs are bit-equal to the diagonal of the all-pairs matrix.
-    """
-    def sides(a, b):
-        return (a[:, None], b[None, :]) if outer else (a, b)
+    Each position axis adds min(|dx|, 2pi - |dx|)^2, where dx is the
+    difference of the two coordinates reduced by % 2pi, and each momentum
+    axis then adds dv^2, in that order.  The fold is the geodesic distance
+    exactly, with no branch: after % both coordinates lie in [0, 2pi] (2pi
+    itself for tiny negative inputs), so |dx| <= 2pi.  For |dx| >= pi,
+    2pi - |dx| is computed exactly (Sterbenz's lemma: |dx| / 2 <= 2pi <=
+    2 |dx|) and is the smaller value; below pi it rounds to at least pi >
+    |dx|.  So every entry is bit-equal to the masked fold that subtracts
+    from 2pi only where |dx| > pi.
 
-    shape = (mu.size, nu.size) if outer else (mu.size,)
-    d, diff = np.empty(shape), np.empty(shape)
-    for a in range(mu.x.shape[1]):
-        out = d if a == 0 else diff
-        np.subtract(*sides(mu.x[:, a] % TWO_PI, nu.x[:, a] % TWO_PI), out=out)
-        np.abs(out, out=out)
-        # after % both coordinates lie in [0, 2pi] (2pi itself for tiny negative
-        # inputs), so |dx| <= 2pi and min(|dx|, 2pi - |dx|) is the geodesic
-        # distance without a round call; 2pi - |dx| is the smaller one exactly
-        # where |dx| > pi
-        np.subtract(TWO_PI, out, out=out, where=out > np.pi)
-        np.multiply(out, out, out=out)
-        if a > 0:
-            d += diff
-    if mu.xi is not None:
-        for a in range(mu.xi.shape[1]):
-            np.subtract(*sides(mu.xi[:, a], nu.xi[:, a]), out=diff)
-            np.multiply(diff, diff, out=diff)
-            d += diff
+    The outer form is built in row blocks of about _COST_BLOCK entries, so
+    its temporaries stay in cache, and the index-pair form in blocks of
+    _COST_BLOCK pairs.  Both run the same float operations per entry, so
+    the index-pair costs are bit-equal to the all-pairs matrix's entries.
+    """
+    xa, xb = mu.x % TWO_PI, nu.x % TWO_PI
+    width = nu.size if outer else 1
+    rows = min(mu.size, max(1, _COST_BLOCK // width))
+    d = np.empty((mu.size, nu.size) if outer else mu.size)
+    block = (rows, width) if outer else rows
+    s1, s2 = np.empty(block), np.empty(block)
+
+    def sides(a, b, blk):
+        return (a[blk, None], b[None, :]) if outer else (a[blk], b[blk])
+
+    for lo in range(0, mu.size, rows):
+        blk = slice(lo, lo + rows)
+        out = d[blk]
+        t1, t2 = s1[: out.shape[0]], s2[: out.shape[0]]
+        for a in range(mu.x.shape[1]):
+            t = out if a == 0 else t1
+            np.subtract(*sides(xa[:, a], xb[:, a], blk), out=t)
+            np.abs(t, out=t)
+            np.subtract(TWO_PI, t, out=t2)
+            np.minimum(t, t2, out=t)
+            np.multiply(t, t, out=t)
+            if a > 0:
+                out += t1
+        if mu.xi is not None:
+            for a in range(mu.xi.shape[1]):
+                np.subtract(*sides(mu.xi[:, a], nu.xi[:, a], blk), out=t1)
+                np.multiply(t1, t1, out=t1)
+                out += t1
     return d
+
+
+def _take(m: EmpiricalMeasure, idx: np.ndarray) -> EmpiricalMeasure:
+    """The uniform cloud of m's points at idx, repeats included."""
+    return EmpiricalMeasure.uniform(m.x[idx], None if m.xi is None else m.xi[idx])
 
 
 def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
     """Pairwise squared product-metric distances, shape (len(mu), len(nu))."""
     _check_same_space(mu, nu)
     return _squared_costs(mu, nu, outer=True)
+
+
+def _tree_points(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    """Both clouds as points of one periodic kd-tree box, or None if a coordinate is not finite.
+
+    Positions are wrapped into [0, 2pi) on a period of 2pi, and momenta
+    shifted into [0, s] on a period of 2s + 1, on which no momentum
+    distance wraps.  So the tree's distance is the product metric.  Returns
+    (mu points, nu points, box, max s), with max s = 0 without momenta.
+    """
+    mu_pts, nu_pts = [wrap_positions(mu.x)], [wrap_positions(nu.x)]
+    box = [np.full(mu.x.shape[1], TWO_PI)]
+    span = 0.0
+    if mu.xi is not None:
+        lo = np.minimum(mu.xi.min(axis=0), nu.xi.min(axis=0))
+        mu_pts.append(mu.xi - lo)
+        nu_pts.append(nu.xi - lo)
+        s = np.maximum(mu_pts[1].max(axis=0), nu_pts[1].max(axis=0))
+        box.append(2.0 * s + 1.0)
+        span = float(s.max(initial=0.0))
+    mu_pts, nu_pts = np.hstack(mu_pts), np.hstack(nu_pts)
+    if not (np.isfinite(mu_pts).all() and np.isfinite(nu_pts).all()):
+        return None
+    return mu_pts, nu_pts, np.concatenate(box), span
 
 
 def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray | None:
@@ -155,35 +207,25 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
     identity is the only optimal assignment, so the assignment solver would
     return it and the same W2 float.
 
-    The nearest neighbours come from a kd-tree on the mu cloud: positions
-    wrapped into [0, 2pi) on a periodic box of 2pi, momenta shifted into
-    [0, s] on a box of 2s + 1, on which no momentum distance wraps.  The
-    tree's distances differ from sqrt(cost_matrix_sq) by a few ulps relative
-    (summation order, square root) plus a few ulps of max(2pi, s) absolute
-    (the 2pi - |dx| wrap, the momentum shift): below 5e-15 max(1, s) in all.
-    So the test declines unless, for every nu point, the partner is the
-    nearest and the second-nearest distance is at least (1 + 1e-9) times the
-    partner distance plus 1e-12 max(1, s).  Both slacks exceed those errors
-    more than a hundredfold, so an accepted partner is strictly nearest under
-    cost_matrix_sq's own floats.  Non-finite coordinates decline.
+    The nearest neighbours come from a kd-tree on the mu cloud's
+    _tree_points.  The tree's distances differ from sqrt(cost_matrix_sq) by
+    a few ulps relative (summation order, square root) plus a few ulps of
+    max(2pi, s) absolute (the 2pi - |dx| wrap, the momentum shift): below
+    5e-15 max(1, s) in all.  So the test declines unless, for every nu
+    point, the partner is the nearest and the second-nearest distance is at
+    least (1 + 1e-9) times the partner distance plus 1e-12 max(1, s).  Both
+    slacks exceed those errors more than a hundredfold, so an accepted
+    partner is strictly nearest under cost_matrix_sq's own floats.
+    Non-finite coordinates decline.
     """
     _check_same_space(mu, nu)
     if mu.size != nu.size:
         return None
-    mu_pts, nu_pts = [wrap_positions(mu.x)], [wrap_positions(nu.x)]
-    box = [np.full(mu.x.shape[1], TWO_PI)]
-    span = 0.0
-    if mu.xi is not None:
-        lo = np.minimum(mu.xi.min(axis=0), nu.xi.min(axis=0))
-        mu_pts.append(mu.xi - lo)
-        nu_pts.append(nu.xi - lo)
-        s = np.maximum(mu_pts[1].max(axis=0), nu_pts[1].max(axis=0))
-        box.append(2.0 * s + 1.0)
-        span = float(s.max(initial=0.0))
-    mu_pts, nu_pts = np.hstack(mu_pts), np.hstack(nu_pts)
-    if not (np.isfinite(mu_pts).all() and np.isfinite(nu_pts).all()):
+    pts = _tree_points(mu, nu)
+    if pts is None:
         return None
-    dist, idx = cKDTree(mu_pts, boxsize=np.concatenate(box)).query(nu_pts, k=2)
+    mu_pts, nu_pts, box, span = pts
+    dist, idx = cKDTree(mu_pts, boxsize=box).query(nu_pts, k=2)
     if (idx[:, 0] != np.arange(nu.size)).any():
         return None
     if (dist[:, 1] < (1.0 + 1e-9) * dist[:, 0] + 1e-12 * max(1.0, span)).any():
@@ -191,26 +233,82 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
     return _squared_costs(mu, nu, outer=False)
 
 
-def _auction_prices(cost: np.ndarray) -> np.ndarray | None:
-    """Near-optimal column prices of the square assignment problem min sum_i cost[i, s(i)].
+def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    """Each mu point's AUCTION_K nearest nu points and their costs, or None if a coordinate is not finite.
 
-    A Jacobi forward auction with epsilon scaling (Bertsekas, Ann. Oper.
-    Res. 14 (1988)) on each row's AUCTION_K cheapest columns: every
-    unassigned row bids for its best column at cost + price, raising that
-    price by its margin over the second best plus epsilon; each column goes
-    to its highest bidder.  A phase ends once at most AUCTION_FREE_ROWS rows
-    are unassigned, and the next one restarts the assignment at a smaller
-    epsilon from the same prices.  Only the prices are returned.  None when
-    a candidate cost is not finite, or when AUCTION_MAX_ROUNDS rounds do not
-    finish, which happens when the candidate graph has no matching that
-    leaves at most AUCTION_FREE_ROWS rows out.
+    Returns (c, cand), both of shape (len(mu), AUCTION_K): cand[i] are the
+    columns of row i's AUCTION_K smallest cost_matrix_sq(mu, nu) entries,
+    found by a periodic kd-tree on nu's _tree_points, and c[i] are those
+    entries' floats, from the index-pair form of the same kernel.  The tree's
+    few-ulp distance error can only swap entries that tie to within it.
     """
-    n = cost.shape[0]
-    cand = np.empty((n, AUCTION_K), dtype=np.intp)
-    for lo in range(0, n, 256):  # row blocks bound argpartition's index array
-        cand[lo : lo + 256] = np.argpartition(cost[lo : lo + 256], AUCTION_K - 1, axis=1)[:, :AUCTION_K]
-    c = np.take_along_axis(cost, cand, axis=1)
-    if not np.isfinite(c).all():
+    pts = _tree_points(mu, nu)
+    if pts is None:
+        return None
+    mu_pts, nu_pts, box, _ = pts
+    _, cand = cKDTree(nu_pts, boxsize=box).query(mu_pts, k=AUCTION_K)
+    rows = np.repeat(np.arange(mu.size), AUCTION_K)
+    c = _squared_costs(_take(mu, rows), _take(nu, cand.ravel()), outer=False)
+    return c.reshape(cand.shape), cand
+
+
+def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
+    """One Jacobi bidding round of the free rows; updates price and owner, returns the rows left free.
+
+    Every free row bids for its best candidate column at cost + price,
+    raising that price by its margin over the second best plus eps; each
+    column goes to its highest bidder, and its former owner is free again.
+    """
+    at = np.arange(free.size)
+    value = c[free] + price[cand[free]]
+    best = value.argmin(axis=1)
+    v1 = value[at, best]
+    value[at, best] = np.inf
+    cols = cand[free, best]
+    bid = price[cols] + (value.min(axis=1) - v1) + eps
+    order = np.lexsort((-bid, cols))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = cols[order[1:]] != cols[order[:-1]]
+    win = order[first]
+    won = cols[win]
+    evicted = owner[won]
+    price[won] = bid[win]
+    owner[won] = free[win]
+    lost = np.ones(free.size, dtype=bool)
+    lost[win] = False
+    return np.concatenate([free[lost], evicted[evicted >= 0]])
+
+
+def _unmatched_rows(cand: np.ndarray) -> int:
+    """Rows that a maximum matching of the candidate graph (row i to each column cand[i]) leaves out.
+
+    The matching is a unit-capacity maximum flow, source -> rows -> columns
+    -> sink, found by Dinic's algorithm: about 0.05 s at 4096 x 48, where
+    scipy's maximum_bipartite_matching takes 0.4-48 s on the same graphs.
+    """
+    n, k = cand.shape
+    # nodes: source 0, rows 1..n, columns n+1..2n, sink 2n+1
+    indices = np.concatenate([np.arange(1, n + 1), n + 1 + cand.ravel(), np.full(n, 2 * n + 1)])
+    indptr = np.concatenate([[0], n + k * np.arange(n + 1), n + n * k + np.arange(1, n + 1), [n * k + 2 * n]])
+    graph = sparse.csr_matrix((np.ones(indices.size, dtype=np.int32), indices, indptr), shape=(2 * n + 2,) * 2)
+    return n - maximum_flow(graph, 0, 2 * n + 1, method="dinic").flow_value
+
+
+def _auction_prices(c: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
+    """Near-optimal column prices of the square assignment problem restricted to candidate columns.
+
+    Row i may take the columns cand[i] at costs c[i] (from
+    _auction_candidates).  A Jacobi forward auction with epsilon scaling
+    (Bertsekas, Ann. Oper. Res. 14 (1988)) runs _bid rounds; a phase ends
+    once at most AUCTION_FREE_ROWS rows are unassigned, and the next one
+    restarts the assignment at a smaller epsilon from the same prices.
+    Only the prices are returned.  None when a candidate cost is not
+    finite; before any bid, when a maximum matching of the candidate graph
+    leaves more than AUCTION_FREE_ROWS rows out (_unmatched_rows), so that
+    no phase could end; or when AUCTION_MAX_ROUNDS rounds do not finish.
+    """
+    n = c.shape[0]
+    if not np.isfinite(c).all() or _unmatched_rows(cand) > AUCTION_FREE_ROWS:
         return None
     price = np.zeros(n)
     eps = max(float(c.max() - c.min()), AUCTION_EPS_FINAL) / AUCTION_EPS_RATIO
@@ -222,52 +320,41 @@ def _auction_prices(cost: np.ndarray) -> np.ndarray | None:
             if rounds == AUCTION_MAX_ROUNDS:
                 return None
             rounds += 1
-            at = np.arange(free.size)
-            value = c[free] + price[cand[free]]
-            best = value.argmin(axis=1)
-            v1 = value[at, best]
-            value[at, best] = np.inf
-            cols = cand[free, best]
-            bid = price[cols] + (value.min(axis=1) - v1) + eps
-            # the highest bid on each column wins it; its former owner is free again
-            order = np.lexsort((-bid, cols))
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = cols[order[1:]] != cols[order[:-1]]
-            win = order[first]
-            won = cols[win]
-            evicted = owner[won]
-            price[won] = bid[win]
-            owner[won] = free[win]
-            lost = np.ones(free.size, dtype=bool)
-            lost[win] = False
-            free = np.concatenate([free[lost], evicted[evicted >= 0]])
+            free = _bid(c, cand, price, owner, free, eps)
         if eps <= AUCTION_EPS_FINAL:
             return price
         eps = max(eps / AUCTION_EPS_RATIO, AUCTION_EPS_FINAL)
 
 
-def w2_from_cost(cost: np.ndarray) -> float:
-    """W2 of two equal-size uniform clouds from their square cost matrix.
+def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """W2 of two equal-size uniform clouds by an optimal assignment, with no certificate tried.
 
-    The optimal assignment is the only transport plan needed; ties break
-    deterministically for a given matrix.  Above 2 AUCTION_K points the
-    solver runs on cost + p[None, :], with column prices p from
-    _auction_prices, and W2 is read off the unshifted cost at the assignment
-    it returns.  Every assignment's total rises by the same sum(p), so the
-    optimal assignments are those of cost; the prices only let the solver,
+    Above 2 AUCTION_K points, column prices p come first, from
+    _auction_prices on the kd-tree candidates (no dense pass).  Then
+    cost_matrix_sq is built once, p is added to its columns in place (the
+    matrix belongs to the solver), and scipy's linear_sum_assignment solves
+    it; W2 is the root mean of the index-pair costs at the assignment it
+    returns, the floats the unshifted matrix held there.  Every
+    assignment's total rises by the same sum(p), so the optimal assignments
+    are those of the unshifted matrix; the prices only let the solver,
     which starts from zero duals, end almost every augmenting path at its
     first column.  The one difference is the rounding of the shifted
     entries, which moves an assignment's total by at most 2^-53 times its
     sum of |cost + p|.  So the returned assignment's total cost exceeds the
-    minimum by at most n 2^-52 (max |cost| + max p); on the Loeper battery's
-    4096-point clouds the per-sum form gives about 5e-15 of the total.  When
-    the auction declines (non-finite candidates, or its round cap) the
-    solver runs on cost itself.  The shifted matrix is a copy, so callers
-    may gather from cost afterwards.
+    minimum by at most n 2^-52 (max |cost| + max p); on the Loeper
+    battery's 4096-point clouds the per-sum form gives about 5e-15 of the
+    total.  When the auction declines the solver runs on the unshifted
+    matrix.  Ties break deterministically for a given input.
     """
-    price = _auction_prices(cost) if cost.shape[0] == cost.shape[1] > 2 * AUCTION_K else None
-    rows, cols = linear_sum_assignment(cost if price is None else cost + price[None, :])
-    return float(np.sqrt(cost[rows, cols].mean()))
+    price = None
+    if mu.size > 2 * AUCTION_K:
+        cands = _auction_candidates(mu, nu)
+        price = None if cands is None else _auction_prices(*cands)
+    cost = cost_matrix_sq(mu, nu)
+    if price is not None:
+        cost += price[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(_squared_costs(_take(mu, rows), _take(nu, cols), outer=False).mean()))
 
 
 def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -276,9 +363,9 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Equal-size uniform clouds first try identity_pair_costs: when it proves
     the index pairing optimal, W2 is the root mean of the pair costs, the
     float the assignment solver would give, and no cost matrix is built.
-    Otherwise they route to w2_from_cost on the full cost matrix: an exact
-    assignment, warm-started by auction prices above 2 AUCTION_K points, up
-    to the rounding bound stated there.  General weights go through a
+    Otherwise they route to w2_assignment: an exact assignment on one cost
+    matrix, warm-started by auction prices above 2 AUCTION_K points, up to
+    the rounding bound stated there.  General weights go through a
     transportation LP (up to N_LP points each).  Tie-breaking is
     deterministic for a given input.
     """
@@ -286,7 +373,7 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         pair = identity_pair_costs(mu, nu)
         if pair is not None:
             return float(np.sqrt(pair.mean()))
-        return w2_from_cost(cost_matrix_sq(mu, nu))
+        return w2_assignment(mu, nu)
     if mu.size > N_LP or nu.size > N_LP:
         raise ValidationError(
             f"general-weight LP path limited to {N_LP} points per side (got {mu.size}, {nu.size})"

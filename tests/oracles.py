@@ -152,8 +152,31 @@ def w2_exact_brute(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.sqrt(best / n))
 
 
+def squared_costs_masked(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> np.ndarray:
+    """transport._squared_costs with the masked fold: 2pi - |dx| only where |dx| > pi, no row blocks."""
+    def sides(a, b):
+        return (a[:, None], b[None, :]) if outer else (a, b)
+
+    shape = (mu.size, nu.size) if outer else (mu.size,)
+    d, diff = np.empty(shape), np.empty(shape)
+    for a in range(mu.x.shape[1]):
+        out = d if a == 0 else diff
+        np.subtract(*sides(mu.x[:, a] % TWO_PI, nu.x[:, a] % TWO_PI), out=out)
+        np.abs(out, out=out)
+        np.subtract(TWO_PI, out, out=out, where=out > np.pi)
+        np.multiply(out, out, out=out)
+        if a > 0:
+            d += diff
+    if mu.xi is not None:
+        for a in range(mu.xi.shape[1]):
+            np.subtract(*sides(mu.xi[:, a], nu.xi[:, a]), out=diff)
+            np.multiply(diff, diff, out=diff)
+            d += diff
+    return d
+
+
 def w2_from_cost_plain(cost: np.ndarray) -> float:
-    """transport.w2_from_cost without the auction warm start: the solver on cost as it is."""
+    """W2 from a square cost matrix without the auction warm start: the solver on cost as it is."""
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 

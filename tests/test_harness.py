@@ -24,8 +24,8 @@ from vmvp.transport import (
     AUCTION_K,
     TWO_PI,
     EmpiricalMeasure,
+    _auction_candidates,
     _auction_prices,
-    cost_matrix_sq,
     identity_pair_costs,
     w2_exact,
 )
@@ -308,9 +308,9 @@ class TestSubsampledW2:
 
     def test_swapped_close_pair_takes_the_warm_started_fallback(self):
         # the certificate declines on a near-identity cloud with one close pair
-        # swapped, so the whole cloud goes through cost_matrix_sq and the
-        # auction-warm-started solver, and the bootstrap replicates through
-        # gathers with repeated indices
+        # swapped, so the whole cloud goes through the auction-warm-started
+        # solver, and so do the bootstrap replicates' gathered points, which
+        # repeat
         n = 200
         rng = np.random.default_rng(8)
         x = rng.uniform(0, TWO_PI, (n, 2))
@@ -327,7 +327,7 @@ class TestSubsampledW2:
         mu, nu = EmpiricalMeasure.uniform(x, xi), EmpiricalMeasure.uniform(x_vm, xi_vm)
         assert n > 2 * AUCTION_K
         assert identity_pair_costs(mu, nu) is None
-        assert _auction_prices(cost_matrix_sq(mu, nu)) is not None
+        assert _auction_prices(*_auction_candidates(mu, nu)) is not None
         w2, se = _subsampled_w2(pairing, n, np.random.default_rng(0), 8)
         w2_plain, se_plain = subsampled_w2_plain(pairing, n, np.random.default_rng(0), 8)
         assert w2 == pytest.approx(w2_plain, rel=1e-13)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import circular_w2_sq, circular_w2_sq_brute, w2_exact_brute, w2_from_cost_plain
+from oracles import circular_w2_sq, circular_w2_sq_brute, squared_costs_masked, w2_exact_brute, w2_from_cost_plain
 from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
 from vmvp.transport import (
     AUCTION_K,
     EmpiricalMeasure,
+    _auction_candidates,
     _auction_prices,
+    _squared_costs,
     cost_matrix_sq,
     coupling_Q,
     identity_pair_costs,
@@ -19,8 +21,8 @@ from vmvp.transport import (
     pairing_cost_sq,
     rejection_sample_positions,
     torus_distance_sq,
+    w2_assignment,
     w2_exact,
-    w2_from_cost,
 )
 
 TWO_PI = 2 * np.pi
@@ -162,6 +164,49 @@ class TestCostMatrix:
         assert got.shape == (62, 47)
         assert np.array_equal(got, _cost_matrix_sq_accumulated(mu, nu))
 
+    @pytest.mark.parametrize("dx,dv", [(2, None), (2, 2), (3, 3)])
+    def test_bit_equal_to_the_masked_fold(self, dx, dv):
+        # the branch-free fold min(|dx|, 2pi - |dx|) against the masked one, on
+        # coordinates exactly pi apart, at -1e-17 and 2pi, and over a row count
+        # that spans several row blocks and ends in a partial one
+        m = 64
+        n = 2 * (transport._COST_BLOCK // m) + 3
+        rng = np.random.default_rng(7 * dx + (dv or 0))
+        x1, x2 = rng.uniform(-7.0, 13.0, (n, dx)), rng.uniform(-7.0, 13.0, (m, dx))
+        x1[:4, 0], x2[:4, 0] = [0.0, np.pi, -1e-17, TWO_PI], [np.pi, 0.0, TWO_PI, np.pi]
+        x1[4, :], x2[4, :] = -1e-17, TWO_PI
+        v1 = None if dv is None else rng.normal(size=(n, dv))
+        v2 = None if dv is None else rng.normal(size=(m, dv))
+        mu, nu = EmpiricalMeasure.uniform(x1, v1), EmpiricalMeasure.uniform(x2, v2)
+        assert np.array_equal(cost_matrix_sq(mu, nu), squared_costs_masked(mu, nu, outer=True))
+        # the pair form on index pairs: the first m mu points against nu
+        head = EmpiricalMeasure.uniform(x1[:m], None if dv is None else v1[:m])
+        assert np.array_equal(_squared_costs(head, nu, outer=False), squared_costs_masked(head, nu, outer=False))
+        rows = rng.integers(0, n, 5 * transport._COST_BLOCK // 2)
+        cols = rng.integers(0, m, rows.size)
+        a, b = transport._take(mu, rows), transport._take(nu, cols)
+        assert np.array_equal(_squared_costs(a, b, outer=False), squared_costs_masked(a, b, outer=False))
+
+
+class TestAuctionCandidates:
+    @pytest.mark.parametrize("case", ["positions", "wide momenta", "bootstrap gather"])
+    def test_candidate_costs_are_each_rows_smallest_entries(self, case):
+        rng = np.random.default_rng(11)
+        mu, nu = random_cloud(rng, 400), random_cloud(rng, 400)
+        if case == "positions":
+            mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
+        elif case == "wide momenta":
+            mu, nu = random_cloud(rng, 400, spread=5.0), random_cloud(rng, 400, spread=5.0)
+            assert np.ptp(np.concatenate([mu.xi, nu.xi]), axis=0).min() > TWO_PI
+        else:
+            take = rng.integers(0, 400, 400)
+            assert np.unique(take).size < take.size
+            mu, nu = transport._take(mu, take), transport._take(nu, take)
+        c, cand = _auction_candidates(mu, nu)
+        cost = cost_matrix_sq(mu, nu)
+        assert np.array_equal(np.take_along_axis(cost, cand, axis=1), c)
+        assert np.array_equal(np.sort(c, axis=1), np.sort(cost, axis=1)[:, :AUCTION_K])
+
 
 def nearby_cloud(mu, rng, step=1e-5):
     """mu moved by a small step, positions left unwrapped."""
@@ -219,8 +264,16 @@ class TestIdentityCertificate:
                 identity_pair_costs(mu, nu)
 
 
+def ball_cloud(rng, n, crowd):
+    """n torus points with momenta: crowd of them within 1e-6 of (pi, pi), the rest farther than 1 from it."""
+    x = rng.uniform(0, TWO_PI, (4 * n, 2))
+    x = x[np.hypot(*(x - np.pi).T) > 1.0][: n - crowd]
+    x = np.concatenate([np.pi + rng.uniform(-1e-6, 1e-6, (crowd, 2)), x])
+    return EmpiricalMeasure.uniform(x, rng.normal(0, 1e-7, (n, 2)))
+
+
 class TestWarmStartedAssignment:
-    """w2_from_cost against the solver on the unshifted matrix."""
+    """w2_exact above 2 AUCTION_K points against the solver on the unshifted matrix."""
 
     @pytest.mark.parametrize("n", [200, 1024])
     @pytest.mark.parametrize("momenta", [True, False])
@@ -229,44 +282,59 @@ class TestWarmStartedAssignment:
         mu, nu = random_cloud(rng, n), random_cloud(rng, n)
         if not momenta:
             mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
-        cost = cost_matrix_sq(mu, nu)
-        kept = cost.copy()
-        assert _auction_prices(cost) is not None
-        assert w2_from_cost(cost) == pytest.approx(w2_from_cost_plain(cost), rel=1e-13)
-        assert np.array_equal(cost, kept)  # the prices shift a copy
+        assert _auction_prices(*_auction_candidates(mu, nu)) is not None
+        assert w2_exact(mu, nu) == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
 
     def test_bootstrap_gather_with_repeated_indices(self):
-        # repeated indices make identical rows and columns, so optimal
-        # assignments tie exactly
+        # repeated indices make coincident points, so optimal assignments tie exactly
         rng = np.random.default_rng(2)
-        cost = cost_matrix_sq(random_cloud(rng, 300), random_cloud(rng, 300))
+        mu, nu = random_cloud(rng, 300), random_cloud(rng, 300)
         for _ in range(3):
             take = rng.integers(0, 300, 300)
-            gathered = cost[np.ix_(take, take)]
             assert np.unique(take).size < take.size
-            assert _auction_prices(gathered) is not None
-            assert w2_from_cost(gathered) == pytest.approx(w2_from_cost_plain(gathered), rel=1e-13)
+            mu_b, nu_b = transport._take(mu, take), transport._take(nu, take)
+            assert _auction_prices(*_auction_candidates(mu_b, nu_b)) is not None
+            want = w2_from_cost_plain(cost_matrix_sq(mu_b, nu_b))
+            assert w2_exact(mu_b, nu_b) == pytest.approx(want, rel=1e-13)
 
-    def test_candidates_without_a_matching_fall_back(self):
-        # the first 60 rows find their AUCTION_K cheapest columns all among the
-        # first AUCTION_K columns: at least 60 - AUCTION_K rows stay unassigned,
-        # so the auction hits its round cap and the solver runs on cost itself
+    def test_candidates_without_a_matching_fall_back(self, monkeypatch):
+        # 60 mu points in a tiny ball, exactly AUCTION_K nu points near it: those
+        # rows' candidates are the same AUCTION_K columns, so a maximum matching
+        # leaves at least 60 - AUCTION_K rows out, the auction declines before its
+        # first bid, and the solver runs on the unshifted matrix
+        def refuse(*args):
+            raise AssertionError("a bidding round ran")
+
+        monkeypatch.setattr(transport, "_bid", refuse)
         rng = np.random.default_rng(3)
-        n = 200
-        cost = rng.uniform(1.0, 2.0, (n, n))
-        cost[:60, :AUCTION_K] = rng.uniform(0.0, 0.5, (60, AUCTION_K))
+        mu, nu = ball_cloud(rng, 200, 60), ball_cloud(rng, 200, AUCTION_K)
         assert 60 - AUCTION_K > transport.AUCTION_FREE_ROWS
-        assert _auction_prices(cost) is None
-        assert w2_from_cost(cost) == w2_from_cost_plain(cost)
+        c, cand = _auction_candidates(mu, nu)
+        assert np.array_equal(np.sort(cand[:60], axis=1), np.tile(np.arange(AUCTION_K), (60, 1)))
+        assert _auction_prices(c, cand) is None
+        assert w2_exact(mu, nu) == w2_from_cost_plain(cost_matrix_sq(mu, nu))
 
     def test_small_matrices_skip_the_auction(self, monkeypatch):
-        def refuse(cost):
+        def refuse(*args):
             raise AssertionError("the auction ran below its threshold")
 
         monkeypatch.setattr(transport, "_auction_prices", refuse)
         rng = np.random.default_rng(4)
-        cost = cost_matrix_sq(random_cloud(rng, 2 * AUCTION_K), random_cloud(rng, 2 * AUCTION_K))
-        assert w2_from_cost(cost) == w2_from_cost_plain(cost)
+        mu, nu = random_cloud(rng, 2 * AUCTION_K), random_cloud(rng, 2 * AUCTION_K)
+        assert w2_assignment(mu, nu) == w2_from_cost_plain(cost_matrix_sq(mu, nu))
+
+    def test_w2_exact_holds_one_matrix(self):
+        # the solve's only n x n array is the cost matrix the solver shifts in place
+        n = 2048
+        rng = np.random.default_rng(9)
+        mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        tracemalloc.start()
+        try:
+            w2_exact(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * n
 
 
 class TestCircular:
