@@ -2,9 +2,10 @@
 
 The vector potential solves  eps^2 d_tt A - Lap A = eps P(j)  per Fourier
 mode, an oscillator of frequency |k|/eps.  Steps advance (A_hat, eps*dA_hat)
-by the exact rotation of that oscillator (`_rotate`, the one place it is
-written) composed with a variation-of-constants source term, so the
-homogeneous dynamics is exact for any dt.  The k=0 mode has no restoring
+by the exact rotation of that oscillator (`_rotation` forms its factors,
+the one place they are written, and `_apply_rotation` applies them)
+composed with a variation-of-constants source term, so the homogeneous
+dynamics is exact for any dt.  The k=0 mode has no restoring
 force: d/dt <eps dA/dt> = <j>, while <A> itself is pinned to zero (a pure
 gauge choice; no observable reads it).
 """
@@ -127,6 +128,25 @@ def init_em_state(
     )
 
 
+def _rotation(t: float, eps: float, dim: int, cutoff: int):
+    """Factors (cos, sin, -|k| sin, |k| masked) of the wave rotation over time t, per mode.
+
+    Each mode k != 0 rotates by the angle |k| t / eps (t may be negative);
+    k = 0 has no restoring force (angle 0).  A caller that rotates by the
+    same t many times forms these once and passes them to `_apply_rotation`.
+    """
+    kn = mode_norms(dim, cutoff)
+    theta = kn / eps * t
+    c, s = np.cos(theta), np.sin(theta)
+    return c, s, -kn * s, _wave_knorm(dim, cutoff)
+
+
+def _apply_rotation(rot, a, w):
+    """(A_hat, eps*dA_hat/dt) rotated by the factors `rot` of `_rotation`."""
+    c, s, kns, knm = rot
+    return c * a + s * w / knm, kns * a + c * w
+
+
 def _rotate(a, w, t: float, eps: float, dim: int, cutoff: int):
     """Exact free evolution of the wave modes (A_hat, eps*dA_hat/dt) over time t.
 
@@ -134,10 +154,25 @@ def _rotate(a, w, t: float, eps: float, dim: int, cutoff: int):
     k = 0 has no restoring force and is left as it is.  a and w broadcast
     against the (J, ..., J) mode box.
     """
-    kn = mode_norms(dim, cutoff)
-    theta = kn / eps * t
-    c, s = np.cos(theta), np.sin(theta)
-    return c * a + s * w / _wave_knorm(dim, cutoff), -kn * s * a + c * w
+    return _apply_rotation(_rotation(t, eps, dim, cutoff), a, w)
+
+
+def _filon_weights(theta: np.ndarray, dt: float):
+    """Linear-interpolation quadrature against sin/cos(omega(dt-tau)).
+
+    Returns weights (w_ss, w_se, w_cs, w_ce) multiplying (S_j, S_{j+1}) in
+    the sin- and cos-kernel integrals; exact in omega, order 2 in dt,
+    reducing to the trapezoid rule as omega -> 0.
+    """
+    small = theta < 1e-3
+    th = np.where(small, 1.0, theta)  # placeholders; small branch uses series
+    s, c = np.sin(th), np.cos(th)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w_ss = np.where(small, theta * dt / 3.0 * (1 - theta ** 2 / 10.0), (s - th * c) * dt / th ** 2)
+        w_se = np.where(small, theta * dt / 6.0 * (1 - theta ** 2 / 20.0), (th - s) * dt / th ** 2)
+        w_cs = np.where(small, dt / 2.0 * (1 - theta ** 2 / 4.0), (s * th - (1 - c)) * dt / th ** 2)
+        w_ce = np.where(small, dt / 2.0 * (1 - theta ** 2 / 12.0), (1 - c) * dt / th ** 2)
+    return w_ss, w_se, w_cs, w_ce
 
 
 def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:

@@ -24,11 +24,19 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import NumericalAbort, ValidationError
 from . import spectral as sp
-from .fields import EMState, _rotate, _wave_knorm, assemble_b, field_energy
+from .fields import (
+    EMState,
+    _apply_rotation,
+    _filon_weights,
+    _rotate,
+    _rotation,
+    _wave_knorm,
+    assemble_b,
+    field_energy,
+)
 from .spectral import (
     AnalyticNormParams,
     SpectralField,
@@ -466,49 +474,71 @@ class CKIterationReport:
 
 
 def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
-    # along the leading (time) axis; scipy's cumulative_simpson silently drops imaginary parts
-    if np.iscomplexobj(y):
-        return cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0) + 1j * cumulative_simpson(
-            y.imag, dx=dx, axis=0, initial=0.0
-        )
-    return cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
+    """Cumulative integral of samples dx apart along the leading (time) axis, 0 at the first.
 
-
-def _filon_weights(theta: np.ndarray, dt: float):
-    """Linear-interpolation quadrature against sin/cos(omega(dt-tau)).
-
-    Returns weights (w_ss, w_se, w_cs, w_ce) multiplying (S_j, S_{j+1}) in
-    the sin- and cos-kernel integrals; exact in omega, order 2 in dt,
-    reducing to the trapezoid rule as omega -> 0.
+    scipy's equal-interval cumulative_simpson (initial=0), done in place on
+    the float64 view, so a complex array's real and imaginary parts run the
+    same float operations as two scipy calls, one per part, would.  Interval
+    i takes dx/3 (5 f_i/4 + 2 f_{i+1} - f_{i+2}/4) for even i and the
+    mirrored dx/3 (5 f_{i+1}/4 + 2 f_i - f_{i-1}/4) for odd i and for the
+    last interval; a running sum from 0 follows (scipy adds its initial 0
+    after the sum; both give the same floats, signed zeros included).
+    Below 3 samples the trapezoid rule dx (f_i + f_{i+1}) / 2 replaces it,
+    as in scipy.
     """
-    small = theta < 1e-3
-    th = np.where(small, 1.0, theta)  # placeholders; small branch uses series
-    s, c = np.sin(th), np.cos(th)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_ss = np.where(small, theta * dt / 3.0 * (1 - theta ** 2 / 10.0), (s - th * c) * dt / th ** 2)
-        w_se = np.where(small, theta * dt / 6.0 * (1 - theta ** 2 / 20.0), (th - s) * dt / th ** 2)
-        w_cs = np.where(small, dt / 2.0 * (1 - theta ** 2 / 4.0), (s * th - (1 - c)) * dt / th ** 2)
-        w_ce = np.where(small, dt / 2.0 * (1 - theta ** 2 / 12.0), (1 - c) * dt / th ** 2)
-    return w_ss, w_se, w_cs, w_ce
+    y = np.ascontiguousarray(y, dtype=np.result_type(y, float))
+    out = np.empty_like(y)
+    n = y.shape[0]
+    # one row of float64 per time sample, a complex entry's two parts side by side
+    f, o = y.reshape(n, -1).view(float), out.reshape(n, -1).view(float)
+    o[0] = 0.0
+    if n < 3:
+        np.add(f[1:], f[:-1], out=o[1:])
+        o[1:] *= dx
+        o[1:] /= 2.0
+    else:
+        d3 = dx / 3
+        tmp = np.empty_like(f[: (n - 1) // 2])
+
+        def simpson(dst, near, mid, far):
+            t = tmp[: dst.shape[0]]
+            np.multiply(near, 5, out=dst)
+            dst /= 4
+            np.multiply(mid, 2, out=t)
+            dst += t
+            np.divide(far, 4, out=t)
+            dst -= t
+            dst *= d3
+
+        simpson(o[1 : n - 1 : 2], f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2])  # even intervals
+        simpson(o[2:n:2], f[2:n:2], f[1 : n - 1 : 2], f[0 : n - 2 : 2])          # odd intervals
+        simpson(o[n - 1 :], f[n - 1 :], f[n - 2 : n - 1], f[n - 3 : n - 2])        # the last one
+    np.cumsum(o, axis=0, out=o)
+    return out
 
 
 def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np.ndarray, eps: float, dim: int, cutoff: int):
     """A(t_j) and eps*dA/dt(t_j) for a sampled source, per mode, gauge-pinned k=0.
 
     One recurrence: each sample is the previous one rotated exactly over dt
-    (`_rotate`) plus a Filon-type local quadrature of the Duhamel integral
-    over [t_j, t_{j+1}], so the oscillation costs no accuracy.
+    (the factors of `_rotation`, formed once) plus a Filon-type local
+    quadrature of the Duhamel integral over [t_j, t_{j+1}], so the
+    oscillation costs no accuracy.  The local terms of every step are formed
+    at once; the loop only rotates and adds them.
     """
     knm = _wave_knorm(dim, cutoff)
     dt = times[1] - times[0]
+    rot = _rotation(dt, eps, dim, cutoff)
     w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
+    loc_a = (w_ss * s_hat[:-1] + w_se * s_hat[1:]) / knm
+    loc_ws, loc_we = w_cs * s_hat[:-1], w_ce * s_hat[1:]
     a_out = np.empty_like(s_hat)
     w_out = np.empty_like(s_hat)
     a_out[0], w_out[0] = a0, w0
     for j in range(len(times) - 1):
-        a, w = _rotate(a_out[j], w_out[j], dt, eps, dim, cutoff)
-        a_out[j + 1] = a + (w_ss * s_hat[j] + w_se * s_hat[j + 1]) / knm
-        w_out[j + 1] = w + w_cs * s_hat[j] + w_ce * s_hat[j + 1]
+        a, w = _apply_rotation(rot, a_out[j], w_out[j])
+        a_out[j + 1] = a + loc_a[j]
+        w_out[j + 1] = w + loc_ws[j] + loc_we[j]
     return a_out, w_out
 
 
@@ -592,8 +622,8 @@ def ck_iterate(
             # the -eps dA/dt contribution integrates exactly to -eps (A(t) - A(0))
             xi_new -= eps * (a_traj - a0_hat[None])[:, None]
 
-        d_rho = _traj_diff_norm(rho_new[norm_idx] - rho[norm_idx], times[norm_idx], p, dim, cutoff)
-        d_xi = _traj_diff_norm(xi_new[norm_idx] - xi[norm_idx], times[norm_idx], p, dim, cutoff)
+        d_rho = _traj_diff_norm(rho_new[norm_idx] - rho[norm_idx], times[norm_idx], p)
+        d_xi = _traj_diff_norm(xi_new[norm_idx] - xi[norm_idx], times[norm_idx], p)
         diffs_rho.append(d_rho)
         diffs_xi.append(d_xi)
         if len(diffs_rho) >= 2:
@@ -625,13 +655,11 @@ def ck_iterate(
     )
 
 
-def _traj_diff_norm(diff, times, p, dim, cutoff) -> float:
+def _traj_diff_norm(diff, times, p) -> float:
     """sup over phases of the shrinking norm of a difference trajectory sampled at `times`."""
-    n_phases = diff.shape[1]
     out = 0.0
-    for pph in range(n_phases):
-        fields = [SpectralField(dim, cutoff, d) for d in diff[:, pph]]
-        out = max(out, shrinking_norm(times, fields, p))
+    for pph in range(diff.shape[1]):
+        out = max(out, shrinking_norm(times, diff[:, pph], p))
     return out
 
 

@@ -377,14 +377,16 @@ def analytic_norm(f: SpectralField, delta: float) -> float:
 
 def shrinking_norm(
     times: Sequence[float],
-    fields: Sequence[SpectralField],
+    fields: Sequence[SpectralField] | np.ndarray,
     p: AnalyticNormParams,
     delta_grid: Sequence[float] | None = None,
 ) -> float:
     """Discrete supremum of |u(t)|_delta + (delta0 - delta - t/eta)^beta |grad u(t)|_delta.
 
     The supremum runs over the sampled times and a delta grid, restricted to
-    the admissible wedge t <= eta*(delta0 - delta).
+    the admissible wedge t <= eta*(delta0 - delta).  `fields` is one
+    SpectralField per time or their stacked coefficients, shape
+    (times, m, 2K+1, ..., 2K+1).
     """
     times = np.asarray(list(times), dtype=float)
     if times.size == 0 or len(fields) == 0:
@@ -392,12 +394,13 @@ def shrinking_norm(
     if len(fields) != times.size:
         raise ValidationError("times and fields length mismatch")
     grid = np.asarray(list(delta_grid), dtype=float) if delta_grid is not None else p.delta_grid()
-    f0 = fields[0]
+    coeffs = fields if isinstance(fields, np.ndarray) else np.stack([u.coeffs for u in fields])
+    dim, cutoff = coeffs.ndim - 2, (coeffs.shape[-1] - 1) // 2
     # every time and delta at once: (times, components, modes) @ (modes, deltas)
-    au = np.abs(np.stack([u.coeffs for u in fields]).reshape(times.size, f0.components, -1))
+    au = np.abs(coeffs.reshape(times.size, coeffs.shape[1], -1))
     # |d_a u| = |k_a| |u| mode by mode, for every component and axis
-    ag = np.abs(mode_vectors(f0.dim, f0.cutoff)).reshape(1, f0.dim, -1) * au[:, :, None]
-    w = grid[:, None] ** mode_norms(f0.dim, f0.cutoff).reshape(1, -1)
+    ag = np.abs(mode_vectors(dim, cutoff)).reshape(1, dim, -1) * au[:, :, None]
+    w = grid[:, None] ** mode_norms(dim, cutoff).reshape(1, -1)
     nu = (au @ w.T).max(axis=1)                                              # (times, deltas)
     ng = (ag.reshape(times.size, -1, au.shape[-1]) @ w.T).max(axis=1)
     margin = p.delta0 - grid[None, :] - times[:, None] / p.eta

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
@@ -109,8 +108,11 @@ def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         raise ValidationError("velocity dimensions differ")
 
 
-def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> np.ndarray:
+def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool, cols: np.ndarray | None = None) -> np.ndarray:
     """Squared product-metric distances of every (mu, nu) pair (outer) or of index pairs only.
+
+    With cols, of shape (len(mu), k), and outer False: mu point i against
+    the nu points cols[i] only, shape (len(mu), k).
 
     Each position axis adds min(|dx|, 2pi - |dx|)^2, where dx is the
     difference of the two coordinates reduced by % 2pi, and each momentum
@@ -122,20 +124,24 @@ def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> n
     |dx|.  So every entry is bit-equal to the masked fold that subtracts
     from 2pi only where |dx| > pi.
 
-    The outer form is built in row blocks of about _COST_BLOCK entries, so
-    its temporaries stay in cache, and the index-pair form in blocks of
-    _COST_BLOCK pairs.  Both run the same float operations per entry, so
-    the index-pair costs are bit-equal to the all-pairs matrix's entries.
+    The outer and cols forms are built in row blocks of about _COST_BLOCK
+    entries, so their temporaries stay in cache, and the index-pair form in
+    blocks of _COST_BLOCK pairs.  All run the same float operations per
+    entry, so the index-pair and cols costs are bit-equal to the all-pairs
+    matrix's entries.
     """
     xa, xb = mu.x % TWO_PI, nu.x % TWO_PI
-    width = nu.size if outer else 1
+    width = nu.size if outer else 1 if cols is None else cols.shape[1]
     rows = min(mu.size, max(1, _COST_BLOCK // width))
-    d = np.empty((mu.size, nu.size) if outer else mu.size)
-    block = (rows, width) if outer else rows
+    pairs = not outer and cols is None
+    d = np.empty(mu.size if pairs else (mu.size, width))
+    block = rows if pairs else (rows, width)
     s1, s2 = np.empty(block), np.empty(block)
 
     def sides(a, b, blk):
-        return (a[blk, None], b[None, :]) if outer else (a[blk], b[blk])
+        if pairs:
+            return a[blk], b[blk]
+        return a[blk, None], (b[None, :] if outer else b[cols[blk]])
 
     for lo in range(0, mu.size, rows):
         blk = slice(lo, lo + rows)
@@ -239,7 +245,7 @@ def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     Returns (c, cand), both of shape (len(mu), AUCTION_K): cand[i] are the
     columns of row i's AUCTION_K smallest cost_matrix_sq(mu, nu) entries,
     found by a periodic kd-tree on nu's _tree_points, and c[i] are those
-    entries' floats, from the index-pair form of the same kernel.  The tree's
+    entries' floats, from the cols form of the same kernel.  The tree's
     few-ulp distance error can only swap entries that tie to within it.
     """
     pts = _tree_points(mu, nu)
@@ -247,9 +253,7 @@ def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
         return None
     mu_pts, nu_pts, box, _ = pts
     _, cand = cKDTree(nu_pts, boxsize=box).query(mu_pts, k=AUCTION_K)
-    rows = np.repeat(np.arange(mu.size), AUCTION_K)
-    c = _squared_costs(_take(mu, rows), _take(nu, cand.ravel()), outer=False)
-    return c.reshape(cand.shape), cand
+    return _squared_costs(mu, nu, outer=False, cols=cand), cand
 
 
 def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
@@ -286,6 +290,8 @@ def _unmatched_rows(cand: np.ndarray) -> int:
     -> sink, found by Dinic's algorithm: about 0.05 s at 4096 x 48, where
     scipy's maximum_bipartite_matching takes 0.4-48 s on the same graphs.
     """
+    from scipy.sparse.csgraph import maximum_flow  # here, so a run that never warm-starts does not load it
+
     n, k = cand.shape
     # nodes: source 0, rows 1..n, columns n+1..2n, sink 2n+1
     indices = np.concatenate([np.arange(1, n + 1), n + 1 + cand.ravel(), np.full(n, 2 * n + 1)])

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 from scipy.optimize import linear_sum_assignment
 
 from vmvp.errors import ValidationError
-from vmvp.fields import EMState, _wave_knorm
+from vmvp.fields import EMState, _filon_weights, _rotate, _wave_knorm
 from vmvp.lagrangian import ParticleCloud
 from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _pack, _phase_rhs_arrays, check_validity
-from vmvp.spectral import SpectralField, derivative, mode_vectors, padded_grid_size, stack
+from vmvp.spectral import SpectralField, derivative, mode_norms, mode_vectors, padded_grid_size, stack
 from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq, torus_wrap
 
 
@@ -69,6 +70,34 @@ def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
         (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
         for dr, dx in zip(drho, dxi)
     ]
+
+
+def cumint_scipy(y: np.ndarray, dx: float) -> np.ndarray:
+    """multifluid._cumint as scipy's cumulative_simpson along the leading axis, initial 0.
+
+    scipy drops imaginary parts, so a complex input goes through two calls,
+    one per part.
+    """
+    if np.iscomplexobj(y):
+        return cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0) + 1j * cumulative_simpson(
+            y.imag, dx=dx, axis=0, initial=0.0
+        )
+    return cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
+
+
+def duhamel_series_stepwise(s_hat, a0, w0, times, eps, dim, cutoff):
+    """multifluid._duhamel_series with the rotation (cos/sin included) formed anew by _rotate at every step."""
+    knm = _wave_knorm(dim, cutoff)
+    dt = times[1] - times[0]
+    w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
+    a_out = np.empty_like(s_hat)
+    w_out = np.empty_like(s_hat)
+    a_out[0], w_out[0] = a0, w0
+    for j in range(len(times) - 1):
+        a, w = _rotate(a_out[j], w_out[j], dt, eps, dim, cutoff)
+        a_out[j + 1] = a + (w_ss * s_hat[j] + w_se * s_hat[j + 1]) / knm
+        w_out[j + 1] = w + w_cs * s_hat[j] + w_ce * s_hat[j + 1]
+    return a_out, w_out
 
 
 def ratios_below(rep: CKIterationReport, factor: float, start: int = 2) -> bool:

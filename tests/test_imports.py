@@ -17,6 +17,9 @@ No linter ships with the test dependencies, so these scans are the guard:
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +53,18 @@ def test_scan_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_package_leaves_unused_scipy_parts_unloaded():
+    # scipy.sparse.csgraph serves only the auction's matching check and is
+    # imported where it is called; each of these raises every run's peak memory
+    code = (
+        "import sys, vmvp.cli, vmvp.config, vmvp.harness, vmvp.lagrangian, vmvp.multifluid, vmvp.transport; "
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def assert_lines(source: str) -> list[int]:

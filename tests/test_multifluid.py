@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ratios_below, vm_rhs
+from oracles import cumint_scipy, duhamel_series_stepwise, ratios_below, vm_rhs
 from vmvp.errors import NumericalAbort, ValidationError
 from vmvp.fields import assemble_b, assemble_e, init_em_state
 from vmvp.multifluid import (
@@ -465,6 +465,10 @@ class TestDuhamelSeries:
         assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
         assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
         assert np.array_equal(a[:, :, K, K], np.zeros_like(a[:, :, K, K]))  # the pinned k = 0 mode
+        # the rotation formed once per call, bit for bit the rotation formed at every step
+        a_step, w_step = duhamel_series_stepwise(s_hat, a0, w0, times, eps, 2, K)
+        assert np.array_equal(a, a_step)
+        assert np.array_equal(w, w_step)
 
     def test_constant_source_matches_wave_step(self):
         from vmvp.fields import EMState, wave_step
@@ -490,6 +494,60 @@ class TestDuhamelSeries:
             st = wave_step(st, src, dt)
             assert np.abs(a[j] - st.a.coeffs).max() <= 1e-13 * scale
             assert np.abs(w[j] - st.eps_adot.coeffs).max() <= 1e-13 * scale
+
+
+class TestCumint:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
+    @pytest.mark.parametrize("kind", ["real", "complex", "slice", "one axis"])
+    def test_bit_equal_to_scipy(self, n, kind):
+        from vmvp.multifluid import _cumint
+
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 3, 5)) + 1j * rng.standard_normal((n, 3, 5))
+        if kind == "real":
+            y = y.real.copy()
+        elif kind == "slice":
+            y = y[:, ::2, 1:4]
+            assert not y.flags.c_contiguous
+        elif kind == "one axis":
+            y = y[:, 0, 0].copy()
+        before = y.copy()
+        got = _cumint(y, 0.0123)
+        assert got.dtype == y.dtype and got.shape == y.shape
+        assert np.array_equal(got, cumint_scipy(y, 0.0123))
+        assert np.array_equal(y, before)
+
+    def test_two_samples_take_the_trapezoid(self):
+        from vmvp.multifluid import _cumint
+
+        y = np.random.default_rng(2).standard_normal((2, 4))
+        assert np.array_equal(_cumint(y, 0.3), np.stack([np.zeros(4), 0.3 * (y[1] + y[0]) / 2.0]))
+
+    def test_single_sample_integrates_to_zero(self):
+        from vmvp.multifluid import _cumint
+
+        assert np.array_equal(_cumint(np.ones((1, 2), dtype=complex), 0.5), np.zeros((1, 2), dtype=complex))
+
+
+class TestCkOracles:
+    """ck_iterate against itself with the time integrals swapped for the test oracles."""
+
+    @pytest.mark.parametrize("n_time", [1, 2, 20])
+    def test_bit_equal_with_oracle_integrals(self, n_time, monkeypatch):
+        # n_time = 1 leaves 2 time samples, so _cumint takes its trapezoid path
+        from vmvp import multifluid
+
+        ens = two_phase_2d(K=4, eps=0.25)
+        em = well_prepared_em(ens, 0.25)
+        p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
+        got = ck_iterate(ens, em, p, n_max=3, n_time=n_time)
+        monkeypatch.setattr(multifluid, "_cumint", cumint_scipy)
+        monkeypatch.setattr(multifluid, "_duhamel_series", duhamel_series_stepwise)
+        ref = ck_iterate(ens, em, p, n_max=3, n_time=n_time)
+        assert got.n_iters == ref.n_iters == 3
+        assert np.array_equal(got.rho_traj, ref.rho_traj)
+        assert np.array_equal(got.xi_traj, ref.xi_traj)
+        assert got.diffs_rho == ref.diffs_rho and got.diffs_xi == ref.diffs_xi
 
 
 # ck_iterate on bundled ck2d, recorded before the transforms became matrix DFTs

@@ -274,6 +274,19 @@ class TestShrinkingNormVectorised:
             looped_shrinking_norm(times, fields, p, p.delta_grid()), rel=1e-14
         )
 
+    @pytest.mark.parametrize("dim,components", [(1, 1), (2, 2), (3, 3)])
+    def test_stacked_coefficients_match_fields(self, dim, components):
+        p = AnalyticNormParams(delta0=1.6, delta=1.1, eta=0.5, beta=0.4)
+        times = np.linspace(0.0, 0.45, 7)
+        fields = [random_field(dim, 4, components=components, seed=20 * dim + j, decay=0.3) for j in range(7)]
+        stacked = np.stack([f.coeffs for f in fields])
+        assert shrinking_norm(times, stacked, p) == shrinking_norm(times, fields, p)
+        # a strided view, as ck_iterate passes one phase of its trajectory
+        wide = np.stack([stacked, 2 * stacked], axis=1)
+        assert shrinking_norm(times, wide[:, 0], p) == shrinking_norm(times, fields, p)
+        with pytest.raises(ValidationError):
+            shrinking_norm(times[:-1], stacked, p)
+
     def test_nothing_admissible_gives_zero(self):
         p = AnalyticNormParams(delta0=1.6, eta=0.5)
         f = random_field(2, 3, seed=4)

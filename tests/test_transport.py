@@ -188,6 +188,21 @@ class TestCostMatrix:
         assert np.array_equal(_squared_costs(a, b, outer=False), squared_costs_masked(a, b, outer=False))
 
 
+    @pytest.mark.parametrize("dx,dv", [(2, None), (2, 2), (3, 3)])
+    def test_cols_form_is_the_matrix_entries(self, dx, dv):
+        # rows spanning several row blocks of the cols form, repeated columns included
+        rng = np.random.default_rng(5 * dx + (dv or 0))
+        n, m, k = 3 * (transport._COST_BLOCK // 40) + 5, 90, 40
+        x1, x2 = rng.uniform(-7.0, 13.0, (n, dx)), rng.uniform(-7.0, 13.0, (m, dx))
+        v1 = None if dv is None else rng.normal(size=(n, dv))
+        v2 = None if dv is None else rng.normal(size=(m, dv))
+        mu, nu = EmpiricalMeasure.uniform(x1, v1), EmpiricalMeasure.uniform(x2, v2)
+        cols = rng.integers(0, m, (n, k))
+        got = _squared_costs(mu, nu, outer=False, cols=cols)
+        assert got.shape == (n, k)
+        assert np.array_equal(got, np.take_along_axis(cost_matrix_sq(mu, nu), cols, axis=1))
+
+
 class TestAuctionCandidates:
     @pytest.mark.parametrize("case", ["positions", "wide momenta", "bootstrap gather"])
     def test_candidate_costs_are_each_rows_smallest_entries(self, case):
