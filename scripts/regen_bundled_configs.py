@@ -49,7 +49,6 @@ def main():
         phases=two_phases(),
         n_particles=4096,
         seed=20240801,
-        mode="sweep",
         output_dir="out/sweep2d",
     )
     save_config(sweep, OUT / "sweep2d.cfg")
@@ -67,7 +66,6 @@ def main():
         w2_subsample=256,
         snapshot_every=10,
         bootstrap_reps=8,
-        mode="verify",
         output_dir="out/small2d",
     )
     save_config(small, OUT / "small2d.cfg")
@@ -90,7 +88,6 @@ def main():
         ck_n_time=256,
         n_particles=256,
         seed=7,
-        mode="ck",
         output_dir="out/ck2d",
     )
     save_config(ck, OUT / "ck2d.cfg")

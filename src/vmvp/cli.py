@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: simulate (one vm/vp/pair run), sweep (eps sweep with rate fit),
+Subcommands: simulate (one vp or vm/vp pair run), sweep (eps sweep with rate fit),
 ck (analytic fixed-point iteration), wasserstein (distance between two saved
 clouds), verify (invariant battery), report (rebuild Q series / summaries
 from saved checkpoints).  Exit codes: 0 success, 2 validation error, 3
@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import build_em_state, build_ensemble, load_config, parse_eps_list, resolve_config_path
+from .config import MODES, build_em_state, build_ensemble, load_config, parse_eps_list, resolve_config_path
 from .errors import NumericalAbort, ValidationError
 
 EXIT_OK = 0
@@ -26,10 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vmvp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one configuration (vm, vp, or pair)")
+    sim = sub.add_parser("simulate", help="run one configuration (vp, or a vm/vp pair)")
     sim.add_argument("--config", required=True, help="config path or bundled/<name>")
     sim.add_argument("--eps", type=float, default=None, help="override: single eps value")
-    sim.add_argument("--mode", choices=("vm", "vp", "pair"), default=None)
+    sim.add_argument("--mode", choices=MODES, default=None)
     sim.add_argument("--out", default=None, help="output directory override")
     sim.add_argument("--no-particles", action="store_true")
     sim.set_defaults(func=_cmd_simulate)

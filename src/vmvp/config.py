@@ -24,7 +24,7 @@ from .fields import EMState, init_em_state
 from .multifluid import Phase, PhaseEnsemble
 from .spectral import SpectralField, gradient, leray_project, mean, solve_poisson
 
-MODES = ("vm", "vp", "pair", "sweep", "ck", "verify")
+MODES = ("vp", "pair")  # what `vmvp simulate` runs: the VP side alone, or a VM/VP pair
 
 # The file layout: each INI section, in file order, with the RunConfig fields
 # it holds.  A field's file key is its name except where FILE_KEYS says

@@ -397,7 +397,6 @@ def verify_suite(cfg: RunConfig) -> list:
     from .fields import EMState, wave_step
     from .multifluid import Phase, _velocity_grid, gate_margin, vm_step
     from .spectral import analytic_norm, divergence, multiply, reality_residual
-    from .transport import pairing_cost_sq
 
     results = []
     rng = np.random.default_rng(cfg.seed)
@@ -524,7 +523,7 @@ def verify_suite(cfg: RunConfig) -> list:
     xi2 = xi + rngt.normal(0, 0.05, xi.shape)
     nu = EmpiricalMeasure.uniform(x2, xi2)
     w = w2_exact(mu, nu)
-    pc = pairing_cost_sq(ParticleCloud(x, xi, np.full(24, 1 / 24), np.zeros(24, dtype=int), x, xi, x2, xi2, cfg.seed))
+    pc = 2 * coupling_Q(ParticleCloud(x, xi, np.full(24, 1 / 24), np.zeros(24, dtype=int), x, xi, x2, xi2, cfg.seed))
     results.append(_check("transport.pushforward_bound", max(w ** 2 - pc, 0.0), 1e-12))
 
     # expected abort: gate-violating data must refuse to run

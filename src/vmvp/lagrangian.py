@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .multifluid import PhaseEnsemble, _lorentz_grid, _velocity_grid, rk4_step
-from .spectral import expect_bytes, read_binary, stack
+from .multifluid import PhaseEnsemble, _velocity_grid, rk4_step
+from .spectral import cross, expect_bytes, read_binary, stack
 from .transport import rejection_sample_positions, wrap_positions
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _push(x, xi, stage_fields, eps: float, dt: float):
         if b_f is None or eps == 0:
             return v, e_f.evaluate_at(xs)
         vals = stack([e_f, b_f]).evaluate_at(xs)
-        return v, vals[:, :d] + eps * _lorentz_grid(v.T, vals[:, d:].T, d).T
+        return v, vals[:, :d] + eps * cross(v.T, vals[:, d:].T, d).T
 
     x_new, xi_new = rk4_step((x, xi), slope, dt)
     return wrap_positions(x_new), xi_new
@@ -114,9 +114,9 @@ def flow_vm_step(cloud: ParticleCloud, stage_fields, eps: float, dt: float) -> P
 
     stage_fields is the step record's: the (E, B) pair at each of the four
     stages (B may be None when there is no magnetic field).  The magnetic
-    term is the fluid's `_lorentz_grid`: the planar eps*(v2 B, -v1 B) in d=2
-    and the full cross product in d=3; |v| <= 1/eps holds pointwise by
-    construction.
+    term is `spectral.cross`, as in the fluid: the planar eps*(v2 B, -v1 B)
+    in d=2 and the full cross product in d=3; |v| <= 1/eps holds pointwise
+    by construction.
     """
     x, xi = _push(cloud.x_vm, cloud.xi_vm, stage_fields, eps, dt)
     return replace(cloud, x_vm=x, xi_vm=xi)

@@ -163,21 +163,6 @@ def _velocity_grid(xi: np.ndarray, eps: float, axis: int = 0) -> np.ndarray:
 # fluid right-hand sides (dealiased, grid-based)
 # ----------------------------------------------------------------------
 
-def _lorentz_grid(v: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """v x B on the grid, components on axis 0; the planar (v2 B, -v1 B) for d=2."""
-    if dim == 2:
-        out = [v[1] * b[0], -v[0] * b[0]]
-    elif dim == 3:
-        out = [
-            v[1] * b[2] - v[2] * b[1],
-            v[2] * b[0] - v[0] * b[2],
-            v[0] * b[1] - v[1] * b[0],
-        ]
-    else:
-        raise ValidationError("magnetic force needs d in {2,3}")
-    return np.stack(out)
-
-
 def _phase_rhs_arrays(
     rho_c: np.ndarray,
     xi_c: np.ndarray,
@@ -221,7 +206,7 @@ def _phase_rhs_arrays(
         for a in range(1, dim):
             adv_b += v_g[a] * jac_g[b * dim + a]
     if magnetic:
-        src[2 * dim :] = _lorentz_grid(v_g, np.moveaxis(b_grid, ax, 0), dim)
+        src[2 * dim :] = sp.cross(v_g, np.moveaxis(b_grid, ax, 0), dim)
     coeffs = sp.from_grid(src, dim, cutoff)
 
     flux = np.moveaxis(coeffs[:dim], 0, ax)
@@ -614,7 +599,7 @@ def ck_iterate(
             for blk in blocks:
                 v_g = _velocity_grid(sp.to_grid(np.moveaxis(xi[blk], ax, 0), dim), eps)
                 b_g = np.moveaxis(sp.to_grid(b_hat[blk], dim), ax, 0)[:, :, None]
-                dxi[blk] += eps * np.moveaxis(sp.from_grid(_lorentz_grid(v_g, b_g, dim), dim, cutoff), 0, ax)
+                dxi[blk] += eps * np.moveaxis(sp.from_grid(sp.cross(v_g, b_g, dim), dim, cutoff), 0, ax)
 
         rho_new = rho0[None] + _cumint(drho, dt)
         xi_new = xi0[None] + _cumint(dxi, dt)

@@ -436,21 +436,32 @@ def divergence(f: SpectralField) -> SpectralField:
     return SpectralField(f.dim, f.cutoff, out)
 
 
+def cross(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """a x b with components on axis 0: the full product for d=3, the planar (a2 b, -a1 b) of a scalar b for d=2."""
+    if dim == 2:
+        out = [a[1] * b[0], -a[0] * b[0]]
+    elif dim == 3:
+        out = [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    else:
+        raise ValidationError("cross product needs d in {2,3}")
+    return np.stack(out)
+
+
 def curl_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
-    """Curl of vector coefficients (..., d, J..): a vector for d=3, a scalar (d1 A2 - d2 A1) for d=2."""
+    """Curl of vector coefficients (..., d, J..): i k x c for d=3, the scalar (d1 A2 - d2 A1) for d=2."""
     k = mode_vectors(dim, (c.shape[-1] - 1) // 2)
     c = np.moveaxis(c, -(dim + 1), 0)
     if dim == 3:
-        out = [
-            1j * (k[1] * c[2] - k[2] * c[1]),
-            1j * (k[2] * c[0] - k[0] * c[2]),
-            1j * (k[0] * c[1] - k[1] * c[0]),
-        ]
+        out = cross(1j * k, c, 3)
     elif dim == 2:
-        out = [1j * (k[0] * c[1] - k[1] * c[0])]
+        out = (1j * (k[0] * c[1] - k[1] * c[0]))[None]
     else:
         raise ValidationError("curl defined for d=3 vectors and d=2 planar vectors")
-    return np.stack(out, axis=-(dim + 1))
+    return np.moveaxis(out, 0, -(dim + 1))
 
 
 def curl(f: SpectralField) -> SpectralField:
@@ -520,11 +531,8 @@ def leray_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
     """Mode-wise (Id - k k^T/|k|^2) on vector coefficients (..., d, J..); k = 0 passes through."""
     cutoff = (c.shape[-1] - 1) // 2
     k = mode_vectors(dim, cutoff).astype(float)
-    k2 = mode_norms_sq(dim, cutoff)
     kdotf = (k * c).sum(axis=-(dim + 1), keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(k2 > 0, kdotf / np.where(k2 > 0, k2, 1.0), 0.0)
-    return c - k * factor
+    return c - k * (kdotf * _inverse_k2(dim, cutoff))
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -541,35 +549,19 @@ def helmholtz_decompose(f: SpectralField) -> tuple[SpectralField, SpectralField]
 
 
 def biot_savart(b: SpectralField) -> SpectralField:
-    """Vector potential A with curl A = B - <B>, div A = 0, <A> = 0.
+    """Vector potential A = i k x B / |k|^2: curl A = B - <B>, div A = 0, <A> = 0.
 
     d=3 expects a solenoidal vector B; d=2 expects a scalar B (planar curl).
     """
-    k2 = mode_norms_sq(b.dim, b.cutoff)
     if b.dim == 3 and b.components == 3:
         divres = np.abs(divergence(b).coeffs).max()
         scale = np.abs(b.coeffs).max()
         if divres > TOL_DIV_B * max(scale, 1.0):
             raise ValidationError(f"biot_savart requires div B = 0 mode-wise (residual {divres:.3e})")
-        k = mode_vectors(3, b.cutoff).astype(float)
-        c = b.coeffs
-        kxb = np.stack(
-            [
-                k[1] * c[2] - k[2] * c[1],
-                k[2] * c[0] - k[0] * c[2],
-                k[0] * c[1] - k[1] * c[0],
-            ]
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(k2 > 0, 1j * kxb / np.where(k2 > 0, k2, 1.0), 0.0)
-        return SpectralField(3, b.cutoff, out)
-    if b.dim == 2 and b.components == 1:
-        k = mode_vectors(2, b.cutoff).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            psi = np.where(k2 > 0, b.coeffs[0] / np.where(k2 > 0, k2, 1.0), 0.0)
-        out = np.stack([1j * k[1] * psi, -1j * k[0] * psi])
-        return SpectralField(2, b.cutoff, out)
-    raise ValidationError("biot_savart: need d=3 vector B or d=2 scalar B")
+    elif not (b.dim == 2 and b.components == 1):
+        raise ValidationError("biot_savart: need d=3 vector B or d=2 scalar B")
+    k = mode_vectors(b.dim, b.cutoff)
+    return b._like(cross(1j * k, b.coeffs, b.dim) * _inverse_k2(b.dim, b.cutoff))
 
 
 def reality_residual(f: SpectralField) -> float:

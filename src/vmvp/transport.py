@@ -39,11 +39,6 @@ AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are un
 AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the prices are dropped
 
 
-def torus_wrap(delta: np.ndarray) -> np.ndarray:
-    """Signed geodesic representative of a coordinate difference, in (-pi, pi]."""
-    return delta - TWO_PI * np.round(delta / TWO_PI)
-
-
 def wrap_positions(x: np.ndarray) -> np.ndarray:
     """Positions reduced into the fundamental cell [0, 2pi).
 
@@ -52,11 +47,6 @@ def wrap_positions(x: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(x) % TWO_PI
     return np.where(r == TWO_PI, 0.0, r)
-
-
-def torus_distance_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared geodesic distance on the torus, summed over axes."""
-    return (torus_wrap(np.asarray(x) - np.asarray(y)) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,11 +98,12 @@ def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         raise ValidationError("velocity dimensions differ")
 
 
-def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool, cols: np.ndarray | None = None) -> np.ndarray:
-    """Squared product-metric distances of every (mu, nu) pair (outer) or of index pairs only.
+def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cols: np.ndarray | None = None) -> np.ndarray:
+    """Squared product-metric distances of mu's points to every nu point, or to the nu points cols[i].
 
-    With cols, of shape (len(mu), k), and outer False: mu point i against
-    the nu points cols[i] only, shape (len(mu), k).
+    cols None gives the all-pairs matrix, shape (len(mu), len(nu)); cols of
+    shape (len(mu), k) gives mu point i against the nu points cols[i], shape
+    (len(mu), k).  The index pairing is cols = arange(n)[:, None].
 
     Each position axis adds min(|dx|, 2pi - |dx|)^2, where dx is the
     difference of the two coordinates reduced by % 2pi, and each momentum
@@ -124,24 +115,18 @@ def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool, cols
     |dx|.  So every entry is bit-equal to the masked fold that subtracts
     from 2pi only where |dx| > pi.
 
-    The outer and cols forms are built in row blocks of about _COST_BLOCK
-    entries, so their temporaries stay in cache, and the index-pair form in
-    blocks of _COST_BLOCK pairs.  All run the same float operations per
-    entry, so the index-pair and cols costs are bit-equal to the all-pairs
-    matrix's entries.
+    Both forms are built in row blocks of about _COST_BLOCK entries, so
+    their temporaries stay in cache, and run the same float operations per
+    entry, so a cols entry is bit-equal to the all-pairs matrix's entry.
     """
     xa, xb = mu.x % TWO_PI, nu.x % TWO_PI
-    width = nu.size if outer else 1 if cols is None else cols.shape[1]
+    width = nu.size if cols is None else cols.shape[1]
     rows = min(mu.size, max(1, _COST_BLOCK // width))
-    pairs = not outer and cols is None
-    d = np.empty(mu.size if pairs else (mu.size, width))
-    block = rows if pairs else (rows, width)
-    s1, s2 = np.empty(block), np.empty(block)
+    d = np.empty((mu.size, width))
+    s1, s2 = np.empty((rows, width)), np.empty((rows, width))
 
     def sides(a, b, blk):
-        if pairs:
-            return a[blk], b[blk]
-        return a[blk, None], (b[None, :] if outer else b[cols[blk]])
+        return a[blk, None], (b[None, :] if cols is None else b[cols[blk]])
 
     for lo in range(0, mu.size, rows):
         blk = slice(lo, lo + rows)
@@ -164,15 +149,10 @@ def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool, cols
     return d
 
 
-def _take(m: EmpiricalMeasure, idx: np.ndarray) -> EmpiricalMeasure:
-    """The uniform cloud of m's points at idx, repeats included."""
-    return EmpiricalMeasure.uniform(m.x[idx], None if m.xi is None else m.xi[idx])
-
-
 def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
     """Pairwise squared product-metric distances, shape (len(mu), len(nu))."""
     _check_same_space(mu, nu)
-    return _squared_costs(mu, nu, outer=True)
+    return _squared_costs(mu, nu)
 
 
 def _tree_points(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
@@ -236,7 +216,7 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
         return None
     if (dist[:, 1] < (1.0 + 1e-9) * dist[:, 0] + 1e-12 * max(1.0, span)).any():
         return None
-    return _squared_costs(mu, nu, outer=False)
+    return _squared_costs(mu, nu, np.arange(nu.size)[:, None])[:, 0]
 
 
 def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
@@ -253,7 +233,7 @@ def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
         return None
     mu_pts, nu_pts, box, _ = pts
     _, cand = cKDTree(nu_pts, boxsize=box).query(mu_pts, k=AUCTION_K)
-    return _squared_costs(mu, nu, outer=False, cols=cand), cand
+    return _squared_costs(mu, nu, cand), cand
 
 
 def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
@@ -359,8 +339,8 @@ def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     cost = cost_matrix_sq(mu, nu)
     if price is not None:
         cost += price[None, :]
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(_squared_costs(_take(mu, rows), _take(nu, cols), outer=False).mean()))
+    _, cols = linear_sum_assignment(cost)  # rows come back as arange(n) on a square matrix
+    return float(np.sqrt(_squared_costs(mu, nu, cols[:, None]).mean()))
 
 
 def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -404,15 +384,15 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 # ----------------------------------------------------------------------
 
 def coupling_Q(cloud) -> float:
-    """Half the weighted mean squared phase-space gap between the paired flows."""
-    dx2 = torus_distance_sq(cloud.x_vp, cloud.x_vm)
-    dxi2 = ((cloud.xi_vp - cloud.xi_vm) ** 2).sum(axis=-1)
-    return float(0.5 * (cloud.weights * (dx2 + dxi2)).sum())
+    """Half the weighted mean squared phase-space gap between the paired flows.
 
-
-def pairing_cost_sq(cloud) -> float:
-    """Transport cost of the index pairing itself; an upper bound for W2^2."""
-    return 2.0 * coupling_Q(cloud)
+    The gaps are cost_matrix_sq(vp, vm)'s diagonal, bit for bit, so 2Q is
+    the index pairing's transport cost in the floats W2 is read from, and
+    an upper bound for W2^2.
+    """
+    vp = EmpiricalMeasure.uniform(cloud.x_vp, cloud.xi_vp)
+    vm = EmpiricalMeasure.uniform(cloud.x_vm, cloud.xi_vm)
+    return float(0.5 * (cloud.weights * _squared_costs(vp, vm, np.arange(vm.size)[:, None])[:, 0]).sum())
 
 
 # ----------------------------------------------------------------------

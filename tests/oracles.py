@@ -20,7 +20,7 @@ from vmvp.fields import EMState, _filon_weights, _rotate, _wave_knorm
 from vmvp.lagrangian import ParticleCloud
 from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _pack, _phase_rhs_arrays, check_validity
 from vmvp.spectral import SpectralField, derivative, mode_norms, mode_vectors, padded_grid_size, stack
-from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq, torus_wrap
+from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq
 
 
 def worker_count(default: int | None = None) -> int:
@@ -179,6 +179,16 @@ def w2_exact_brute(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     for perm in permutations(range(n)):
         best = min(best, cost[idx, list(perm)].sum())
     return float(np.sqrt(best / n))
+
+
+def torus_wrap(delta: np.ndarray) -> np.ndarray:
+    """Signed geodesic representative of a coordinate difference, in (-pi, pi]: the round fold."""
+    return delta - TWO_PI * np.round(delta / TWO_PI)
+
+
+def take(m: EmpiricalMeasure, idx: np.ndarray) -> EmpiricalMeasure:
+    """The uniform cloud of m's points at idx, repeats included (a bootstrap gather)."""
+    return EmpiricalMeasure.uniform(m.x[idx], None if m.xi is None else m.xi[idx])
 
 
 def squared_costs_masked(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool) -> np.ndarray:

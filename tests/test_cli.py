@@ -63,6 +63,18 @@ class TestExitCodes:
         monkeypatch.setattr("vmvp.harness.run_pair", lambda *a, **k: pytest.fail("the run started"))
         assert main(["simulate", "--config", str(tiny_cfg_path), "--eps", "5"]) == 2
 
+    def test_mode_vm_rejected(self, tiny_cfg_path, monkeypatch):
+        # simulate runs the VP side alone or a pair; a VM-only run does not exist
+        monkeypatch.setattr("vmvp.harness.run_pair", lambda *a, **k: pytest.fail("the run started"))
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--mode", "vm"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_mode_sweep_rejected(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr("vmvp.harness.run_pair", lambda *a, **k: pytest.fail("the run started"))
+        monkeypatch.setattr("vmvp.harness.run_sweep", lambda *a, **k: pytest.fail("the sweep started"))
+        p = small2d_with(tmp_path, "mode", "sweep")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
     def test_unparsable_config_value(self, tmp_path):
         text = resolve_config_path("bundled/ck2d").read_text(encoding="utf-8")
         assert "\ncutoff = 8\n" in text

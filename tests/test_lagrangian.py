@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import consistency_check, evaluate_at_naive
+from oracles import consistency_check, evaluate_at_naive, torus_wrap
 from vmvp.errors import ValidationError
 from vmvp.lagrangian import (
     ParticleCloud,
@@ -14,7 +14,7 @@ from vmvp.lagrangian import (
 )
 from vmvp.multifluid import Phase, PhaseEnsemble
 from vmvp.spectral import SpectralField, gradient
-from vmvp.transport import TWO_PI, coupling_Q, torus_wrap
+from vmvp.transport import TWO_PI, coupling_Q
 
 K = 6
 

@@ -453,6 +453,40 @@ class TestBiotSavart:
         with pytest.raises(ValidationError):
             biot_savart(f)
 
+    @pytest.mark.parametrize("dim,components", [(2, 2), (3, 1), (1, 1)])
+    def test_rejects_other_shapes(self, dim, components):
+        with pytest.raises(ValidationError):
+            biot_savart(random_field(dim, 2, components=components))
+
+
+class TestCross:
+    def test_matches_numpy_in_3d(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 7, 6)), rng.normal(size=(3, 7, 6))
+        assert np.array_equal(sp.cross(a, b, 3), np.cross(a, b, axis=0))
+
+    def test_matches_numpy_on_complex_wavevectors(self):
+        ik = 1j * sp.mode_vectors(3, 2)
+        c = random_field(3, 2, components=3, seed=4).coeffs
+        assert np.array_equal(sp.cross(ik, c, 3), np.cross(ik, c, axis=0))
+
+    def test_planar_rule_is_the_in_plane_part_of_the_3d_product(self):
+        # (a1, a2, 0) x (0, 0, b) = (a2 b, -a1 b, 0)
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 9)), rng.normal(size=(1, 9))
+        a3 = np.concatenate([a, np.zeros((1, 9))])
+        b3 = np.concatenate([np.zeros((2, 9)), b])
+        assert np.array_equal(sp.cross(a, b, 2), np.cross(a3, b3, axis=0)[:2])
+
+    def test_curl_is_i_k_cross_in_3d(self):
+        f = random_field(3, 2, components=3, seed=6)
+        ik = 1j * sp.mode_vectors(3, 2)
+        assert np.array_equal(curl(f).coeffs, np.cross(ik, f.coeffs, axis=0))
+
+    def test_other_dimensions_rejected(self):
+        with pytest.raises(ValidationError):
+            sp.cross(np.ones((1, 3)), np.ones((1, 3)), 1)
+
 
 class TestMeanAndReality:
     def test_mean_examples(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import circular_w2_sq, circular_w2_sq_brute, squared_costs_masked, w2_exact_brute, w2_from_cost_plain
+from oracles import circular_w2_sq, circular_w2_sq_brute, squared_costs_masked, take, w2_exact_brute, w2_from_cost_plain
 from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
@@ -18,9 +18,7 @@ from vmvp.transport import (
     coupling_Q,
     identity_pair_costs,
     loeper_check,
-    pairing_cost_sq,
     rejection_sample_positions,
-    torus_distance_sq,
     w2_assignment,
     w2_exact,
 )
@@ -41,12 +39,16 @@ class FakeCloud:
         self.weights = np.asarray(weights, float)
 
 
+def point_distance_sq(x, y):
+    return cost_matrix_sq(EmpiricalMeasure.uniform([x]), EmpiricalMeasure.uniform([y]))[0, 0]
+
+
 class TestMetric:
     def test_geodesic_wrap(self):
-        assert torus_distance_sq(np.array([0.1, 0.0]), np.array([TWO_PI - 0.1, 0.0])) == pytest.approx(0.04)
+        assert point_distance_sq([0.1, 0.0], [TWO_PI - 0.1, 0.0]) == pytest.approx(0.04)
 
     def test_axis_distance_capped_at_pi(self):
-        d2 = torus_distance_sq(np.array([0.0]), np.array([np.pi + 1.0]))
+        d2 = point_distance_sq([0.0], [np.pi + 1.0])
         assert d2 == pytest.approx((np.pi - 1.0) ** 2)
 
 
@@ -179,13 +181,15 @@ class TestCostMatrix:
         v2 = None if dv is None else rng.normal(size=(m, dv))
         mu, nu = EmpiricalMeasure.uniform(x1, v1), EmpiricalMeasure.uniform(x2, v2)
         assert np.array_equal(cost_matrix_sq(mu, nu), squared_costs_masked(mu, nu, outer=True))
-        # the pair form on index pairs: the first m mu points against nu
+        # the one-column cols form on index pairs: the first m mu points against nu
         head = EmpiricalMeasure.uniform(x1[:m], None if dv is None else v1[:m])
-        assert np.array_equal(_squared_costs(head, nu, outer=False), squared_costs_masked(head, nu, outer=False))
+        got = _squared_costs(head, nu, np.arange(m)[:, None])[:, 0]
+        assert np.array_equal(got, squared_costs_masked(head, nu, outer=False))
         rows = rng.integers(0, n, 5 * transport._COST_BLOCK // 2)
         cols = rng.integers(0, m, rows.size)
-        a, b = transport._take(mu, rows), transport._take(nu, cols)
-        assert np.array_equal(_squared_costs(a, b, outer=False), squared_costs_masked(a, b, outer=False))
+        a = take(mu, rows)
+        got = _squared_costs(a, nu, cols[:, None])[:, 0]
+        assert np.array_equal(got, squared_costs_masked(a, take(nu, cols), outer=False))
 
 
     @pytest.mark.parametrize("dx,dv", [(2, None), (2, 2), (3, 3)])
@@ -198,7 +202,7 @@ class TestCostMatrix:
         v2 = None if dv is None else rng.normal(size=(m, dv))
         mu, nu = EmpiricalMeasure.uniform(x1, v1), EmpiricalMeasure.uniform(x2, v2)
         cols = rng.integers(0, m, (n, k))
-        got = _squared_costs(mu, nu, outer=False, cols=cols)
+        got = _squared_costs(mu, nu, cols)
         assert got.shape == (n, k)
         assert np.array_equal(got, np.take_along_axis(cost_matrix_sq(mu, nu), cols, axis=1))
 
@@ -214,9 +218,9 @@ class TestAuctionCandidates:
             mu, nu = random_cloud(rng, 400, spread=5.0), random_cloud(rng, 400, spread=5.0)
             assert np.ptp(np.concatenate([mu.xi, nu.xi]), axis=0).min() > TWO_PI
         else:
-            take = rng.integers(0, 400, 400)
-            assert np.unique(take).size < take.size
-            mu, nu = transport._take(mu, take), transport._take(nu, take)
+            idx = rng.integers(0, 400, 400)
+            assert np.unique(idx).size < idx.size
+            mu, nu = take(mu, idx), take(nu, idx)
         c, cand = _auction_candidates(mu, nu)
         cost = cost_matrix_sq(mu, nu)
         assert np.array_equal(np.take_along_axis(cost, cand, axis=1), c)
@@ -305,9 +309,9 @@ class TestWarmStartedAssignment:
         rng = np.random.default_rng(2)
         mu, nu = random_cloud(rng, 300), random_cloud(rng, 300)
         for _ in range(3):
-            take = rng.integers(0, 300, 300)
-            assert np.unique(take).size < take.size
-            mu_b, nu_b = transport._take(mu, take), transport._take(nu, take)
+            idx = rng.integers(0, 300, 300)
+            assert np.unique(idx).size < idx.size
+            mu_b, nu_b = take(mu, idx), take(nu, idx)
             assert _auction_prices(*_auction_candidates(mu_b, nu_b)) is not None
             want = w2_from_cost_plain(cost_matrix_sq(mu_b, nu_b))
             assert w2_exact(mu_b, nu_b) == pytest.approx(want, rel=1e-13)
@@ -386,6 +390,21 @@ class TestCouplingQ:
         cloud = FakeCloud(x_vp, xi_vp, x_vm, xi_vm, np.array([0.5, 0.5]))
         assert coupling_Q(cloud) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_half_the_weighted_cost_matrix_diagonal(self, d):
+        # 2Q is the index pairing's cost in cost_matrix_sq's own floats, on and off the cell
+        rng = np.random.default_rng(20 + d)
+        n = 40
+        x_vp, x_vm = rng.uniform(-7.0, 13.0, (n, d)), rng.uniform(-7.0, 13.0, (n, d))
+        x_vp[:4, 0], x_vm[:4, 0] = [0.0, np.pi, TWO_PI, -1e-17], [np.pi, TWO_PI, -1e-17, 0.0]
+        x_vp[4], x_vm[4] = -1e-17, TWO_PI
+        xi_vp, xi_vm = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        w = rng.uniform(0.5, 1.5, n)
+        w /= w.sum()
+        cloud = FakeCloud(x_vp, xi_vp, x_vm, xi_vm, w)
+        c = cost_matrix_sq(EmpiricalMeasure.uniform(x_vp, xi_vp), EmpiricalMeasure.uniform(x_vm, xi_vm))
+        assert coupling_Q(cloud) == float(0.5 * (w * np.diag(c)).sum())
+
     def test_w2_bounded_by_pairing(self):
         rng = np.random.default_rng(9)
         n = 64
@@ -395,7 +414,7 @@ class TestCouplingQ:
         xi2 = xi + rng.normal(0, 0.1, (n, 2))
         cloud = FakeCloud(x, xi, x2, xi2, np.full(n, 1 / n))
         w2 = w2_exact(EmpiricalMeasure.uniform(x, xi), EmpiricalMeasure.uniform(x2, xi2))
-        assert w2 ** 2 <= pairing_cost_sq(cloud) + 1e-12
+        assert w2 ** 2 <= 2 * coupling_Q(cloud) + 1e-12
 
 
 def bounded_density(K, rng, amp=0.3):
