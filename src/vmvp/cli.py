@@ -92,8 +92,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .harness import run_pair
-    from .multifluid import vp_step
+    from .harness import _abort_context, run_pair
+    from .multifluid import save_ensemble, vp_step
 
     eps_list = None if args.eps is None else [args.eps]
     cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list})
@@ -101,11 +101,14 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.output_dir)
     if cfg.mode == "vp":
         ens = build_ensemble(cfg, 0.0)
-        for _ in range(cfg.n_steps):
-            ens = vp_step(ens, cfg.dt)
-        from .multifluid import save_ensemble
-
         out.mkdir(parents=True, exist_ok=True)
+        for step in range(cfg.n_steps):
+            try:
+                ens = vp_step(ens, cfg.dt)
+            except NumericalAbort as exc:
+                if exc.state_dump is not None:
+                    save_ensemble(ens, out / "abort_state.ens")
+                raise NumericalAbort(_abort_context(exc, step, step * cfg.dt), exc.state_dump, exc.t) from exc
         save_ensemble(ens, out / "vp_final.ens")
         print(f"vp run complete: {cfg.n_steps} steps, state in {out}")
         return EXIT_OK

@@ -123,6 +123,28 @@ class TestSimulate:
         assert rc == 0
         assert (out / "vp_final.ens").exists()
 
+    def test_vp_mode_abort_names_its_step_and_dumps_the_state(self, tiny_cfg_path, tmp_path, monkeypatch, capsys):
+        # fault injection: the fourth step (step 3) aborts as a positivity failure does
+        from vmvp import multifluid
+        from vmvp.errors import NumericalAbort
+
+        real_step, calls = multifluid.vp_step, []
+
+        def fails_on_step_3(ens, dt):
+            calls.append(dt)
+            if len(calls) == 4:
+                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03", state_dump=ens)
+            return real_step(ens, dt)
+
+        monkeypatch.setattr(multifluid, "vp_step", fails_on_step_3)
+        out = tmp_path / "vp_abort"
+        rc = main(["simulate", "--config", str(tiny_cfg_path), "--mode", "vp", "--out", str(out)])
+        assert rc == 3
+        assert "numerical abort: step 3, t = 0.003: phase 0 density negative" in capsys.readouterr().err
+        dumped = multifluid.load_ensemble(out / "abort_state.ens")
+        assert dumped.eps == 0.0 and len(dumped.phases) == 2
+        assert not (out / "vp_final.ens").exists()
+
 
 class TestCsvOutputs:
     def test_every_csv_parses_as_numbers(self, tiny_cfg_path, tmp_path):

@@ -127,6 +127,14 @@ class TestVerifySuite:
         assert len(results) == 24
         assert [r.name for r in results if not r.passed] == ["multifluid.eps_zero_reduction"]
 
+    def test_unprojected_source_fails_gauge_after_run(self, small_cfg, monkeypatch):
+        # fault injection: the step's wave source keeps its curl-free part, so div A grows
+        from vmvp import multifluid
+
+        monkeypatch.setattr(multifluid, "leray_project", lambda j: j)
+        (check,) = [r for r in verify_suite(small_cfg) if r.name == "fields.gauge_after_run"]
+        assert not check.passed and check.residual > 1e-3
+
     def test_broken_gauge_detected(self):
         # fault injection: a vector potential with nonzero mean must be flagged
         k = 4
