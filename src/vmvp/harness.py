@@ -27,6 +27,7 @@ from .multifluid import (
     check_validity,
     electrostatic_energy,
     moments,
+    save_ensemble,
     total_energy,
     vm_step_full,
     vp_step_full,
@@ -87,7 +88,8 @@ def _abort_context(exc: NumericalAbort, step: int, t: float) -> str:
     return f"step {step}, t = {t:g}: {exc}"
 
 
-def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
+def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | None = None) -> _VPRun:
+    """The electrostatic side; an abort dumps its step's starting state into out_dir, if given, and re-raises dated."""
     ens = build_ensemble(cfg, 0.0)
     cloud0 = cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
     j0 = moments(ens).j_mean
@@ -110,11 +112,19 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool) -> _VPRun:
         try:
             res = vp_step_full(ens, cfg.dt)
         except NumericalAbort as exc:
+            if out_dir is not None and exc.state_dump is not None:
+                _save_abort_state(ens, out_dir)
             raise NumericalAbort(_abort_context(exc, step, step * cfg.dt), exc.state_dump, exc.t) from exc
         if with_particles:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
     return _VPRun(cloud0, xs, xis, energy, drift, fourth, sup_rho)
+
+
+def _save_abort_state(ens: PhaseEnsemble, out_dir: str | Path) -> None:
+    """Write the ensemble an aborted step started from to out_dir/abort_state.ens."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    save_ensemble(ens, Path(out_dir) / "abort_state.ens")
 
 
 def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
@@ -168,7 +178,7 @@ def run_pair(
     em = build_em_state(cfg, eps)
     check_validity(ens, cfg.delta1, context=" in initial data")
     if vp_run is None:
-        vp_run = _run_vp_side(cfg, with_particles)
+        vp_run = _run_vp_side(cfg, with_particles, out_dir)
     cloud = vp_run.cloud
     with_particles = cloud is not None
     rng = np.random.default_rng(cfg.seed + 987654321)
@@ -228,9 +238,7 @@ def run_pair(
         except NumericalAbort as exc:
             aborted, abort_message, truncation = True, _abort_context(exc, step, t), t
             if out_dir is not None and exc.state_dump is not None:
-                from .multifluid import save_ensemble
-
-                save_ensemble(ens, Path(out_dir) / "abort_state.ens")
+                _save_abort_state(ens, out_dir)
             break
         ens, em = res.ensemble, res.em
         int_mean_j = int_mean_j + res.mean_j_increment
@@ -323,7 +331,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
     eps_values = list(cfg.eps_list)
     if len(eps_values) < 3:
         raise ValidationError("a sweep needs at least 3 eps values")
-    vp_run = _run_vp_side(cfg, with_particles=True)
+    vp_run = _run_vp_side(cfg, with_particles=True, out_dir=out_dir)
     runs = []
     partial = False
     for eps in eps_values:

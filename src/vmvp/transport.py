@@ -1,22 +1,33 @@
 """Wasserstein-2 machinery on (torus x velocity) phase space.
 
-The metric is the product of the per-axis geodesic torus distance on
-positions and the Euclidean distance on velocities.  Equal-size uniform-weight
-clouds get an exact optimal assignment: skipped when a duality certificate
-proves the index pairing optimal, and otherwise scipy's shortest augmenting
-path solver on the one cost matrix of the solve, warm-started on large
-clouds by column prices from an epsilon-scaling auction.  The auction sees
-only each point's nearest partners, found by a periodic kd-tree, so no pass
-over the dense matrix feeds it.  Adding a price to every entry of a column
-adds the same constant to every assignment's cost, so the optimal
-assignments do not change; only the solver's work does, and W2 is read from
-the unshifted pair costs at the assignment.  General weights go through a
-small LP (HiGHS).
+The metric is the product of the per-axis geodesic torus distance on positions
+and the Euclidean distance on velocities.  Equal-size uniform-weight clouds
+get an exact optimal assignment.  It is skipped when a duality certificate
+proves the index pairing optimal.  Otherwise, on large clouds, an
+epsilon-scaling auction on each point's nearest partners (found by a periodic
+kd-tree) gives column prices p and all but a few rows' columns; shortest
+augmenting paths assign the rest.  A second certificate proves which edges an
+optimal assignment can use: with u_i the smallest c_ij + p_j over all columns
+(less a rounding margin), every reduced cost c_ij + p_j - u_i is >= 0, and an
+optimal assignment's reduced costs sum to at most S, the sum at the assignment
+in hand.  When each row's edges of reduced cost <= S all lie among its nearest
+columns under c_ij + p_j, a sparse solver on those edges alone returns an
+optimal assignment, and no n x n array is built.  The margin is 1e-12 of the
+problem's scale, over a hundred times the kd-tree's rounding, and that
+assignment's total cost is within n 2^-51 (max c + max p) of the minimum
+(_certified_columns states the budget).  When that proof declines, and on
+small clouds, scipy's shortest augmenting path solver runs on the one cost
+matrix of the solve, shifted by the prices when there are any.  Adding a price
+to every entry of a column adds the same constant to every assignment's cost,
+so the optimal assignments do not change; only the solver's work does.  Either
+way W2 is read from the unshifted pair costs at the assignment.  General
+weights go through a small LP (HiGHS).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -31,12 +42,16 @@ N_LP = 512               # the general-weight LP has N_LP^2 unknowns at most
 EFFICIENCY_FLOOR = 1e-3  # rejection sampling aborts below this acceptance rate
 _COST_BLOCK = 1 << 15    # entries per cost-kernel temporary (256 KiB), so a row block stays in cache
 
-# the auction that warm-starts w2_assignment (Bertsekas, Ann. Oper. Res. 14 (1988))
+# the auction behind w2_assignment's sparse solve (Bertsekas, Ann. Oper. Res. 14 (1988))
 AUCTION_K = 48                 # candidate columns per row; clouds up to 2 K points skip the auction
 AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
 AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the prices are dropped
+AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
+AUCTION_LIFT_EPS = 1e-4
+CERT_MARGIN = 1e-12            # rounding margin of the sparse assignment's certificate, relative to its scale
+CERT_PASSES = 3                # lifted queries, completions and certificates tried before the dense solver
 
 
 def wrap_positions(x: np.ndarray) -> np.ndarray:
@@ -274,24 +289,29 @@ def _unmatched_rows(cand: np.ndarray) -> int:
 
     n, k = cand.shape
     # nodes: source 0, rows 1..n, columns n+1..2n, sink 2n+1
-    indices = np.concatenate([np.arange(1, n + 1), n + 1 + cand.ravel(), np.full(n, 2 * n + 1)])
-    indptr = np.concatenate([[0], n + k * np.arange(n + 1), n + n * k + np.arange(1, n + 1), [n * k + 2 * n]])
+    indices = np.concatenate([np.arange(1, n + 1), n + 1 + cand.ravel(), np.full(n, 2 * n + 1)], dtype=np.int32)
+    indptr = np.concatenate([[0], n + k * np.arange(n + 1), n + n * k + np.arange(1, n + 1), [n * k + 2 * n]], dtype=np.int32)
     graph = sparse.csr_matrix((np.ones(indices.size, dtype=np.int32), indices, indptr), shape=(2 * n + 2,) * 2)
     return n - maximum_flow(graph, 0, 2 * n + 1, method="dinic").flow_value
 
 
-def _auction_prices(c: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
-    """Near-optimal column prices of the square assignment problem restricted to candidate columns.
+def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
+    """Near-optimal column prices and a near-complete assignment, restricted to candidate columns.
 
     Row i may take the columns cand[i] at costs c[i] (from
     _auction_candidates).  A Jacobi forward auction with epsilon scaling
     (Bertsekas, Ann. Oper. Res. 14 (1988)) runs _bid rounds; a phase ends
     once at most AUCTION_FREE_ROWS rows are unassigned, and the next one
     restarts the assignment at a smaller epsilon from the same prices.
-    Only the prices are returned.  None when a candidate cost is not
-    finite; before any bid, when a maximum matching of the candidate graph
-    leaves more than AUCTION_FREE_ROWS rows out (_unmatched_rows), so that
-    no phase could end; or when AUCTION_MAX_ROUNDS rounds do not finish.
+    lift, if given, maps the prices to wider candidate arrays (as
+    _lifted_candidates does); the first phase with epsilon below
+    AUCTION_LIFT_EPS and every later one bid on lift(price), taken at that
+    first phase's start.  Returns (price, cols) after the last phase: row
+    i holds column cols[i], -1 for a free row.
+    None when a candidate cost is not finite; before any bid, when a
+    maximum matching of the candidate graph leaves more than
+    AUCTION_FREE_ROWS rows out (_unmatched_rows), so that no phase could
+    end; or when AUCTION_MAX_ROUNDS rounds do not finish.
     """
     n = c.shape[0]
     if not np.isfinite(c).all() or _unmatched_rows(cand) > AUCTION_FREE_ROWS:
@@ -300,6 +320,9 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
     eps = max(float(c.max() - c.min()), AUCTION_EPS_FINAL) / AUCTION_EPS_RATIO
     rounds = 0
     while True:
+        if lift is not None and eps < AUCTION_LIFT_EPS:
+            c, cand = lift(price)
+            lift = None
         owner = np.full(n, -1, dtype=np.intp)
         free = np.arange(n)
         while free.size > AUCTION_FREE_ROWS:
@@ -308,38 +331,221 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
             rounds += 1
             free = _bid(c, cand, price, owner, free, eps)
         if eps <= AUCTION_EPS_FINAL:
-            return price
+            cols = np.full(n, -1, dtype=np.intp)
+            cols[owner[owner >= 0]] = np.flatnonzero(owner >= 0)
+            return price, cols
         eps = max(eps / AUCTION_EPS_RATIO, AUCTION_EPS_FINAL)
 
 
-def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """W2 of two equal-size uniform clouds by an optimal assignment, with no certificate tried.
+def _lifted_neighbours(mu: EmpiricalMeasure, nu: EmpiricalMeasure, price: np.ndarray, k: int):
+    """Each mu point's k nu points of smallest cost + price, by a kd-tree on the power-diagram lift.
 
-    Above 2 AUCTION_K points, column prices p come first, from
-    _auction_prices on the kd-tree candidates (no dense pass).  Then
-    cost_matrix_sq is built once, p is added to its columns in place (the
-    matrix belongs to the solver), and scipy's linear_sum_assignment solves
-    it; W2 is the root mean of the index-pair costs at the assignment it
-    returns, the floats the unshifted matrix held there.  Every
-    assignment's total rises by the same sum(p), so the optimal assignments
-    are those of the unshifted matrix; the prices only let the solver,
-    which starts from zero duals, end almost every augmenting path at its
-    first column.  The one difference is the rounding of the shifted
-    entries, which moves an assignment's total by at most 2^-53 times its
-    sum of |cost + p|.  So the returned assignment's total cost exceeds the
-    minimum by at most n 2^-52 (max |cost| + max p); on the Loeper
-    battery's 4096-point clouds the per-sum form gives about 5e-15 of the
-    total.  When the auction declines the solver runs on the unshifted
-    matrix.  Ties break deterministically for a given input.
+    nu point j is lifted to (its _tree_points, sqrt(p_j - min p)) and every
+    mu point to (its _tree_points, 0), on a lift period of 2 sqrt(max p -
+    min p) + 1 that no distance wraps.  So the tree's squared distance from
+    mu point i to nu point j is c_ij + p_j - min p, up to the rounding that
+    _certified_columns bounds.  Returns (t, cols, span): cols[i] the k
+    columns, t[i] their tree squared distances plus min p (ascending), and
+    span the momentum span of _tree_points.  Coordinates must be finite.
     """
-    price = None
+    mu_pts, nu_pts, box, span = _tree_points(mu, nu)
+    low = price.min()
+    lift = np.sqrt(price - low)
+    tree = cKDTree(np.column_stack([nu_pts, lift]), boxsize=np.append(box, 2.0 * lift.max() + 1.0))
+    dist, cols = tree.query(np.column_stack([mu_pts, np.zeros(mu.size)]), k=k)
+    return dist * dist + low, cols, span
+
+
+def _lifted_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray, cand: np.ndarray, price: np.ndarray):
+    """(c, cand) with each row's AUCTION_LIFT columns of smallest cost + price appended.
+
+    A column already among the row's cand gets cost inf in its appended
+    slot, so no row bids twice for one column.
+    """
+    _, extra, _ = _lifted_neighbours(mu, nu, price, AUCTION_LIFT)
+    c_extra = _squared_costs(mu, nu, extra)
+    c_extra[(extra[:, :, None] == cand[:, None, :]).any(axis=2)] = np.inf
+    return np.hstack([c, c_extra]), np.hstack([cand, extra])
+
+
+def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarray):
+    """An assignment on the candidate graph completed along shortest augmenting paths, or None if a free row has none.
+
+    Row i holds column cols[i] (-1 if free).  A row is freed first when that
+    column is not among its candidates cand[i], or when c + p there exceeds
+    its cheapest candidate's by more than 2 AUCTION_EPS_FINAL (an
+    epsilon-slackness the last auction phase, on staler candidates, did not
+    give).  Each free row i0 in turn runs Dijkstra (scipy's csgraph) on a
+    graph of the rows plus one node per free column: row i reaches its
+    candidate column j at (c_ij + p_j) - (c_i,own + p_own), clipped at 0
+    (the auction's epsilon-slackness leaves it at least -epsilon), where own
+    is the column i holds, or for i0 its cheapest candidate.  Reaching a
+    held column means reaching its owner, who must then move on.  The
+    nearest free column, at distance D, ends the path; each row on it moves
+    one column down the path, and every column j reached at d_j < D gets
+    p_j += D - d_j, the Hungarian price update (Jonker & Volgenant,
+    Computing 38 (1987)) that makes the moved edges tight.  Prices only
+    rise.  The clipping may leave the result short of optimal;
+    _certified_columns measures by how much.  Returns (slot, price): row i
+    holds column cand[i, slot[i]].
+    """
+    from scipy.sparse.csgraph import dijkstra  # here, as in _unmatched_rows
+
+    n, k = cand.shape
+    rows = np.arange(n)
+    hit = cand == cols[:, None]
+    slot = hit.argmax(axis=1)
+    value = c + price[cand]
+    cols = np.where(hit.any(axis=1) & (value[rows, slot] - value.min(axis=1) <= 2.0 * AUCTION_EPS_FINAL), cols, -1)
+    node = np.full(n, -1, dtype=np.int32)          # the graph node that reaching column j reaches
+    node[cols[cols >= 0]] = np.flatnonzero(cols >= 0)
+    free = np.flatnonzero(node < 0)
+    node[free] = n + np.arange(free.size)
+    price = price.copy()
+    indptr = np.append(np.arange(0, n * k + 1, k), np.full(free.size, n * k)).astype(np.int32)
+    for i0 in np.flatnonzero(cols < 0):
+        weight = price[cand]
+        weight += c
+        own = weight[rows, slot]
+        own[i0] = weight[i0].min()
+        weight -= own[:, None]
+        np.maximum(weight, 0.0, out=weight)
+        graph = sparse.csr_matrix((weight.ravel(), node[cand].ravel(), indptr), shape=(n + free.size,) * 2)
+        dist, pred = dijkstra(graph, indices=i0, return_predecessors=True)
+        end = n + int(dist[n:].argmin())
+        reach = dist[end]
+        if not np.isfinite(reach):
+            return None
+        price += np.maximum(reach - dist[node], 0.0)
+        i, j = pred[end], free[end - n]
+        while True:
+            moved = cols[i]
+            node[j], cols[i], slot[i] = i, j, (cand[i] == j).argmax()
+            if i == i0:
+                break
+            i, j = pred[i], moved
+    return slot, price
+
+
+def _certified_columns(c: np.ndarray, cand: np.ndarray, t: np.ndarray, span: float, slot: np.ndarray, price: np.ndarray):
+    """An optimal assignment's columns from the edges LP duality leaves, or None when the proof declines.
+
+    cand[i] are row i's AUCTION_K columns of smallest c_ij + q_j under
+    earlier prices q <= price (from _lifted_neighbours, which also gave t
+    and span), c their costs, and row i holds column cand[i, slot[i]] of a
+    full assignment sigma.  Write r_ij = c_ij + p_j - u_i for the reduced
+    costs of the dense problem at the given prices p.  Every column j
+    outside cand[i] has c_ij + p_j >= c_ij + q_j >= t[i, -1], the tree's
+    K-th value, so u_i = min(c_ij + p_j over cand[i], t[i, -1]) less a
+    margin m makes every r_ij >= 0, and (u, -p) is feasible for the
+    assignment problem's dual.  With S = sum_i r_i,sigma(i) (the gap
+    between sigma's cost and that dual's value), every optimal assignment
+    tau has sum_i r_i,tau(i) <= S, so it uses only edges with r_ij <= S.  If
+    every row has t[i, -1] - u_i > S, all such edges are among cand: those
+    with r_ij <= S go to scipy's min_weight_full_bipartite_matching
+    (Jonker & Volgenant's sparse LAPJV) with weights r_ij, which are
+    positive, and its assignment is optimal for the dense problem.
+    Otherwise None.
+
+    Margin: the tree's squared distances differ from the c_ij + q_j floats
+    by a few ulps of max(1, s) (1 + max(c + p)) (the wrap and the momentum
+    shift of _tree_points, whose span is s, the lift's square root, the
+    tree's sums), and c + p rounds once.  m is 1e-12 times that scale, over
+    a hundred times those errors; S is taken up by 1e-9 relative plus n m,
+    which covers its rounding, and the K-th test and the kept edges carry
+    one more m.  Every row keeps its sigma edge, so a full matching exists.
+    The weights round twice per entry, so the returned assignment's cost
+    exceeds the minimum by at most n 2^-51 (max c + max p).
+    """
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    n = c.shape[0]
+    rows = np.arange(n)
+    f = c + price[cand]
+    margin = CERT_MARGIN * max(1.0, span) * (1.0 + float(f.max()))
+    kth = t[:, -1:]
+    u = np.minimum(f.min(axis=1, keepdims=True), kth) - margin
+    reduced = f - u
+    gap = float(reduced[rows, slot].sum()) * (1.0 + 1e-9) + n * margin
+    if (kth - u <= gap + margin).any():
+        return None
+    keep = reduced <= gap + margin
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    graph = sparse.csr_matrix((reduced[keep], cand[keep], indptr), shape=(n, n))
+    return min_weight_full_bipartite_matching(graph)[1]
+
+
+def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    """(cols, price) from the auction, its completion and the certificate; cols None on a decline.
+
+    price is None when the auction declined, else the last prices, which
+    warm-start the dense solver after a later decline.  Each of up to
+    CERT_PASSES passes takes one lifted query at the current prices, whose
+    columns are the candidates of both the completion and the certificate;
+    a pass after a declined proof starts from the last assignment, and its
+    fresh query sees the columns that the completion's price rises made
+    cheapest.
+    """
+    cands = _auction_candidates(mu, nu)
+    auction = None if cands is None else _auction_prices(*cands, lift=partial(_lifted_candidates, mu, nu, *cands))
+    if auction is None:
+        return None, None
+    price, cols = auction
+    for _ in range(CERT_PASSES):
+        t, cand, span = _lifted_neighbours(mu, nu, price, AUCTION_K)
+        c = _squared_costs(mu, nu, cand)
+        done = _complete(c, cand, price, cols)
+        if done is None:
+            break
+        slot, price = done
+        proof = _certified_columns(c, cand, t, span, slot, price)
+        if proof is not None:
+            return proof, price
+        cols = cand[np.arange(mu.size), slot]
+    return None, price
+
+
+def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """W2 of two equal-size uniform clouds by an optimal assignment, with no identity certificate tried.
+
+    Above 2 AUCTION_K points the solve is sparse and builds no n x n
+    array.  The auction (_auction_prices) bids on each row's AUCTION_K
+    nearest columns from the kd-tree (_auction_candidates), plus, once
+    epsilon is below AUCTION_LIFT_EPS, its AUCTION_LIFT columns of smallest
+    cost + price from the lifted tree (_lifted_candidates).  Then, in up to
+    CERT_PASSES passes (_sparse_assignment), one lifted query gives each
+    row its AUCTION_K columns of smallest cost + price; _complete assigns
+    the rows left free along shortest augmenting paths on those columns,
+    and _certified_columns proves by LP duality which edges an optimal
+    assignment can use and solves on them alone.  Its docstring gives the
+    margin and the rounding bound, n 2^-51 (max cost + max p) on the total
+    cost.
+
+    When the auction, the completion or the proof declines, cost_matrix_sq
+    is built once, the last prices p (if any) are added to its columns
+    in place (the matrix belongs to the solver), and scipy's
+    linear_sum_assignment solves it.  Every assignment's total rises by the
+    same sum(p), so the optimal assignments are those of the unshifted
+    matrix; the prices only let the solver, which starts from zero duals,
+    end almost every augmenting path at its first column.  The rounding of
+    the shifted entries moves an assignment's total by at most 2^-53 times
+    its sum of |cost + p|, so the returned assignment's total cost exceeds
+    the minimum by at most n 2^-52 (max |cost| + max p).  Clouds of at most
+    2 AUCTION_K points go to the solver on the unshifted matrix.
+
+    W2 is the root mean of the index-pair costs at the assignment, the
+    floats the matrix holds there.  Ties break deterministically for a
+    given input.
+    """
+    _check_same_space(mu, nu)
+    cols = price = None
     if mu.size > 2 * AUCTION_K:
-        cands = _auction_candidates(mu, nu)
-        price = None if cands is None else _auction_prices(*cands)
-    cost = cost_matrix_sq(mu, nu)
-    if price is not None:
-        cost += price[None, :]
-    _, cols = linear_sum_assignment(cost)  # rows come back as arange(n) on a square matrix
+        cols, price = _sparse_assignment(mu, nu)
+    if cols is None:
+        cost = cost_matrix_sq(mu, nu)
+        if price is not None:
+            cost += price[None, :]
+        _, cols = linear_sum_assignment(cost)  # rows come back as arange(n) on a square matrix
     return float(np.sqrt(_squared_costs(mu, nu, cols[:, None]).mean()))
 
 
@@ -349,9 +555,17 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Equal-size uniform clouds first try identity_pair_costs: when it proves
     the index pairing optimal, W2 is the root mean of the pair costs, the
     float the assignment solver would give, and no cost matrix is built.
-    Otherwise they route to w2_assignment: an exact assignment on one cost
-    matrix, warm-started by auction prices above 2 AUCTION_K points, up to
-    the rounding bound stated there.  General weights go through a
+    Otherwise they route to w2_assignment.  Above 2 AUCTION_K points an
+    auction and shortest augmenting paths give an assignment sigma and
+    prices p; with u_i the smallest c_ij + p_j over all columns less a
+    rounding margin m (1e-12 of the problem's scale, over a hundred times
+    the kd-tree's rounding), every optimal assignment uses only edges with
+    c_ij + p_j - u_i <= S, the same sum at sigma, and when those edges all
+    lie among each row's AUCTION_K nearest columns under c + p, a sparse
+    solve on them alone is exact and no cost matrix is built.  Otherwise
+    one cost matrix is solved, warm-started by the prices.  Either way the
+    assignment's total cost is within n 2^-51 (max cost + max p) of the
+    minimum, the bound stated there.  General weights go through a
     transportation LP (up to N_LP points each).  Tie-breaking is
     deterministic for a given input.
     """

@@ -145,6 +145,29 @@ class TestSimulate:
         assert dumped.eps == 0.0 and len(dumped.phases) == 2
         assert not (out / "vp_final.ens").exists()
 
+    @pytest.mark.parametrize("command", [["simulate", "--mode", "pair"], ["sweep", "--eps", "0.4,0.2,0.1"]])
+    def test_vp_side_abort_names_its_step_and_dumps_the_state(self, command, tiny_cfg_path, tmp_path, monkeypatch, capsys):
+        # fault injection: the VP side's fourth step (step 3) aborts with a state attached
+        from vmvp import harness, multifluid
+        from vmvp.errors import NumericalAbort
+
+        real_step, calls = harness.vp_step_full, []
+
+        def fails_on_step_3(ens, dt):
+            calls.append(dt)
+            if len(calls) == 4:
+                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03", state_dump=ens)
+            return real_step(ens, dt)
+
+        monkeypatch.setattr(harness, "vp_step_full", fails_on_step_3)
+        out = tmp_path / "vp_side_abort"
+        rc = main(command + ["--config", str(tiny_cfg_path), "--out", str(out)])
+        assert rc == 3
+        assert "numerical abort: step 3, t = 0.003: phase 0 density negative" in capsys.readouterr().err
+        dumped = multifluid.load_ensemble(out / "abort_state.ens")
+        assert dumped.eps == 0.0 and len(dumped.phases) == 2
+        assert not (out / "report.json").exists()
+
 
 class TestCsvOutputs:
     def test_every_csv_parses_as_numbers(self, tiny_cfg_path, tmp_path):

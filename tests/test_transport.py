@@ -356,6 +356,98 @@ class TestWarmStartedAssignment:
         assert peak <= 1.3 * 8 * n * n
 
 
+def refuse_dense(monkeypatch):
+    """Make the dense path raise, so that only the certified sparse path can answer."""
+    def refuse(*args):
+        raise AssertionError("the dense solver ran")
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", refuse)
+    monkeypatch.setattr(transport, "cost_matrix_sq", refuse)
+
+
+def spy(monkeypatch, name):
+    """Record each return value of transport.<name>."""
+    real, seen = getattr(transport, name), []
+
+    def call(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(transport, name, call)
+    return seen
+
+
+class TestCertifiedAssignment:
+    """w2_exact above 2 AUCTION_K points by the certified sparse solve, against the cold dense oracle."""
+
+    @pytest.mark.parametrize("n", [200, 1024, 4096])
+    @pytest.mark.parametrize("momenta", [True, False])
+    def test_random_torus_clouds(self, n, momenta, monkeypatch):
+        rng = np.random.default_rng(7 * n + momenta)
+        mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        if not momenta:
+            mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
+        want = w2_from_cost_plain(cost_matrix_sq(mu, nu))
+        refuse_dense(monkeypatch)
+        assert w2_exact(mu, nu) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("momenta", [True, False])
+    def test_bootstrap_gathers_with_repeated_indices(self, momenta, monkeypatch):
+        # coincident points make optimal assignments tie exactly
+        rng = np.random.default_rng(12 + momenta)
+        mu, nu = random_cloud(rng, 400), random_cloud(rng, 400)
+        if not momenta:
+            mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
+        gathers = []
+        for _ in range(3):
+            idx = rng.integers(0, 400, 400)
+            assert np.unique(idx).size < idx.size
+            mu_b, nu_b = take(mu, idx), take(nu, idx)
+            gathers.append((mu_b, nu_b, w2_from_cost_plain(cost_matrix_sq(mu_b, nu_b))))
+        refuse_dense(monkeypatch)
+        for mu_b, nu_b, want in gathers:
+            assert w2_assignment(mu_b, nu_b) == pytest.approx(want, rel=1e-13)
+
+    def test_a_free_row_without_an_augmenting_path_declines(self, monkeypatch):
+        # 50 mu points in a tiny ball share its AUCTION_K nu points: a maximum
+        # matching leaves 2 of them out, few enough for the auction, but no
+        # path from a free one reaches a free column
+        rng = np.random.default_rng(3)
+        mu, nu = ball_cloud(rng, 200, 50), ball_cloud(rng, 200, AUCTION_K)
+        auctions, completions = spy(monkeypatch, "_auction_prices"), spy(monkeypatch, "_complete")
+        got = w2_exact(mu, nu)
+        assert auctions[0] is not None and completions == [None]
+        assert got == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
+
+    def test_survivors_beyond_the_kth_neighbour_decline(self, monkeypatch):
+        # an auction stopped at epsilon 0.03 leaves each of 400 rows up to 0.03
+        # short of its best column, so the gap S exceeds the spread of every
+        # row's AUCTION_K nearest reduced costs and an optimal edge could lie
+        # beyond them, on every pass
+        monkeypatch.setattr(transport, "AUCTION_EPS_FINAL", 0.03)
+        rng = np.random.default_rng(8)
+        mu, nu = (EmpiricalMeasure.uniform(rng.uniform(0, TWO_PI, (400, 2))) for _ in range(2))
+        completions, proofs = spy(monkeypatch, "_complete"), spy(monkeypatch, "_certified_columns")
+        got = w2_exact(mu, nu)
+        assert None not in completions and proofs == [None] * transport.CERT_PASSES
+        assert got == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
+
+    def test_certified_w2_exact_holds_no_matrix(self, monkeypatch):
+        # the sparse path's arrays are n x (AUCTION_K + AUCTION_LIFT) at most
+        n = 2048
+        rng = np.random.default_rng(9)
+        mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        w2_exact(mu, nu)  # loads the csgraph modules outside the trace
+        refuse_dense(monkeypatch)
+        tracemalloc.start()
+        try:
+            w2_exact(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
+
+
 class TestCircular:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
