@@ -22,16 +22,29 @@ to every entry of a column adds the same constant to every assignment's cost,
 so the optimal assignments do not change; only the solver's work does.  Either
 way W2 is read from the unshifted pair costs at the assignment.  General
 weights go through a small LP (HiGHS).
+
+Three shortcuts keep the sparse path's work down without changing what it
+proves:
+
+* the auction checks that its candidate graph has a near-complete matching
+  (a max-flow) only when its first phase has not ended after
+  AUCTION_CHECK_ROUNDS rounds: a phase that ends exhibits such a matching,
+  so the bids and declines are those of a check before the first bid;
+* the nearest columns under c_ij + p_j come from one kd-tree query, made when
+  the auction widens its candidates and reused by the first proof, which only
+  needs prices that have not fallen since the query (a proof that declines
+  on it gets a fresh query on the next pass);
+* each augmenting-path search stops at a distance limit that grows until a
+  free column lies within it: Dijkstra settles the nodes within the limit
+  as an unlimited search does, so the completion is the same bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
@@ -48,6 +61,7 @@ AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
 AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the prices are dropped
+AUCTION_CHECK_ROUNDS = 2000    # first-phase rounds before the candidate graph's matching is checked; Loeper cases take 231-1235
 AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
 AUCTION_LIFT_EPS = 1e-4
 CERT_MARGIN = 1e-12            # rounding margin of the sparse assignment's certificate, relative to its scale
@@ -62,6 +76,25 @@ def wrap_positions(x: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(x) % TWO_PI
     return np.where(r == TWO_PI, 0.0, r)
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment, imported on the first call.
+
+    Only small clouds and the dense fallback solve a cost matrix, so a run
+    that does neither never loads scipy.optimize, which adds about 10 MB to
+    its peak memory.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call, as linear_sum_assignment is."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -308,19 +341,31 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     AUCTION_LIFT_EPS and every later one bid on lift(price), taken at that
     first phase's start.  Returns (price, cols) after the last phase: row
     i holds column cols[i], -1 for a free row.
-    None when a candidate cost is not finite; before any bid, when a
-    maximum matching of the candidate graph leaves more than
+
+    None when a candidate cost is not finite; when a maximum matching of
+    the candidate graph (row i to each column cand[i]) leaves more than
     AUCTION_FREE_ROWS rows out (_unmatched_rows), so that no phase could
-    end; or when AUCTION_MAX_ROUNDS rounds do not finish.
+    end; or when AUCTION_MAX_ROUNDS rounds do not finish.  The matching is
+    checked only when the first phase has not ended after
+    AUCTION_CHECK_ROUNDS rounds, or before the first bid when that phase
+    already bids on lift(price).  A phase that ends on cand exhibits an
+    assignment of cand's edges with at most AUCTION_FREE_ROWS rows free,
+    so the check could not fail afterwards, and every input that passes it
+    runs the same bids as under a check before the first bid.  One that
+    fails it stops after AUCTION_CHECK_ROUNDS rounds.
     """
     n = c.shape[0]
-    if not np.isfinite(c).all() or _unmatched_rows(cand) > AUCTION_FREE_ROWS:
+    if not np.isfinite(c).all():
         return None
+    unchecked = cand  # the candidate graph until its matching is checked or shown by a phase
     price = np.zeros(n)
     eps = max(float(c.max() - c.min()), AUCTION_EPS_FINAL) / AUCTION_EPS_RATIO
     rounds = 0
     while True:
         if lift is not None and eps < AUCTION_LIFT_EPS:
+            if unchecked is not None and _unmatched_rows(unchecked) > AUCTION_FREE_ROWS:
+                return None
+            unchecked = None
             c, cand = lift(price)
             lift = None
         owner = np.full(n, -1, dtype=np.intp)
@@ -328,8 +373,13 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
         while free.size > AUCTION_FREE_ROWS:
             if rounds == AUCTION_MAX_ROUNDS:
                 return None
+            if rounds == AUCTION_CHECK_ROUNDS and unchecked is not None:
+                if _unmatched_rows(unchecked) > AUCTION_FREE_ROWS:
+                    return None
+                unchecked = None
             rounds += 1
             free = _bid(c, cand, price, owner, free, eps)
+        unchecked = None
         if eps <= AUCTION_EPS_FINAL:
             cols = np.full(n, -1, dtype=np.intp)
             cols[owner[owner >= 0]] = np.flatnonzero(owner >= 0)
@@ -344,25 +394,31 @@ def _lifted_neighbours(mu: EmpiricalMeasure, nu: EmpiricalMeasure, price: np.nda
     mu point to (its _tree_points, 0), on a lift period of 2 sqrt(max p -
     min p) + 1 that no distance wraps.  So the tree's squared distance from
     mu point i to nu point j is c_ij + p_j - min p, up to the rounding that
-    _certified_columns bounds.  Returns (t, cols, span): cols[i] the k
-    columns, t[i] their tree squared distances plus min p (ascending), and
-    span the momentum span of _tree_points.  Coordinates must be finite.
+    _certified_columns bounds.  Returns (kth, cols, span): cols[i] the k
+    columns in ascending order, kth[i] the k-th one's tree squared distance
+    plus min p, and span the momentum span of _tree_points.  Only the k-th
+    distance is kept, and the columns as int32, since _sparse_assignment
+    holds one query through the auction's last phases.  Coordinates must
+    be finite.
     """
     mu_pts, nu_pts, box, span = _tree_points(mu, nu)
     low = price.min()
     lift = np.sqrt(price - low)
     tree = cKDTree(np.column_stack([nu_pts, lift]), boxsize=np.append(box, 2.0 * lift.max() + 1.0))
     dist, cols = tree.query(np.column_stack([mu_pts, np.zeros(mu.size)]), k=k)
-    return dist * dist + low, cols, span
+    return dist[:, -1] * dist[:, -1] + low, cols.astype(np.int32), span
 
 
-def _lifted_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray, cand: np.ndarray, price: np.ndarray):
-    """(c, cand) with each row's AUCTION_LIFT columns of smallest cost + price appended.
+def _lifted_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray, cand: np.ndarray, extra: np.ndarray):
+    """(c, cand) with the columns extra[i] appended to row i.
 
-    A column already among the row's cand gets cost inf in its appended
-    slot, so no row bids twice for one column.
+    extra are the first AUCTION_LIFT columns of _lifted_neighbours' query
+    at the prices of the auction's lift, each row's columns of smallest
+    cost + price (the query itself asks for AUCTION_K, which
+    _sparse_assignment's first pass reuses).  A column already among the
+    row's cand gets cost inf in its appended slot, so no row bids twice for
+    one column.
     """
-    _, extra, _ = _lifted_neighbours(mu, nu, price, AUCTION_LIFT)
     c_extra = _squared_costs(mu, nu, extra)
     c_extra[(extra[:, :, None] == cand[:, None, :]).any(axis=2)] = np.inf
     return np.hstack([c, c_extra]), np.hstack([cand, extra])
@@ -388,6 +444,18 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
     rise.  The clipping may leave the result short of optimal;
     _certified_columns measures by how much.  Returns (slot, price): row i
     holds column cand[i, slot[i]].
+
+    Each search stops at a distance limit L: it starts at the mean cost of
+    the rows' cheapest candidates (the scale of one step of a path) and
+    grows 8-fold until a free column lies within it.  A limit of at least
+    the node count times the largest weight cuts no path, so the search
+    runs without one from there on, and a row with no path still ends the
+    completion.  Dijkstra settles nodes in the order of their distances and
+    a limit only leaves out those beyond it, so every node within L gets
+    the distance and predecessor of an unlimited search; the nodes beyond
+    (inf here) lie beyond D and get no price rise either way.  So slot and
+    price are those of unlimited searches, bit for bit, and on 4096-point
+    clouds most searches settle a few hundred of the 4100 nodes.
     """
     from scipy.sparse.csgraph import dijkstra  # here, as in _unmatched_rows
 
@@ -402,6 +470,7 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
     free = np.flatnonzero(node < 0)
     node[free] = n + np.arange(free.size)
     price = price.copy()
+    scale = float(c.min(axis=1).mean())
     indptr = np.append(np.arange(0, n * k + 1, k), np.full(free.size, n * k)).astype(np.int32)
     for i0 in np.flatnonzero(cols < 0):
         weight = price[cand]
@@ -410,10 +479,16 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
         own[i0] = weight[i0].min()
         weight -= own[:, None]
         np.maximum(weight, 0.0, out=weight)
+        bound = float(weight.max()) * (n + free.size)
         graph = sparse.csr_matrix((weight.ravel(), node[cand].ravel(), indptr), shape=(n + free.size,) * 2)
-        dist, pred = dijkstra(graph, indices=i0, return_predecessors=True)
-        end = n + int(dist[n:].argmin())
-        reach = dist[end]
+        limit = scale if 0.0 < scale < bound else np.inf
+        while True:
+            dist, pred = dijkstra(graph, indices=i0, return_predecessors=True, limit=limit)
+            end = n + int(dist[n:].argmin())
+            reach = dist[end]
+            if np.isfinite(reach) or limit == np.inf:
+                break
+            limit = 8.0 * limit if 8.0 * limit < bound else np.inf
         if not np.isfinite(reach):
             return None
         price += np.maximum(reach - dist[node], 0.0)
@@ -427,21 +502,21 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
     return slot, price
 
 
-def _certified_columns(c: np.ndarray, cand: np.ndarray, t: np.ndarray, span: float, slot: np.ndarray, price: np.ndarray):
+def _certified_columns(c: np.ndarray, cand: np.ndarray, kth: np.ndarray, span: float, slot: np.ndarray, price: np.ndarray):
     """An optimal assignment's columns from the edges LP duality leaves, or None when the proof declines.
 
     cand[i] are row i's AUCTION_K columns of smallest c_ij + q_j under
-    earlier prices q <= price (from _lifted_neighbours, which also gave t
+    earlier prices q <= price (from _lifted_neighbours, which also gave kth
     and span), c their costs, and row i holds column cand[i, slot[i]] of a
     full assignment sigma.  Write r_ij = c_ij + p_j - u_i for the reduced
     costs of the dense problem at the given prices p.  Every column j
-    outside cand[i] has c_ij + p_j >= c_ij + q_j >= t[i, -1], the tree's
-    K-th value, so u_i = min(c_ij + p_j over cand[i], t[i, -1]) less a
+    outside cand[i] has c_ij + p_j >= c_ij + q_j >= kth[i], the tree's
+    K-th value, so u_i = min(c_ij + p_j over cand[i], kth[i]) less a
     margin m makes every r_ij >= 0, and (u, -p) is feasible for the
     assignment problem's dual.  With S = sum_i r_i,sigma(i) (the gap
     between sigma's cost and that dual's value), every optimal assignment
     tau has sum_i r_i,tau(i) <= S, so it uses only edges with r_ij <= S.  If
-    every row has t[i, -1] - u_i > S, all such edges are among cand: those
+    every row has kth[i] - u_i > S, all such edges are among cand: those
     with r_ij <= S go to scipy's min_weight_full_bipartite_matching
     (Jonker & Volgenant's sparse LAPJV) with weights r_ij, which are
     positive, and its assignment is optimal for the dense problem.
@@ -463,7 +538,7 @@ def _certified_columns(c: np.ndarray, cand: np.ndarray, t: np.ndarray, span: flo
     rows = np.arange(n)
     f = c + price[cand]
     margin = CERT_MARGIN * max(1.0, span) * (1.0 + float(f.max()))
-    kth = t[:, -1:]
+    kth = kth[:, None]
     u = np.minimum(f.min(axis=1, keepdims=True), kth) - margin
     reduced = f - u
     gap = float(reduced[rows, slot].sum()) * (1.0 + 1e-9) + n * margin
@@ -479,26 +554,39 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     """(cols, price) from the auction, its completion and the certificate; cols None on a decline.
 
     price is None when the auction declined, else the last prices, which
-    warm-start the dense solver after a later decline.  Each of up to
-    CERT_PASSES passes takes one lifted query at the current prices, whose
-    columns are the candidates of both the completion and the certificate;
-    a pass after a declined proof starts from the last assignment, and its
-    fresh query sees the columns that the completion's price rises made
-    cheapest.
+    warm-start the dense solver after a later decline.  The auction's lift
+    asks _lifted_neighbours once for each row's AUCTION_K columns of
+    smallest cost + price and bids on the first AUCTION_LIFT of them.  Each
+    of up to CERT_PASSES passes takes one such query, whose columns are the
+    candidates of both the completion and the certificate.  The first pass
+    reuses the lift's query: prices only rise after it, which is all
+    _certified_columns asks of its query (an auction with no lift, which
+    never bid below AUCTION_LIFT_EPS, leaves the first pass a fresh query).
+    A pass after a declined proof starts from the last assignment, and its
+    fresh query at the current prices sees the columns that the
+    completion's price rises made cheapest.
     """
     cands = _auction_candidates(mu, nu)
-    auction = None if cands is None else _auction_prices(*cands, lift=partial(_lifted_candidates, mu, nu, *cands))
+    if cands is None:
+        return None, None
+    queries = []
+
+    def lift(price):
+        queries.append(_lifted_neighbours(mu, nu, price, AUCTION_K))
+        return _lifted_candidates(mu, nu, *cands, queries[-1][1][:, :AUCTION_LIFT])
+
+    auction = _auction_prices(*cands, lift=lift)
     if auction is None:
         return None, None
     price, cols = auction
     for _ in range(CERT_PASSES):
-        t, cand, span = _lifted_neighbours(mu, nu, price, AUCTION_K)
+        kth, cand, span = queries.pop() if queries else _lifted_neighbours(mu, nu, price, AUCTION_K)
         c = _squared_costs(mu, nu, cand)
         done = _complete(c, cand, price, cols)
         if done is None:
             break
         slot, price = done
-        proof = _certified_columns(c, cand, t, span, slot, price)
+        proof = _certified_columns(c, cand, kth, span, slot, price)
         if proof is not None:
             return proof, price
         cols = cand[np.arange(mu.size), slot]
@@ -513,13 +601,13 @@ def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     nearest columns from the kd-tree (_auction_candidates), plus, once
     epsilon is below AUCTION_LIFT_EPS, its AUCTION_LIFT columns of smallest
     cost + price from the lifted tree (_lifted_candidates).  Then, in up to
-    CERT_PASSES passes (_sparse_assignment), one lifted query gives each
-    row its AUCTION_K columns of smallest cost + price; _complete assigns
-    the rows left free along shortest augmenting paths on those columns,
-    and _certified_columns proves by LP duality which edges an optimal
-    assignment can use and solves on them alone.  Its docstring gives the
-    margin and the rounding bound, n 2^-51 (max cost + max p) on the total
-    cost.
+    CERT_PASSES passes (_sparse_assignment), one lifted query (the lift's
+    own on the first pass) gives each row its AUCTION_K columns of
+    smallest cost + price; _complete assigns the rows left free along
+    shortest augmenting paths on those columns, and _certified_columns
+    proves by LP duality which edges an optimal assignment can use and
+    solves on them alone.  Its docstring gives the margin and the rounding
+    bound, n 2^-51 (max cost + max p) on the total cost.
 
     When the auction, the completion or the proof declines, cost_matrix_sq
     is built once, the last prices p (if any) are added to its columns

@@ -56,11 +56,12 @@ def test_every_import_is_used(path):
 
 
 def test_importing_the_package_leaves_unused_scipy_parts_unloaded():
-    # scipy.sparse.csgraph serves only the auction's matching check and is
-    # imported where it is called; each of these raises every run's peak memory
+    # scipy.sparse.csgraph serves only the sparse assignment and scipy.optimize
+    # only the dense one and the LP; both are imported where they are called,
+    # and each of these raises every run's peak memory
     code = (
         "import sys, vmvp.cli, vmvp.config, vmvp.harness, vmvp.lagrangian, vmvp.multifluid, vmvp.transport; "
-        "print([m for m in ('scipy.sparse.csgraph', 'scipy.integrate') if m in sys.modules])"
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

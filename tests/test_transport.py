@@ -319,19 +319,38 @@ class TestWarmStartedAssignment:
     def test_candidates_without_a_matching_fall_back(self, monkeypatch):
         # 60 mu points in a tiny ball, exactly AUCTION_K nu points near it: those
         # rows' candidates are the same AUCTION_K columns, so a maximum matching
-        # leaves at least 60 - AUCTION_K rows out, the auction declines before its
-        # first bid, and the solver runs on the unshifted matrix
-        def refuse(*args):
-            raise AssertionError("a bidding round ran")
+        # leaves at least 60 - AUCTION_K rows out and no phase can end; the
+        # auction checks the matching after AUCTION_CHECK_ROUNDS rounds of its
+        # first phase, declines, and the solver runs on the unshifted matrix
+        real, rounds = transport._bid, []
 
-        monkeypatch.setattr(transport, "_bid", refuse)
+        def count(*args):
+            rounds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(transport, "_bid", count)
         rng = np.random.default_rng(3)
         mu, nu = ball_cloud(rng, 200, 60), ball_cloud(rng, 200, AUCTION_K)
         assert 60 - AUCTION_K > transport.AUCTION_FREE_ROWS
         c, cand = _auction_candidates(mu, nu)
         assert np.array_equal(np.sort(cand[:60], axis=1), np.tile(np.arange(AUCTION_K), (60, 1)))
         assert _auction_prices(c, cand) is None
+        assert len(rounds) == transport.AUCTION_CHECK_ROUNDS
         assert w2_exact(mu, nu) == w2_from_cost_plain(cost_matrix_sq(mu, nu))
+
+    def test_a_first_phase_on_lifted_candidates_checks_the_matching_first(self, monkeypatch):
+        # costs spread by less than AUCTION_LIFT_EPS put the first phase on the
+        # lifted candidates, whose end would not show a matching of cand's own
+        # edges; here 60 rows share AUCTION_K columns, and the auction declines
+        # before its first bid
+        def refuse(*args):
+            raise AssertionError("a bidding round ran")
+
+        monkeypatch.setattr(transport, "_bid", refuse)
+        rest = np.arange(140)[:, None] + np.arange(AUCTION_K)
+        cand = np.concatenate([np.tile(np.arange(AUCTION_K), (60, 1)), AUCTION_K + rest % (200 - AUCTION_K)])
+        c = np.random.default_rng(6).uniform(0, 1e-5, cand.shape)
+        assert _auction_prices(c, cand, lift=lambda price: (c, cand)) is None
 
     def test_small_matrices_skip_the_auction(self, monkeypatch):
         def refuse(*args):
@@ -377,8 +396,77 @@ def spy(monkeypatch, name):
     return seen
 
 
+def crowd_cloud(rng, crowd, radius):
+    """300 uniform torus points plus crowd points within radius of (pi, pi), positions only."""
+    x = np.concatenate([rng.uniform(0, TWO_PI, (300, 2)), np.pi + rng.uniform(-radius, radius, (crowd, 2))])
+    return EmpiricalMeasure.uniform(x)
+
+
+CROWDS = [(50, 1e-6, seed) for seed in range(3)] + [(200, 2e-2, seed) for seed in range(3)]
+
+
+def completion_pairs(monkeypatch, mu, nu):
+    """(result, result with unlimited Dijkstra searches) of each _complete call of w2_assignment(mu, nu)."""
+    from scipy.sparse import csgraph
+
+    real_complete, real_dijkstra, calls = transport._complete, csgraph.dijkstra, []
+
+    def record(*args):
+        calls.append((args, real_complete(*args)))
+        return calls[-1][1]
+
+    def unlimited(*args, limit=None, **kwargs):
+        return real_dijkstra(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_complete", record)
+        w2_assignment(mu, nu)
+    with monkeypatch.context() as m:
+        m.setattr(csgraph, "dijkstra", unlimited)
+        return [(got, real_complete(*args)) for args, got in calls]
+
+
+def assert_same_completion(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestCertifiedAssignment:
     """w2_exact above 2 AUCTION_K points by the certified sparse solve, against the cold dense oracle."""
+
+    def test_auction_skips_the_matching_check_and_queries_the_lift_once(self, monkeypatch):
+        # the first phase ends well before AUCTION_CHECK_ROUNDS, and the first
+        # pass reuses the lift's query, which the certificate accepts
+        rng = np.random.default_rng(40)
+        mu, nu = (EmpiricalMeasure.uniform(rng.uniform(0, TWO_PI, (4096, 2))) for _ in range(2))
+        want = w2_from_cost_plain(cost_matrix_sq(mu, nu))
+        checks, queries = spy(monkeypatch, "_unmatched_rows"), spy(monkeypatch, "_lifted_neighbours")
+        refuse_dense(monkeypatch)
+        assert w2_exact(mu, nu) == pytest.approx(want, rel=1e-13)
+        assert checks == [] and len(queries) == 1
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("momenta", [True, False])
+    def test_bounded_searches_complete_as_unbounded_ones(self, n, momenta, monkeypatch):
+        rng = np.random.default_rng(5 * n + momenta)
+        mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        if not momenta:
+            mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
+        pairs = completion_pairs(monkeypatch, mu, nu)
+        assert pairs
+        for got, want in pairs:
+            assert_same_completion(got, want)
+
+    @pytest.mark.parametrize("crowd, radius, seed", CROWDS)
+    def test_crowds_complete_as_unbounded_searches_and_match_the_oracle(self, crowd, radius, seed, monkeypatch):
+        # a crowd in both clouds can hold every candidate of its free rows, so
+        # a completion may find no path, and the unbounded search must agree
+        rng = np.random.default_rng(seed)
+        mu, nu = crowd_cloud(rng, crowd, radius), crowd_cloud(rng, crowd, radius)
+        for got, want in completion_pairs(monkeypatch, mu, nu):
+            assert_same_completion(got, want)
+        assert w2_exact(mu, nu) == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
 
     @pytest.mark.parametrize("n", [200, 1024, 4096])
     @pytest.mark.parametrize("momenta", [True, False])
