@@ -56,8 +56,9 @@ logger = logging.getLogger(__name__)
 GATE_BOUND = 1.0 / np.sqrt(2.0)
 DEFAULT_GATE_DELTA = 1.1
 POSITIVITY_TOL = -1e-8
-# time slices per ck_iterate kernel call: all 257 slices of ck2d at once nearly double peak memory
-CK_SLICE_BLOCK = 32
+# time slices per ck_iterate block; a block's grids take about 5 MB on ck2d.  At 32 slices (10.6 MB)
+# glibc gave the freed heap top back to the system after every block: 84k minor faults per call, not 10k
+CK_SLICE_BLOCK = 16
 # ck_iterate measures iterate differences on every 4th time slice (and the last)
 NORM_TIME_STRIDE = 4
 
@@ -172,13 +173,28 @@ def _phase_rhs_arrays(
     dim: int,
     cutoff: int,
 ):
-    """RHS coefficients of the phases plus their current densities.
+    """RHS coefficients of the phases plus their current densities: (drho, dxi, flux) of `_phase_rhs_grid`."""
+    return _phase_rhs_grid(rho_c, xi_c, e_c, b_grid, eps, dim, cutoff)[:3]
+
+
+def _phase_rhs_grid(
+    rho_c: np.ndarray,
+    xi_c: np.ndarray,
+    e_c: np.ndarray,
+    b_grid: np.ndarray | None,
+    eps: float,
+    dim: int,
+    cutoff: int,
+):
+    """RHS coefficients of the phases, their current densities and the velocity grid.
 
     rho_c (..., 1, J..) and xi_c (..., d, J..) may carry leading (time slice,
     phase) axes; e_c and b_grid broadcast against them.  Returns (drho, dxi,
-    flux) where flux (..., d, J..) holds the coefficients of v(xi) * rho,
+    flux, v_g) where flux (..., d, J..) holds the coefficients of v(xi) * rho,
     each phase's unweighted contribution to the current (the analysis is
-    linear, so their mu-weighted sum is the total current).  rho, xi and the
+    linear, so their mu-weighted sum is the total current), and v_g
+    (d, ..., n..) holds v(xi) on the padded grid, component axis first, for
+    a caller that adds a force of its own.  rho, xi and the
     Jacobian d_a xi_b go through one synthesis; flux, advection and Lorentz
     force through one analysis.  Internally the component axis comes first,
     so every pointwise product runs on contiguous slabs.  Each field is
@@ -217,7 +233,7 @@ def _phase_rhs_arrays(
     dxi = np.moveaxis(force, 0, ax) + e_c
     if not np.isfinite(dxi).all() or not np.isfinite(drho).all():
         raise NumericalAbort("non-finite values in phase right-hand side")
-    return drho, dxi, flux
+    return drho, dxi, flux, v_g
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +462,10 @@ def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
     same float operations as two scipy calls, one per part, would.  Interval
     i takes dx/3 (5 f_i/4 + 2 f_{i+1} - f_{i+2}/4) for even i and the
     mirrored dx/3 (5 f_{i+1}/4 + 2 f_i - f_{i-1}/4) for odd i and for the
-    last interval; a running sum from 0 follows (scipy adds its initial 0
-    after the sum; both give the same floats, signed zeros included).
+    last interval; a running sum from 0 follows, one row add per sample:
+    the floats of a cumsum along the axis, without its column-by-column
+    walk (scipy adds its initial 0 after the sum; both give the same
+    floats, signed zeros included).
     Below 3 samples the trapezoid rule dx (f_i + f_{i+1}) / 2 replaces it,
     as in scipy.
     """
@@ -478,7 +496,8 @@ def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
         simpson(o[1 : n - 1 : 2], f[0 : n - 2 : 2], f[1 : n - 1 : 2], f[2:n:2])  # even intervals
         simpson(o[2:n:2], f[2:n:2], f[1 : n - 1 : 2], f[0 : n - 2 : 2])          # odd intervals
         simpson(o[n - 1 :], f[n - 1 :], f[n - 2 : n - 1], f[n - 3 : n - 2])        # the last one
-    np.cumsum(o, axis=0, out=o)
+    for i in range(1, n):
+        o[i] += o[i - 1]
     return out
 
 
@@ -521,7 +540,10 @@ def ck_iterate(
     rebuilt from iterate n through the Poisson solve and the oscillatory
     Duhamel formula.  Records sup_theta shrinking-norm differences of
     consecutive iterates; growth over 3 consecutive iterations flags
-    divergence instead of silently accepting it.
+    divergence instead of silently accepting it.  An iteration is one pass
+    over blocks of CK_SLICE_BLOCK time slices in time order, the wave state
+    carried from block to block, so only the iterates, their time
+    derivatives and A span the whole time grid.
     """
     if p.delta <= 1.0:
         raise ValidationError("the working radius p.delta must exceed 1")
@@ -549,7 +571,8 @@ def ck_iterate(
     w0_hat = em0.eps_adot.coeffs if em0 is not None else np.zeros((dim,) + mode_shape, dtype=complex)
     mean_b0 = em0.mean_b0 if em0 is not None else np.zeros(1 if dim == 2 else dim)
     ax = -(dim + 1)  # the component axis
-    blocks = [slice(lo, lo + CK_SLICE_BLOCK) for lo in range(0, n_time + 1, CK_SLICE_BLOCK)]
+    # A along the time grid: of the wave state, only A is kept for every slice
+    a_traj = np.empty((n_time + 1, dim) + mode_shape, dtype=complex) if eps > 0 else None
 
     diffs_rho, diffs_xi, ratios = [], [], []
     diverged = False
@@ -559,33 +582,54 @@ def ck_iterate(
         norm_idx.append(n_time)
 
     for it in range(1, n_max + 1):
-        # frozen-coefficient sources along the previous iterate, a block of time slices at a time
-        rho_tot = np.tensordot(mus, rho, axes=(0, 1))
-        e_hat = -(1j * sp.mode_vectors(dim, cutoff)) * sp.poisson_coeffs(rho_tot, dim)
+        # frozen-coefficient sources along the previous iterate, one block of
+        # time slices at a time in time order, the wave state carried across
         drho = np.empty_like(rho)
         dxi = np.empty_like(xi)
-        j_hat = np.empty((n_time + 1, dim) + mode_shape, dtype=complex) if eps > 0 else None
-        for blk in blocks:
-            drho[blk], dxi[blk], flux = _phase_rhs_arrays(
-                rho[blk], xi[blk], np.expand_dims(e_hat[blk], 1), None, eps, dim, cutoff
+        if eps > 0:
+            a_traj[0] = a0_hat
+            w_last = w0_hat
+        for lo in range(0, n_time + 1, CK_SLICE_BLOCK):
+            blk = slice(lo, lo + CK_SLICE_BLOCK)
+            rho_tot = np.tensordot(mus, rho[blk], axes=(0, 1))
+            e_hat = -(1j * sp.mode_vectors(dim, cutoff)) * sp.poisson_coeffs(rho_tot, dim)
+            drho[blk], dxi[blk], flux, v_g = _phase_rhs_grid(
+                rho[blk], xi[blk], np.expand_dims(e_hat, 1), None, eps, dim, cutoff
             )
             if eps > 0:
-                j_hat[blk] = np.tensordot(mus, flux, axes=(0, 1))
-
-        if eps > 0:
-            a_traj, _ = _duhamel_series(sp.leray_coeffs(j_hat, dim), a0_hat, w0_hat, times, eps, dim, cutoff)
-            b_hat = sp.curl_coeffs(a_traj, dim)
-            b_hat[(..., slice(None)) + (cutoff,) * dim] += mean_b0
-            for blk in blocks:
-                v_g = _velocity_grid(sp.to_grid(np.moveaxis(xi[blk], ax, 0), dim), eps)
-                b_g = np.moveaxis(sp.to_grid(b_hat[blk], dim), ax, 0)[:, :, None]
+                # A over the block: the Duhamel recurrence from the last sample
+                # before it (A(0) for the first block).  The recurrence does not
+                # depend on where it starts, so it runs on times[:m], whose
+                # spacing is dt bit for bit.
+                s_hat = sp.leray_coeffs(np.tensordot(mus, flux, axes=(0, 1)), dim)
+                if lo:
+                    s_hat = np.concatenate([s_last[None], s_hat])
+                s_last = s_hat[-1]
+                win = slice(max(lo - 1, 0), blk.stop)
+                if len(s_hat) > 1:  # only a first block of one slice has no interval
+                    a_traj[win], w_seg = _duhamel_series(
+                        s_hat, a_traj[win.start], w_last, times[: len(s_hat)], eps, dim, cutoff
+                    )
+                    w_last = w_seg[-1]
+                # the Lorentz force of B = curl A + <B0> on the block's velocity grid
+                b_hat = sp.curl_coeffs(a_traj[blk], dim)
+                b_hat[(..., slice(None)) + (cutoff,) * dim] += mean_b0
+                b_g = np.moveaxis(sp.to_grid(b_hat, dim), ax, 0)[:, :, None]
                 dxi[blk] += eps * np.moveaxis(sp.from_grid(sp.cross(v_g, b_g, dim), dim, cutoff), 0, ax)
+            del flux, v_g  # so the next block's kernel call runs without this block's grids
 
-        rho_new = rho0[None] + _cumint(drho, dt)
-        xi_new = xi0[None] + _cumint(dxi, dt)
+        # each derivative is dropped once integrated, so the peak holds one at a time
+        rho_new = _cumint(drho, dt)
+        rho_new += rho0
+        del drho
+        xi_new = _cumint(dxi, dt)
+        xi_new += xi0
+        del dxi
         if eps > 0:
             # the -eps dA/dt contribution integrates exactly to -eps (A(t) - A(0))
-            xi_new -= eps * (a_traj - a0_hat[None])[:, None]
+            a_traj -= a0_hat
+            a_traj *= eps
+            xi_new -= a_traj[:, None]
 
         d_rho = _traj_diff_norm(rho_new[norm_idx] - rho[norm_idx], times[norm_idx], p)
         d_xi = _traj_diff_norm(xi_new[norm_idx] - xi[norm_idx], times[norm_idx], p)

@@ -60,7 +60,7 @@ AUCTION_K = 48                 # candidate columns per row; clouds up to 2 K poi
 AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
-AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the prices are dropped
+AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases; the dense solver then starts from their prices
 AUCTION_CHECK_ROUNDS = 2000    # first-phase rounds before the candidate graph's matching is checked; Loeper cases take 231-1235
 AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
 AUCTION_LIFT_EPS = 1e-4
@@ -340,12 +340,15 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     _lifted_candidates does); the first phase with epsilon below
     AUCTION_LIFT_EPS and every later one bid on lift(price), taken at that
     first phase's start.  Returns (price, cols) after the last phase: row
-    i holds column cols[i], -1 for a free row.
+    i holds column cols[i], -1 for a free row.  When AUCTION_MAX_ROUNDS
+    rounds do not finish, cols is None and price holds the prices so far,
+    which still warm-start the dense solver.
 
-    None when a candidate cost is not finite; when a maximum matching of
+    None when a candidate cost is not finite, or when a maximum matching of
     the candidate graph (row i to each column cand[i]) leaves more than
     AUCTION_FREE_ROWS rows out (_unmatched_rows), so that no phase could
-    end; or when AUCTION_MAX_ROUNDS rounds do not finish.  The matching is
+    end (on a measured 4096-point case, prices bid on such a graph made
+    the dense solve slower than a cold one).  The matching is
     checked only when the first phase has not ended after
     AUCTION_CHECK_ROUNDS rounds, or before the first bid when that phase
     already bids on lift(price).  A phase that ends on cand exhibits an
@@ -372,7 +375,7 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
         free = np.arange(n)
         while free.size > AUCTION_FREE_ROWS:
             if rounds == AUCTION_MAX_ROUNDS:
-                return None
+                return price, None
             if rounds == AUCTION_CHECK_ROUNDS and unchecked is not None:
                 if _unmatched_rows(unchecked) > AUCTION_FREE_ROWS:
                     return None
@@ -554,7 +557,8 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     """(cols, price) from the auction, its completion and the certificate; cols None on a decline.
 
     price is None when the auction declined, else the last prices, which
-    warm-start the dense solver after a later decline.  The auction's lift
+    warm-start the dense solver after a later decline or after an auction
+    stopped at AUCTION_MAX_ROUNDS.  The auction's lift
     asks _lifted_neighbours once for each row's AUCTION_K columns of
     smallest cost + price and bids on the first AUCTION_LIFT of them.  Each
     of up to CERT_PASSES passes takes one such query, whose columns are the
@@ -579,6 +583,8 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     if auction is None:
         return None, None
     price, cols = auction
+    if cols is None:
+        return None, price
     for _ in range(CERT_PASSES):
         kth, cand, span = queries.pop() if queries else _lifted_neighbours(mu, nu, price, AUCTION_K)
         c = _squared_costs(mu, nu, cand)

@@ -487,6 +487,33 @@ class TestDuhamelSeries:
             assert np.abs(a[j] - st.a.coeffs).max() <= 1e-13 * scale
             assert np.abs(w[j] - st.eps_adot.coeffs).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    def test_blocks_with_carried_state_match_one_call(self, block):
+        # ck_iterate's windows: each block's samples plus the one before it,
+        # from the state carried out of the previous window, on times[:m]
+        from vmvp.multifluid import _duhamel_series
+
+        K, eps = 3, 0.1
+        rng = np.random.default_rng(block)
+        shape = (2,) + (2 * K + 1,) * 2
+        times = np.linspace(0.0, 0.0625, 65)
+        s_hat = rng.standard_normal((times.size,) + shape) + 1j * rng.standard_normal((times.size,) + shape)
+        a0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a_ref, w_ref = _duhamel_series(s_hat, a0, w0, times, eps, 2, K)
+        a, w = np.empty_like(s_hat), np.empty_like(s_hat)
+        a[0], w[0] = a0, w0
+        calls = 0
+        for lo in range(0, times.size, block):
+            win = slice(max(lo - 1, 0), lo + block)
+            m = len(s_hat[win])
+            if m > 1:
+                a[win], w[win] = _duhamel_series(s_hat[win], a[win.start], w[win.start], times[:m], eps, 2, K)
+                calls += 1
+        assert calls == -(-times.size // block) - (block == 1)  # one per block but a first block of one sample
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(w, w_ref)
+
 
 class TestCumint:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
@@ -580,6 +607,60 @@ class TestCkRecorded:
         assert np.array_equal(ref.rho_traj, blocked.rho_traj)
         assert np.array_equal(ref.xi_traj, blocked.xi_traj)
         assert ref.diffs_xi == blocked.diffs_xi
+
+    @pytest.mark.parametrize("block", [1, 21])
+    def test_single_slice_and_whole_grid_blocks_do_not_change_the_result(self, block, monkeypatch):
+        # block 1: the first block holds t = 0 alone, with no Duhamel interval;
+        # block 21: the 21 time samples of n_time = 20 in one block
+        from vmvp import multifluid
+
+        ens = two_phase_2d(K=4, eps=0.25)
+        em = well_prepared_em(ens, 0.25)
+        p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
+        ref = ck_iterate(ens, em, p, n_max=3, n_time=20)
+        monkeypatch.setattr(multifluid, "CK_SLICE_BLOCK", block)
+        blocked = ck_iterate(ens, em, p, n_max=3, n_time=20)
+        assert np.array_equal(ref.rho_traj, blocked.rho_traj)
+        assert np.array_equal(ref.xi_traj, blocked.xi_traj)
+        assert ref.diffs_rho == blocked.diffs_rho and ref.diffs_xi == blocked.diffs_xi
+
+    def test_bundled_ck2d_peak_memory_is_the_trajectories_plus_one_block(self):
+        """Two iterations on bundled ck2d stay below 20 U + 24 G of traced memory.
+
+        U = (n_time + 1) (2K + 1)^2 16 bytes is one complex field along the
+        time grid (1.19 MB at n_time 256, K 8) and G = CK_SLICE_BLOCK M n^2 8
+        bytes is one real grid field of one block of M phases on the padded
+        n-point grid (0.30 MB at 16 slices, 2 phases, n 34).  Through the
+        block loop an iteration holds 14 U of trajectories: rho and xi of the
+        last iterate and their right-hand sides, 2 M (1 + d) = 12 U, and A,
+        d = 2 U.  One block's kernel call adds its grids: the 1 + d + d^2 = 7
+        synthesized fields per phase, the d velocity and 2d source fields,
+        and the transforms' intermediates, under 24 G.  The time integration
+        of dxi holds rho, xi, dxi, the new rho and xi, the integrator's
+        half-length scratch and A: 20 U.  A Duhamel pass over the whole time
+        grid at once would add its five d U arrays (11.9 MB) to the loop.
+        """
+        import tracemalloc
+
+        from vmvp import multifluid
+        from vmvp.config import build_em_state, build_ensemble, load_config, resolve_config_path
+        from vmvp.spectral import padded_grid_size
+
+        cfg = load_config(resolve_config_path("bundled/ck2d"))
+        eps = cfg.eps_list[0]
+        ens, em = build_ensemble(cfg, eps), build_em_state(cfg, eps)
+        p = AnalyticNormParams(delta0=cfg.delta0, delta=cfg.delta1, eta=cfg.eta, beta=cfg.loss_beta)
+        unit = (cfg.ck_n_time + 1) * (2 * ens.cutoff + 1) ** ens.dim * 16
+        grid = multifluid.CK_SLICE_BLOCK * len(ens.phases) * padded_grid_size(ens.cutoff) ** ens.dim * 8
+        ck_iterate(ens, em, p, n_max=1, n_time=cfg.ck_n_time)  # the transform matrices are cached outside the trace
+        tracemalloc.start()
+        try:
+            rep = ck_iterate(ens, em, p, n_max=2, n_time=cfg.ck_n_time)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_iters == 2
+        assert peak < 20 * unit + 24 * grid
 
 
 class TestSerialization:

@@ -352,6 +352,29 @@ class TestWarmStartedAssignment:
         c = np.random.default_rng(6).uniform(0, 1e-5, cand.shape)
         assert _auction_prices(c, cand, lift=lambda price: (c, cand)) is None
 
+    def test_an_auction_out_of_rounds_warm_starts_the_solver(self, monkeypatch):
+        # an auction stopped at AUCTION_MAX_ROUNDS hands its prices to the
+        # dense solver, which sees the price-shifted matrix and still returns
+        # an optimal assignment
+        monkeypatch.setattr(transport, "AUCTION_MAX_ROUNDS", 5)
+        rng = np.random.default_rng(21)
+        mu, nu = random_cloud(rng, 1024), random_cloud(rng, 1024)
+        cost = cost_matrix_sq(mu, nu)
+        want = w2_from_cost_plain(cost)
+        real, solved = transport.linear_sum_assignment, []
+
+        def record(matrix):
+            solved.append(matrix.copy())
+            return real(matrix)
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", record)
+        auctions = spy(monkeypatch, "_auction_prices")
+        assert w2_exact(mu, nu) == want
+        assert len(auctions) == 1 and auctions[0] is not None
+        price, cols = auctions[0]
+        assert cols is None and price.any()
+        assert len(solved) == 1 and np.array_equal(solved[0], cost + price[None, :])
+
     def test_small_matrices_skip_the_auction(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the auction ran below its threshold")
