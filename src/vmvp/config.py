@@ -10,6 +10,7 @@ pair.  One [phase.N] section per phase follows the schema's sections.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import io
 import math
@@ -107,6 +108,17 @@ class RunConfig:
         n = round(steps) if math.isfinite(steps) else 0
         if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValidationError(f"dt = {self.dt} must be positive and divide T = {self.t_final}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        tables = {"e0_modes": self.e0_modes, "b0_modes": self.b0_modes}
+        for i, ph in enumerate(self.phases, start=1):
+            if not math.isfinite(ph.mu):
+                raise ValidationError(f"phase.{i} mu must be finite, got {ph.mu}")
+            tables[f"phase.{i} rho_modes"], tables[f"phase.{i} xi_modes"] = ph.rho_modes, ph.xi_modes
+        for name, table in tables.items():
+            if not all(cmath.isfinite(entry[-1]) for entry in table):
+                raise ValidationError(f"{name} amplitudes must be finite")
 
     @property
     def n_steps(self) -> int:

@@ -70,7 +70,7 @@ class Phase:
     xi: SpectralField
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValidationError("phase weights must be positive")
         if not self.rho.is_scalar:
             raise ValidationError("phase density must be scalar")
@@ -88,7 +88,7 @@ class PhaseEnsemble:
     def __post_init__(self):
         if not self.phases:
             raise ValidationError("ensemble needs at least one phase")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValidationError("eps must be nonnegative")
         object.__setattr__(self, "phases", tuple(self.phases))
         d, k = self.phases[0].rho.dim, self.phases[0].rho.cutoff
@@ -96,10 +96,10 @@ class PhaseEnsemble:
             if ph.rho.dim != d or ph.rho.cutoff != k or ph.xi.cutoff != k:
                 raise ValidationError("phases must share one mode box")
         wsum = sum(ph.mu for ph in self.phases)
-        if abs(wsum - 1.0) > 1e-9:
+        if not abs(wsum - 1.0) <= 1e-9:
             raise ValidationError(f"phase weights must sum to 1 (got {wsum})")
         msum = sum(ph.mu * mean(ph.rho)[0] for ph in self.phases)
-        if abs(msum - 1.0) > 1e-9:
+        if not abs(msum - 1.0) <= 1e-9:
             raise ValidationError(f"total mass must be 1 for neutrality (got {msum})")
 
     @property
@@ -124,7 +124,7 @@ def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None, s
     Given a context, a value above 1/sqrt(2) raises NumericalAbort dumping `state`.
     """
     g = eps * analytic_norm(SpectralField(x.ndim - 2, (x.shape[-1] - 1) // 2, x.reshape((-1,) + x.shape[2:])), delta)
-    if context is not None and g > GATE_BOUND:
+    if context is not None and not g <= GATE_BOUND:
         raise NumericalAbort(f"validity gate violated{context}: eps*sup|xi|_delta = {g:.6g} > 1/sqrt(2)", state_dump=state)
     return g
 
@@ -140,7 +140,7 @@ def check_validity(ens: PhaseEnsemble, gate_delta: float = DEFAULT_GATE_DELTA, c
     _gate(ens.eps, x, gate_delta, context, ens)
     mins = sp.to_grid(r, ens.dim).reshape(len(ens.phases), -1).min(axis=1)
     for i, m in enumerate(mins):
-        if m < POSITIVITY_TOL:
+        if not m >= POSITIVITY_TOL:
             raise NumericalAbort(
                 f"phase {i} density negative on the grid{context}: min = {m:.3e}",
                 state_dump=ens,

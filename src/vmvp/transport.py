@@ -23,13 +23,9 @@ so the optimal assignments do not change; only the solver's work does.  Either
 way W2 is read from the unshifted pair costs at the assignment.  General
 weights go through a small LP (HiGHS).
 
-Three shortcuts keep the sparse path's work down without changing what it
+Two shortcuts keep the sparse path's work down without changing what it
 proves:
 
-* the auction checks that its candidate graph has a near-complete matching
-  (a max-flow) only when its first phase has not ended after
-  AUCTION_CHECK_ROUNDS rounds: a phase that ends exhibits such a matching,
-  so the bids and declines are those of a check before the first bid;
 * the nearest columns under c_ij + p_j come from one kd-tree query, made when
   the auction widens its candidates and reused by the first proof, which only
   needs prices that have not fallen since the query (a proof that declines
@@ -61,7 +57,7 @@ AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
 AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases; the dense solver then starts from their prices
-AUCTION_CHECK_ROUNDS = 2000    # first-phase rounds before the candidate graph's matching is checked; Loeper cases take 231-1235
+AUCTION_CHECK_ROUNDS = 2000    # a first phase still bidding after this many rounds declines; Loeper cases take 231-1235
 AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
 AUCTION_LIFT_EPS = 1e-4
 CERT_MARGIN = 1e-12            # rounding margin of the sparse assignment's certificate, relative to its scale
@@ -99,7 +95,10 @@ def linprog(*args, **kwargs):
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted samples on torus x R^d; xi=None means a position-only measure."""
+    """Weighted samples on torus x R^d; xi=None means a position-only measure.
+
+    Coordinates must be finite.
+    """
 
     x: np.ndarray
     xi: np.ndarray | None
@@ -114,12 +113,16 @@ class EmpiricalMeasure:
             raise ValidationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError(f"weights must sum to 1 (got {w.sum()})")
+        if not np.isfinite(x).all():
+            raise ValidationError("positions must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "weights", w)
         if self.xi is not None:
             xi = np.atleast_2d(np.asarray(self.xi, dtype=float))
             if xi.shape[0] != x.shape[0]:
                 raise ValidationError("xi must have one row per sample")
+            if not np.isfinite(xi).all():
+                raise ValidationError("momenta must be finite")
             object.__setattr__(self, "xi", xi)
 
     @classmethod
@@ -204,12 +207,14 @@ def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
 
 
 def _tree_points(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Both clouds as points of one periodic kd-tree box, or None if a coordinate is not finite.
+    """Both clouds as points of one periodic kd-tree box, or None if a shifted coordinate is not finite.
 
     Positions are wrapped into [0, 2pi) on a period of 2pi, and momenta
     shifted into [0, s] on a period of 2s + 1, on which no momentum
     distance wraps.  So the tree's distance is the product metric.  Returns
     (mu points, nu points, box, max s), with max s = 0 without momenta.
+    A measure's coordinates are finite, but momenta near the float range
+    can overflow when shifted.
     """
     mu_pts, nu_pts = [wrap_positions(mu.x)], [wrap_positions(nu.x)]
     box = [np.full(mu.x.shape[1], TWO_PI)]
@@ -250,7 +255,7 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
     least (1 + 1e-9) times the partner distance plus 1e-12 max(1, s).  Both
     slacks exceed those errors more than a hundredfold, so an accepted
     partner is strictly nearest under cost_matrix_sq's own floats.
-    Non-finite coordinates decline.
+    Momenta that overflow when shifted decline.
     """
     _check_same_space(mu, nu)
     if mu.size != nu.size:
@@ -268,7 +273,7 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
 
 
 def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Each mu point's AUCTION_K nearest nu points and their costs, or None if a coordinate is not finite.
+    """Each mu point's AUCTION_K nearest nu points and their costs, or None if _tree_points declines.
 
     Returns (c, cand), both of shape (len(mu), AUCTION_K): cand[i] are the
     columns of row i's AUCTION_K smallest cost_matrix_sq(mu, nu) entries,
@@ -311,23 +316,6 @@ def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
     return np.concatenate([free[lost], evicted[evicted >= 0]])
 
 
-def _unmatched_rows(cand: np.ndarray) -> int:
-    """Rows that a maximum matching of the candidate graph (row i to each column cand[i]) leaves out.
-
-    The matching is a unit-capacity maximum flow, source -> rows -> columns
-    -> sink, found by Dinic's algorithm: about 0.05 s at 4096 x 48, where
-    scipy's maximum_bipartite_matching takes 0.4-48 s on the same graphs.
-    """
-    from scipy.sparse.csgraph import maximum_flow  # here, so a run that never warm-starts does not load it
-
-    n, k = cand.shape
-    # nodes: source 0, rows 1..n, columns n+1..2n, sink 2n+1
-    indices = np.concatenate([np.arange(1, n + 1), n + 1 + cand.ravel(), np.full(n, 2 * n + 1)], dtype=np.int32)
-    indptr = np.concatenate([[0], n + k * np.arange(n + 1), n + n * k + np.arange(1, n + 1), [n * k + 2 * n]], dtype=np.int32)
-    graph = sparse.csr_matrix((np.ones(indices.size, dtype=np.int32), indices, indptr), shape=(2 * n + 2,) * 2)
-    return n - maximum_flow(graph, 0, 2 * n + 1, method="dinic").flow_value
-
-
 def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     """Near-optimal column prices and a near-complete assignment, restricted to candidate columns.
 
@@ -344,31 +332,24 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     rounds do not finish, cols is None and price holds the prices so far,
     which still warm-start the dense solver.
 
-    None when a candidate cost is not finite, or when a maximum matching of
-    the candidate graph (row i to each column cand[i]) leaves more than
-    AUCTION_FREE_ROWS rows out (_unmatched_rows), so that no phase could
-    end (on a measured 4096-point case, prices bid on such a graph made
-    the dense solve slower than a cold one).  The matching is
-    checked only when the first phase has not ended after
-    AUCTION_CHECK_ROUNDS rounds, or before the first bid when that phase
-    already bids on lift(price).  A phase that ends on cand exhibits an
-    assignment of cand's edges with at most AUCTION_FREE_ROWS rows free,
-    so the check could not fail afterwards, and every input that passes it
-    runs the same bids as under a check before the first bid.  One that
-    fails it stops after AUCTION_CHECK_ROUNDS rounds.
+    None when a candidate cost is not finite, or when the first phase has
+    not ended after AUCTION_CHECK_ROUNDS rounds, whichever candidates it
+    bids on.  A first phase stalls like that when no assignment of its
+    edges leaves at most AUCTION_FREE_ROWS rows free, as when 60 rows
+    share 48 candidate columns.  Of 762 measured Loeper cases one first
+    phase got that far, on such a graph, and every other one ended within
+    1235 rounds.  The dense solve then starts cold: on that case, prices
+    bid on the graph made it slower than a cold one.
     """
     n = c.shape[0]
     if not np.isfinite(c).all():
         return None
-    unchecked = cand  # the candidate graph until its matching is checked or shown by a phase
+    first = True  # no phase has ended yet
     price = np.zeros(n)
     eps = max(float(c.max() - c.min()), AUCTION_EPS_FINAL) / AUCTION_EPS_RATIO
     rounds = 0
     while True:
         if lift is not None and eps < AUCTION_LIFT_EPS:
-            if unchecked is not None and _unmatched_rows(unchecked) > AUCTION_FREE_ROWS:
-                return None
-            unchecked = None
             c, cand = lift(price)
             lift = None
         owner = np.full(n, -1, dtype=np.intp)
@@ -376,13 +357,11 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
         while free.size > AUCTION_FREE_ROWS:
             if rounds == AUCTION_MAX_ROUNDS:
                 return price, None
-            if rounds == AUCTION_CHECK_ROUNDS and unchecked is not None:
-                if _unmatched_rows(unchecked) > AUCTION_FREE_ROWS:
-                    return None
-                unchecked = None
+            if first and rounds == AUCTION_CHECK_ROUNDS:
+                return None
             rounds += 1
             free = _bid(c, cand, price, owner, free, eps)
-        unchecked = None
+        first = False
         if eps <= AUCTION_EPS_FINAL:
             cols = np.full(n, -1, dtype=np.intp)
             cols[owner[owner >= 0]] = np.flatnonzero(owner >= 0)
@@ -460,7 +439,7 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
     price are those of unlimited searches, bit for bit, and on 4096-point
     clouds most searches settle a few hundred of the 4100 nodes.
     """
-    from scipy.sparse.csgraph import dijkstra  # here, as in _unmatched_rows
+    from scipy.sparse.csgraph import dijkstra  # here, so a run that never completes an auction does not load csgraph
 
     n, k = cand.shape
     rows = np.arange(n)

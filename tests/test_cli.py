@@ -106,6 +106,28 @@ class TestExitCodes:
             save_cloud(ParticleCloud(x, xi, np.full(10, 0.1), np.zeros(10, dtype=int), x, xi, x, xi, seed=1), paths[-1])
         assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["x_vm", "xi_vm"])
+    @pytest.mark.parametrize("n_other", [10, 12])  # equal sizes go to the assignment, unequal ones to the LP
+    def test_wasserstein_non_finite_coordinate(self, tmp_path, bad, block, n_other):
+        rng = np.random.default_rng(2)
+        paths = []
+        for n in (10, n_other):
+            x, xi = rng.uniform(0, 6, (n, 2)), rng.standard_normal((n, 2))
+            cloud = ParticleCloud(x, xi, np.full(n, 1 / n), np.zeros(n, dtype=int), x, xi, x.copy(), xi.copy(), seed=1)
+            paths.append(tmp_path / f"{len(paths)}.cloud")
+            save_cloud(cloud, paths[-1])
+        assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 0
+        getattr(cloud, block)[3, 1] = bad
+        save_cloud(cloud, paths[1])
+        assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "ck"])
+    @pytest.mark.parametrize("key,value", [("alpha", "nan"), ("xi_modes", "\n\t0 0 0 nan 0.0")])
+    def test_non_finite_config_value(self, tmp_path, key, value, command):
+        p = small2d_with(tmp_path, key, value)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
 
 class TestSimulate:
     def test_pair_run_writes_outputs(self, tiny_cfg_path, tmp_path):

@@ -28,6 +28,7 @@ INT_FLOORS = {
     "seed": 0, "cutoff": 0, "bootstrap_reps": 0, "ck_n_iters": 0,
 }
 BUNDLED = ("small2d", "sweep2d", "ck2d")
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def sample_config(**kw):
@@ -67,6 +68,18 @@ class TestValidation:
         sample_config(**{key: floor})
         with pytest.raises(ValidationError, match=key):
             sample_config(**{key: floor - 1})
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key,value", [
+        *((k, "{}") for _, name, k in schema_keys() if FIELD_TYPES.get(name) == "float"),
+        ("eps", "0.2, {}"), ("mu", "{}"),
+        *((k, "\n\t0 1 0 {} 0.0") for k in ("e0_modes", "b0_modes", "rho_modes", "xi_modes")),
+        ("xi_modes", "\n\t0 1 0 0.0 {}"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, key, value, bad):
+        (tmp_path / "cfg.cfg").write_text(with_value(SMALL2D, key, value.format(bad)), encoding="utf-8")
+        with pytest.raises(ValidationError):
+            load_config(tmp_path / "cfg.cfg")
 
     def test_kappa_formula(self):
         cfg = sample_config(alpha=0.9, moment_beta=0.1, gamma1=0.2, gamma2=0.15)

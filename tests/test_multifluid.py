@@ -99,6 +99,27 @@ class TestEnsembleInvariants:
         with pytest.raises(NumericalAbort, match="negative"):
             check_validity(ens)
 
+    def test_nan_weight_and_eps_rejected(self):
+        with pytest.raises(ValidationError, match="positive"):
+            make_phase(2, 4, np.nan, [([0, 0], 1.0)], [])
+        ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [])
+        with pytest.raises(ValidationError, match="nonnegative"):
+            PhaseEnsemble((ph,), np.nan)
+        with pytest.raises(ValidationError, match="mass"):
+            PhaseEnsemble((make_phase(2, 4, 1.0, [([0, 0], np.nan)], []),), 0.0)
+
+    @pytest.mark.parametrize("field,match", [("xi", "gate"), ("rho", "negative")])
+    def test_nan_coefficient_aborts_validity_check(self, field, match):
+        ens = two_phase_2d(K=4)
+        p1, p2 = ens.phases
+        coeffs = getattr(p1, field).coeffs.copy()
+        coeffs[0, 5, 4] = np.nan  # a k != 0 mode, so the mean mass stays 1
+        parts = {"rho": p1.rho, "xi": p1.xi, field: SpectralField(2, 4, coeffs)}
+        ens = PhaseEnsemble((Phase(p1.mu, parts["rho"], parts["xi"]), p2), ens.eps)
+        with pytest.raises(NumericalAbort, match=match) as info:
+            check_validity(ens)
+        assert info.value.state_dump is ens
+
 
 class TestRelativisticVelocity:
     def test_eps_zero_identity(self):
