@@ -1,13 +1,14 @@
 """Coulomb-gauge electromagnetic state and the oscillatory wave integrator.
 
 The vector potential solves  eps^2 d_tt A - Lap A = eps P(j)  per Fourier
-mode, an oscillator of frequency |k|/eps.  Steps advance (A_hat, eps*dA_hat)
-by the exact rotation of that oscillator (`_rotation` forms its factors,
-the one place they are written, and `_apply_rotation` applies them)
-composed with a variation-of-constants source term, so the homogeneous
-dynamics is exact for any dt.  The k=0 mode has no restoring
-force: d/dt <eps dA/dt> = <j>, while <A> itself is pinned to zero (a pure
-gauge choice; no observable reads it).
+mode, an oscillator of frequency |k|/eps.  All of the wave quadrature lives
+here.  `_rotation` forms the factors of the oscillator's exact rotation (the
+one place they are written) and `_apply_rotation` applies them, so the
+homogeneous dynamics is exact for any dt.  `_duhamel_series` adds a sampled
+source by a Filon-type quadrature of the Duhamel integral, and `wave_step`,
+the frozen-source step, is one step of that series.  The k=0 mode has no
+restoring force: d/dt <eps dA/dt> = <j>, while <A> itself is pinned to zero
+(a pure gauge choice; no observable reads it).
 """
 
 from __future__ import annotations
@@ -37,19 +38,11 @@ NORMALIZATION_TOL = 1e-9
 
 @lru_cache(maxsize=32)
 def _wave_knorm(dim: int, cutoff: int) -> np.ndarray:
-    """|k| per mode with the zero mode masked to 1 (callers mask separately)."""
+    """|k| per mode with the zero mode masked to 1, for divisions whose numerator vanishes at k = 0."""
     kn = mode_norms(dim, cutoff).copy()
     kn[kn == 0] = 1.0
     kn.flags.writeable = False
     return kn
-
-
-@lru_cache(maxsize=32)
-def _center_mask(dim: int, cutoff: int) -> np.ndarray:
-    m = np.zeros((2 * cutoff + 1,) * dim, dtype=bool)
-    m[(cutoff,) * dim] = True
-    m.flags.writeable = False
-    return m
 
 
 @dataclass(frozen=True)
@@ -175,29 +168,50 @@ def _filon_weights(theta: np.ndarray, dt: float):
     return w_ss, w_se, w_cs, w_ce
 
 
+def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np.ndarray, eps: float, dim: int, cutoff: int):
+    """A(t_j) and eps*dA/dt(t_j) for a sampled source, per mode, gauge-pinned k=0.
+
+    One recurrence: each sample is the previous one rotated exactly over dt
+    (the factors of `_rotation`, formed once) plus a Filon-type local
+    quadrature of the Duhamel integral over [t_j, t_{j+1}], so the
+    oscillation costs no accuracy.  The local terms of every step are formed
+    at once; the loop only rotates and adds them.
+    """
+    knm = _wave_knorm(dim, cutoff)
+    dt = times[1] - times[0]
+    rot = _rotation(dt, eps, dim, cutoff)
+    w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
+    loc_a = (w_ss * s_hat[:-1] + w_se * s_hat[1:]) / knm
+    loc_ws, loc_we = w_cs * s_hat[:-1], w_ce * s_hat[1:]
+    a_out = np.empty_like(s_hat)
+    w_out = np.empty_like(s_hat)
+    a_out[0], w_out[0] = a0, w0
+    for j in range(len(times) - 1):
+        a, w = _apply_rotation(rot, a_out[j], w_out[j])
+        a_out[j + 1] = a + loc_a[j]
+        w_out[j + 1] = w + loc_ws[j] + loc_we[j]
+    return a_out, w_out
+
+
 def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:
     """Advance (A, eps*dA/dt) by dt with the source frozen over the step.
 
-    Exact for the homogeneous dynamics and for constant sources; order 2 in a
-    time-varying source when the caller supplies the midpoint value.
+    One step of `_duhamel_series` with the Leray-projected source at both
+    ends of [0, dt].  A Filon step is exact for a constant source, so the
+    step is exact for the homogeneous dynamics and for constant sources, and
+    order 2 in a time-varying source when the caller supplies the midpoint
+    value.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
     s = leray_project(source_j).coeffs
-    mask0 = _center_mask(state.dim, state.cutoff)
-    # particular solution of the frozen-source oscillator
-    sp = state.eps * s / _wave_knorm(state.dim, state.cutoff) ** 2
-
-    a, w = state.a.coeffs, state.eps_adot.coeffs
-    a_new, w_new = _rotate(a - sp, w, dt, state.eps, state.dim, state.cutoff)
-    a_new += sp
-    # k=0: no restoring force; d/dt <eps dA/dt> = <j> and <A> stays pinned
-    a_new[:, mask0] = a[:, mask0]
-    w_new[:, mask0] = w[:, mask0] + dt * s[:, mask0]
+    a, w = _duhamel_series(
+        np.stack([s, s]), state.a.coeffs, state.eps_adot.coeffs, np.array([0.0, dt]), state.eps, state.dim, state.cutoff
+    )
     return replace(
         state,
-        a=SpectralField(state.dim, state.cutoff, a_new),
-        eps_adot=SpectralField(state.dim, state.cutoff, w_new),
+        a=SpectralField(state.dim, state.cutoff, a[1]),
+        eps_adot=SpectralField(state.dim, state.cutoff, w[1]),
     )
 
 

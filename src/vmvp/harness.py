@@ -331,6 +331,9 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
     eps_values = list(cfg.eps_list)
     if len(eps_values) < 3:
         raise ValidationError("a sweep needs at least 3 eps values")
+    names = [f"{eps:g}" for eps in eps_values]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"sweep eps values must be distinct (got {', '.join(names)})")
     vp_run = _run_vp_side(cfg, with_particles=True, out_dir=out_dir)
     runs = []
     partial = False

@@ -27,15 +27,7 @@ import numpy as np
 
 from .errors import NumericalAbort, ValidationError
 from . import spectral as sp
-from .fields import (
-    EMState,
-    _apply_rotation,
-    _filon_weights,
-    _rotate,
-    _rotation,
-    _wave_knorm,
-    field_energy,
-)
+from .fields import EMState, _duhamel_series, _rotate, field_energy
 from .spectral import (
     AnalyticNormParams,
     SpectralField,
@@ -45,7 +37,6 @@ from .spectral import (
     l2_norm,
     leray_project,
     mean,
-    mode_norms,
     padded_grid_size,
     shrinking_norm,
     solve_poisson,
@@ -499,31 +490,6 @@ def _cumint(y: np.ndarray, dx: float) -> np.ndarray:
     for i in range(1, n):
         o[i] += o[i - 1]
     return out
-
-
-def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np.ndarray, eps: float, dim: int, cutoff: int):
-    """A(t_j) and eps*dA/dt(t_j) for a sampled source, per mode, gauge-pinned k=0.
-
-    One recurrence: each sample is the previous one rotated exactly over dt
-    (the factors of `_rotation`, formed once) plus a Filon-type local
-    quadrature of the Duhamel integral over [t_j, t_{j+1}], so the
-    oscillation costs no accuracy.  The local terms of every step are formed
-    at once; the loop only rotates and adds them.
-    """
-    knm = _wave_knorm(dim, cutoff)
-    dt = times[1] - times[0]
-    rot = _rotation(dt, eps, dim, cutoff)
-    w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
-    loc_a = (w_ss * s_hat[:-1] + w_se * s_hat[1:]) / knm
-    loc_ws, loc_we = w_cs * s_hat[:-1], w_ce * s_hat[1:]
-    a_out = np.empty_like(s_hat)
-    w_out = np.empty_like(s_hat)
-    a_out[0], w_out[0] = a0, w0
-    for j in range(len(times) - 1):
-        a, w = _apply_rotation(rot, a_out[j], w_out[j])
-        a_out[j + 1] = a + loc_a[j]
-        w_out[j + 1] = w + loc_ws[j] + loc_we[j]
-    return a_out, w_out
 
 
 def ck_iterate(

@@ -343,9 +343,9 @@ DELTA_GRID_SIZE = 16
 class AnalyticNormParams:
     """Parameters of the shrinking-radius norm.
 
-    delta is the working (lower) radius, delta0 the initial one; eta sets the
-    shrink rate, beta in (0,1) the loss exponent.  The weight delta^|k| uses
-    the Euclidean |k|.
+    delta is the working (lower) radius, delta0 the initial one; eta > 0
+    sets the shrink rate, beta in (0,1) the loss exponent.  The weight
+    delta^|k| uses the Euclidean |k|.
     """
 
     delta0: float
@@ -360,6 +360,8 @@ class AnalyticNormParams:
             raise ValidationError("delta <= delta0 required")
         if not (0.0 < self.beta < 1.0):
             raise ValidationError("beta must lie in (0,1)")
+        if not (self.eta > 0.0):
+            raise ValidationError("eta must be positive")
 
     def delta_grid(self) -> np.ndarray:
         j = np.arange(DELTA_GRID_SIZE)

@@ -97,7 +97,8 @@ def linprog(*args, **kwargs):
 class EmpiricalMeasure:
     """Weighted samples on torus x R^d; xi=None means a position-only measure.
 
-    Coordinates must be finite.
+    Coordinates must be finite, and the weights nonnegative with sum 1 (a
+    NaN weight fails both).
     """
 
     x: np.ndarray
@@ -109,9 +110,9 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size != x.shape[0]:
             raise ValidationError("weights must be one per sample")
-        if (w < 0).any():
+        if not (w >= 0).all():
             raise ValidationError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"weights must sum to 1 (got {w.sum()})")
         if not np.isfinite(x).all():
             raise ValidationError("positions must be finite")
@@ -129,6 +130,8 @@ class EmpiricalMeasure:
     def uniform(cls, x, xi=None) -> "EmpiricalMeasure":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
+        if n == 0:
+            raise ValidationError("a cloud needs at least one point")
         return cls(x, xi, np.full(n, 1.0 / n))
 
     @property
@@ -141,12 +144,25 @@ class EmpiricalMeasure:
 
 
 def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
+    """Both measures live in one phase space in which no pair cost overflows.
+
+    Every pair cost is at most d pi^2 + sum_a span_a^2, with d the position
+    dimension and span_a the momentum range of both clouds on axis a, so
+    momenta for which that bound is not finite are refused.
+    """
     if mu.x.shape[1] != nu.x.shape[1]:
         raise ValidationError("position dimensions differ")
     if (mu.xi is None) != (nu.xi is None):
         raise ValidationError("one measure has velocities, the other does not")
-    if mu.xi is not None and mu.xi.shape[1] != nu.xi.shape[1]:
+    if mu.xi is None:
+        return
+    if mu.xi.shape[1] != nu.xi.shape[1]:
         raise ValidationError("velocity dimensions differ")
+    with np.errstate(over="ignore"):
+        span = np.ptp(np.concatenate([mu.xi, nu.xi]), axis=0)
+        bound = mu.x.shape[1] * np.pi ** 2 + (span * span).sum()
+    if not np.isfinite(bound):
+        raise ValidationError("momenta too far apart: their squared distances overflow")
 
 
 def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cols: np.ndarray | None = None) -> np.ndarray:
@@ -207,14 +223,12 @@ def cost_matrix_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
 
 
 def _tree_points(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Both clouds as points of one periodic kd-tree box, or None if a shifted coordinate is not finite.
+    """Both clouds as points of one periodic kd-tree box.
 
     Positions are wrapped into [0, 2pi) on a period of 2pi, and momenta
     shifted into [0, s] on a period of 2s + 1, on which no momentum
     distance wraps.  So the tree's distance is the product metric.  Returns
     (mu points, nu points, box, max s), with max s = 0 without momenta.
-    A measure's coordinates are finite, but momenta near the float range
-    can overflow when shifted.
     """
     mu_pts, nu_pts = [wrap_positions(mu.x)], [wrap_positions(nu.x)]
     box = [np.full(mu.x.shape[1], TWO_PI)]
@@ -226,10 +240,7 @@ def _tree_points(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
         s = np.maximum(mu_pts[1].max(axis=0), nu_pts[1].max(axis=0))
         box.append(2.0 * s + 1.0)
         span = float(s.max(initial=0.0))
-    mu_pts, nu_pts = np.hstack(mu_pts), np.hstack(nu_pts)
-    if not (np.isfinite(mu_pts).all() and np.isfinite(nu_pts).all()):
-        return None
-    return mu_pts, nu_pts, np.concatenate(box), span
+    return np.hstack(mu_pts), np.hstack(nu_pts), np.concatenate(box), span
 
 
 def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray | None:
@@ -255,15 +266,11 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
     least (1 + 1e-9) times the partner distance plus 1e-12 max(1, s).  Both
     slacks exceed those errors more than a hundredfold, so an accepted
     partner is strictly nearest under cost_matrix_sq's own floats.
-    Momenta that overflow when shifted decline.
     """
     _check_same_space(mu, nu)
     if mu.size != nu.size:
         return None
-    pts = _tree_points(mu, nu)
-    if pts is None:
-        return None
-    mu_pts, nu_pts, box, span = pts
+    mu_pts, nu_pts, box, span = _tree_points(mu, nu)
     dist, idx = cKDTree(mu_pts, boxsize=box).query(nu_pts, k=2)
     if (idx[:, 0] != np.arange(nu.size)).any():
         return None
@@ -273,7 +280,7 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
 
 
 def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Each mu point's AUCTION_K nearest nu points and their costs, or None if _tree_points declines.
+    """Each mu point's AUCTION_K nearest nu points and their costs.
 
     Returns (c, cand), both of shape (len(mu), AUCTION_K): cand[i] are the
     columns of row i's AUCTION_K smallest cost_matrix_sq(mu, nu) entries,
@@ -281,10 +288,7 @@ def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     entries' floats, from the cols form of the same kernel.  The tree's
     few-ulp distance error can only swap entries that tie to within it.
     """
-    pts = _tree_points(mu, nu)
-    if pts is None:
-        return None
-    mu_pts, nu_pts, box, _ = pts
+    mu_pts, nu_pts, box, _ = _tree_points(mu, nu)
     _, cand = cKDTree(nu_pts, boxsize=box).query(mu_pts, k=AUCTION_K)
     return _squared_costs(mu, nu, cand), cand
 
@@ -332,18 +336,16 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     rounds do not finish, cols is None and price holds the prices so far,
     which still warm-start the dense solver.
 
-    None when a candidate cost is not finite, or when the first phase has
-    not ended after AUCTION_CHECK_ROUNDS rounds, whichever candidates it
-    bids on.  A first phase stalls like that when no assignment of its
-    edges leaves at most AUCTION_FREE_ROWS rows free, as when 60 rows
-    share 48 candidate columns.  Of 762 measured Loeper cases one first
-    phase got that far, on such a graph, and every other one ended within
-    1235 rounds.  The dense solve then starts cold: on that case, prices
-    bid on the graph made it slower than a cold one.
+    None when the first phase has not ended after AUCTION_CHECK_ROUNDS
+    rounds, whichever candidates it bids on.  A first phase stalls like
+    that when no assignment of its edges leaves at most AUCTION_FREE_ROWS
+    rows free, as when 60 rows share 48 candidate columns.  Of 762
+    measured Loeper cases one first phase got that far, on such a graph,
+    and every other one ended within 1235 rounds.  The dense solve then
+    starts cold: on that case, prices bid on the graph made it slower than
+    a cold one.
     """
     n = c.shape[0]
-    if not np.isfinite(c).all():
-        return None
     first = True  # no phase has ended yet
     price = np.zeros(n)
     eps = max(float(c.max() - c.min()), AUCTION_EPS_FINAL) / AUCTION_EPS_RATIO
@@ -380,8 +382,7 @@ def _lifted_neighbours(mu: EmpiricalMeasure, nu: EmpiricalMeasure, price: np.nda
     columns in ascending order, kth[i] the k-th one's tree squared distance
     plus min p, and span the momentum span of _tree_points.  Only the k-th
     distance is kept, and the columns as int32, since _sparse_assignment
-    holds one query through the auction's last phases.  Coordinates must
-    be finite.
+    holds one query through the auction's last phases.
     """
     mu_pts, nu_pts, box, span = _tree_points(mu, nu)
     low = price.min()
@@ -550,8 +551,6 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     completion's price rises made cheapest.
     """
     cands = _auction_candidates(mu, nu)
-    if cands is None:
-        return None, None
     queries = []
 
     def lift(price):
@@ -677,9 +676,9 @@ def coupling_Q(cloud) -> float:
     the index pairing's transport cost in the floats W2 is read from, and
     an upper bound for W2^2.
     """
-    vp = EmpiricalMeasure.uniform(cloud.x_vp, cloud.xi_vp)
-    vm = EmpiricalMeasure.uniform(cloud.x_vm, cloud.xi_vm)
-    return float(0.5 * (cloud.weights * _squared_costs(vp, vm, np.arange(vm.size)[:, None])[:, 0]).sum())
+    vp = EmpiricalMeasure(cloud.x_vp, cloud.xi_vp, cloud.weights)
+    vm = EmpiricalMeasure(cloud.x_vm, cloud.xi_vm, cloud.weights)
+    return float(0.5 * (vp.weights * _squared_costs(vp, vm, np.arange(vm.size)[:, None])[:, 0]).sum())
 
 
 # ----------------------------------------------------------------------

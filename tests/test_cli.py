@@ -128,6 +128,45 @@ class TestExitCodes:
         p = small2d_with(tmp_path, key, value)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("eta", ["-0.25", "0"])
+    def test_ck_eta_not_positive(self, tmp_path, eta):
+        text = resolve_config_path("bundled/ck2d").read_text(encoding="utf-8")
+        p = tmp_path / "eta.cfg"
+        p.write_text(re.sub(r"^eta = .*$", f"eta = {eta}", text, count=1, flags=re.M), encoding="utf-8")
+        assert main(["ck", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("eps", ["0.2,0.2,0.2", "0.4,0.2,0.20000001"])  # both name two runs eps_0.2
+    def test_sweep_eps_names_collide(self, tiny_cfg_path, tmp_path, monkeypatch, eps):
+        monkeypatch.setattr("vmvp.harness._run_vp_side", lambda *a, **k: pytest.fail("the sweep started"))
+        assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps, "--out", str(tmp_path / "out")]) == 2
+
+
+def save_clouds(tmp_path, *clouds):
+    """Each (n, far) as a saved cloud of n points whose first momentum is (far, 0); returns the paths."""
+    rng = np.random.default_rng(len(clouds))
+    paths = []
+    for n, far in clouds:
+        x, xi = rng.uniform(0, 6, (n, 2)), rng.standard_normal((n, 2))
+        xi[:1] = far, 0.0
+        paths.append(tmp_path / f"{len(paths)}.cloud")
+        save_cloud(ParticleCloud(x, xi, np.full(n, 1 / max(n, 1)), np.zeros(n, dtype=int), x, xi, x, xi, seed=1), paths[-1])
+    return [str(p) for p in paths]
+
+
+class TestWassersteinInputs:
+    @pytest.mark.parametrize("n", [3, 200])  # the dense solve, and the sparse one above 2 AUCTION_K points
+    @pytest.mark.parametrize("far_a,far_b", [
+        (1e308, -1e308), (1e308, 0.0), (1e200, 0.0), (1e160, 0.0), (1e160, -1e160), (1e200, 1e200),
+    ])
+    def test_momenta_whose_squared_gaps_overflow(self, tmp_path, n, far_a, far_b):
+        assert main(["wasserstein", *save_clouds(tmp_path, (n, far_a), (n, far_b))]) == 2
+
+    def test_momenta_whose_squared_gaps_overflow_unequal_sizes(self, tmp_path):
+        assert main(["wasserstein", *save_clouds(tmp_path, (10, 1e200), (12, 0.0))]) == 2
+
+    def test_empty_cloud(self, tmp_path):
+        assert main(["wasserstein", *save_clouds(tmp_path, (0, 0.0), (0, 0.0))]) == 2
+
 
 class TestSimulate:
     def test_pair_run_writes_outputs(self, tiny_cfg_path, tmp_path):
@@ -257,3 +296,13 @@ class TestWassersteinAndReplay:
 
     def test_report_missing_args(self):
         assert main(["report"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "unnormalised"])
+    def test_report_checks_the_checkpoint_weights(self, tmp_path, bad):
+        rng = np.random.default_rng(5)
+        x, xi = rng.uniform(0, 6, (10, 2)), rng.standard_normal((10, 2))
+        w = np.full(10, 0.1)
+        w[3], w[4] = {"nan": (np.nan, 0.1), "negative": (-0.1, 0.3), "unnormalised": (0.2, 0.1)}[bad]
+        (tmp_path / "ck").mkdir()
+        save_cloud(ParticleCloud(x, xi, w, np.zeros(10, dtype=int), x, xi, x, xi + 0.1, seed=1), tmp_path / "ck" / "a.cloud")
+        assert main(["report", "--from-checkpoints", str(tmp_path / "ck")]) == 2

@@ -435,8 +435,7 @@ class TestCKIteration:
 def duhamel_closed_form(s_hat, a0, w0, times, eps, dim, cutoff):
     """The former _duhamel_series: the homogeneous part in closed form at each
     t_j plus a separate rotation recurrence for the Duhamel integrals."""
-    from vmvp.fields import _wave_knorm
-    from vmvp.multifluid import _filon_weights
+    from vmvp.fields import _filon_weights, _wave_knorm
     from vmvp.spectral import mode_norms
 
     kn0 = mode_norms(dim, cutoff)

@@ -148,14 +148,46 @@ class TestNonFiniteCoordinates:
         with pytest.raises(ValidationError, match="finite"):
             EmpiricalMeasure.uniform(arrays["x"], arrays["xi"])
 
-    def test_finite_momenta_that_overflow_when_shifted_decline(self):
-        # finite momenta 2e308 apart: the kd-tree's momentum shift overflows, so both decline
+    @pytest.mark.parametrize("far_a,far_b", [(1e308, -1e308), (1e308, 0.0), (1e200, 0.0), (1e160, -1e160)])
+    def test_momenta_whose_squared_gaps_overflow_raise(self, far_a, far_b):
+        # finite momenta whose squared distance overflows: some pair cost is not a float, so all three refuse
         x = np.random.default_rng(9).uniform(0, TWO_PI, (3, 2))
-        mu = EmpiricalMeasure.uniform(x, [[1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        nu = EmpiricalMeasure.uniform(x, [[-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        with np.errstate(over="ignore"):
-            assert identity_pair_costs(mu, nu) is None
-            assert _auction_candidates(mu, nu) is None
+        mu = EmpiricalMeasure.uniform(x, [[far_a, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        nu = EmpiricalMeasure.uniform(x, [[far_b, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        for solve in (w2_exact, identity_pair_costs, cost_matrix_sq):
+            with pytest.raises(ValidationError, match="overflow"):
+                solve(mu, nu)
+
+    @pytest.mark.parametrize("n", [3, 200])  # the dense solve, and the sparse one above 2 AUCTION_K points
+    def test_momenta_1e150_apart_still_answer(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, TWO_PI, (n, 2))
+        xi = rng.normal(0, 1, (n, 2))
+        far = xi.copy()
+        far[0, 0] = 1e150
+        w2 = w2_exact(EmpiricalMeasure.uniform(x, far), EmpiricalMeasure.uniform(x, xi))
+        assert w2 == pytest.approx(1e150 / np.sqrt(n), rel=1e-12)
+
+
+class TestMeasureWeights:
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            EmpiricalMeasure.uniform(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "unnormalised"])
+    def test_coupling_q_checks_the_cloud_weights(self, bad):
+        rng = np.random.default_rng(4)
+        x, xi = rng.uniform(0, TWO_PI, (6, 2)), rng.normal(0, 1, (6, 2))
+        w = np.full(6, 1 / 6)
+        assert np.isfinite(coupling_Q(FakeCloud(x, xi, x, xi + 0.1, w)))
+        if bad == "nan":
+            w[2] = np.nan
+        elif bad == "negative":
+            w[2], w[3] = -0.1, w[3] + 0.1 + 1 / 6
+        else:
+            w *= 1.5
+        with pytest.raises(ValidationError, match="weights"):
+            coupling_Q(FakeCloud(x, xi, x, xi + 0.1, w))
 
 
 def _cost_matrix_sq_accumulated(mu, nu):
