@@ -3,7 +3,9 @@
 Layering: ``spectral`` (Fourier fields and the weighted-norm calculus),
 ``fields`` (Coulomb-gauge electromagnetic state and the oscillatory wave
 integrator), ``multifluid`` (phase-ensemble dynamics and the analytic
-fixed-point scheme), ``lagrangian`` (paired characteristic flows),
+fixed-point scheme; a ``PhaseEnsemble`` holds its M phases as stacked
+arrays, weights mu (M,), densities rho (M, 1, J..) and momenta
+xi (M, d, J..)), ``lagrangian`` (paired characteristic flows),
 ``transport`` (Wasserstein-2 machinery and the coupling functional),
 ``harness`` (runs, sweeps, diagnostics), ``cli`` (command line).
 """
@@ -11,7 +13,7 @@ fixed-point scheme), ``lagrangian`` (paired characteristic flows),
 from .errors import NumericalAbort, ValidationError
 from .spectral import AnalyticNormParams, SpectralField
 from .fields import EMState
-from .multifluid import Phase, PhaseEnsemble
+from .multifluid import PhaseEnsemble
 from .lagrangian import ParticleCloud
 from .transport import EmpiricalMeasure
 from .config import PhaseSpec, RunConfig
@@ -22,7 +24,6 @@ __all__ = [
     "EmpiricalMeasure",
     "NumericalAbort",
     "ParticleCloud",
-    "Phase",
     "PhaseEnsemble",
     "PhaseSpec",
     "RunConfig",

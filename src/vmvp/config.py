@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import EMState, init_em_state
-from .multifluid import Phase, PhaseEnsemble
+from .multifluid import PhaseEnsemble
 from .spectral import SpectralField, gradient, leray_project, mean, solve_poisson
 
 MODES = ("vp", "pair")  # what `vmvp simulate` runs: the VP side alone, or a VM/VP pair
@@ -246,12 +246,11 @@ def resolve_config_path(name: str) -> Path:
 # ----------------------------------------------------------------------
 
 def build_ensemble(cfg: RunConfig, eps: float) -> PhaseEnsemble:
-    phases = []
-    for spec in cfg.phases:
-        rho = SpectralField.from_modes(cfg.dim, cfg.cutoff, 1, [(0, kv, a) for kv, a in spec.rho_modes])
-        xi = SpectralField.from_modes(cfg.dim, cfg.cutoff, cfg.dim, spec.xi_modes)
-        phases.append(Phase(spec.mu, rho, xi))
-    return PhaseEnsemble(tuple(phases), eps)
+    rho = [SpectralField.from_modes(cfg.dim, cfg.cutoff, 1, [(0, kv, a) for kv, a in s.rho_modes]) for s in cfg.phases]
+    xi = [SpectralField.from_modes(cfg.dim, cfg.cutoff, cfg.dim, s.xi_modes) for s in cfg.phases]
+    return PhaseEnsemble(
+        [s.mu for s in cfg.phases], np.stack([f.coeffs for f in rho]), np.stack([f.coeffs for f in xi]), eps
+    )
 
 
 def build_initial_fields(cfg: RunConfig, eps: float):

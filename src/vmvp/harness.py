@@ -406,7 +406,7 @@ def verify_suite(cfg: RunConfig) -> list:
     """Machine-readable invariant battery across all layers; failures are data."""
     from . import spectral as sp
     from .fields import EMState, wave_step
-    from .multifluid import Phase, _velocity_grid, gate_margin, vm_step
+    from .multifluid import _velocity_grid, gate_margin, vm_step
     from .spectral import analytic_norm, divergence, multiply, reality_residual
 
     results = []
@@ -472,9 +472,9 @@ def verify_suite(cfg: RunConfig) -> list:
     eps = cfg.eps_list[0]
     ens = build_ensemble(cfg, eps)
     em = build_em_state(cfg, eps)
-    results.append(_check("multifluid.neutrality", abs(sum(ph.mu * mean(ph.rho)[0] for ph in ens.phases) - 1.0), 1e-12))
+    results.append(_check("multifluid.neutrality", abs(sum(ens.mu * ens.phase_masses()) - 1.0), 1e-12))
     results.append(_check("multifluid.gate_margin", gate_margin(ens, cfg.delta1), 1.0 / np.sqrt(2.0), note="(bound, not residual)"))
-    xi0 = ens.phases[0].xi
+    xi0 = SpectralField(cfg.dim, cfg.cutoff, ens.xi[0])
     vxi = SpectralField.from_grid(_velocity_grid(xi0.to_grid(), eps), xi0.cutoff)
     ratio = analytic_norm(vxi, cfg.delta1) / max(analytic_norm(xi0, cfg.delta1), 1e-300)
     results.append(_check("multifluid.velocity_norm_bound", max(ratio - np.sqrt(2.0), 0.0), 1e-10, note=f"|v|/|xi| = {ratio:.4f}"))
@@ -508,9 +508,9 @@ def verify_suite(cfg: RunConfig) -> list:
         cur_ens, cur_em = build_ensemble(prepared, e), build_em_state(prepared, e)
         for _ in range(n_short):
             cur_ens, cur_em = vm_step(cur_ens, cur_em, cfg.dt, gate_delta=cfg.delta1)
-        gaps.append(max(np.abs(a.rho.coeffs - b.rho.coeffs).max() for a, b in zip(cur_ens.phases, vp_ens.phases)))
+        gaps.append(np.abs(cur_ens.rho - vp_ens.rho).max())
     # densities that do not move leave gap(eps) at roundoff, with no rate to measure
-    moving = gaps[0] > 1e-13 * max(np.abs(p.rho.coeffs).max() for p in vp_ens.phases)
+    moving = gaps[0] > 1e-13 * np.abs(vp_ens.rho).max()
     results.append(_check(
         "multifluid.eps_zero_reduction", gaps[1] / gaps[0] if moving else 0.0, 0.3,
         note="gap(eps/2)/gap(eps); eps^2 gives 0.25" if moving else "gap(eps) at roundoff; passes as 0",
@@ -538,8 +538,9 @@ def verify_suite(cfg: RunConfig) -> list:
     results.append(_check("transport.pushforward_bound", max(w ** 2 - pc, 0.0), 1e-12))
 
     # expected abort: gate-violating data must refuse to run
-    hot = Phase(1.0, SpectralField.constant(cfg.dim, cfg.cutoff, 1.0), SpectralField.constant(cfg.dim, cfg.cutoff, [3.0] + [0.0] * (cfg.dim - 1)))
-    hot_ens = PhaseEnsemble((hot,), 0.9)
+    hot_rho = SpectralField.constant(cfg.dim, cfg.cutoff, 1.0)
+    hot_xi = SpectralField.constant(cfg.dim, cfg.cutoff, [3.0] + [0.0] * (cfg.dim - 1))
+    hot_ens = PhaseEnsemble([1.0], hot_rho.coeffs[None], hot_xi.coeffs[None], 0.9)
     try:
         check_validity(hot_ens, cfg.delta1)
         results.append(CheckResult("multifluid.gate_abort_expected", 1.0, 0.0, False, "abort did not trigger"))

@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ValidationError
 from .multifluid import PhaseEnsemble, _velocity_grid, rk4_step
-from .spectral import cross, expect_bytes, read_binary, stack
+from .spectral import SpectralField, cross, expect_bytes, read_binary, stack
 from .transport import rejection_sample_positions, wrap_positions
 
 @dataclass(frozen=True)
@@ -58,18 +59,19 @@ def sample_cloud(ens0: PhaseEnsemble, n: int, seed: int) -> ParticleCloud:
     given seed.
     """
     rng = np.random.default_rng(seed)
-    masses = np.array([ph.mu for ph in ens0.phases]) * ens0.phase_masses()
+    d, k = ens0.dim, ens0.cutoff
+    masses = ens0.mu * ens0.phase_masses()
     probs = masses / masses.sum()
-    labels = rng.choice(len(ens0.phases), size=n, p=probs)
-    x = np.empty((n, ens0.dim))
-    xi = np.empty((n, ens0.dim))
-    for p, ph in enumerate(ens0.phases):
+    labels = rng.choice(ens0.mu.size, size=n, p=probs)
+    x = np.empty((n, d))
+    xi = np.empty((n, d))
+    for p in range(ens0.mu.size):
         idx = np.flatnonzero(labels == p)
         if idx.size == 0:
             continue
-        pts = rejection_sample_positions(ph.rho, idx.size, rng)
+        pts = rejection_sample_positions(SpectralField(d, k, ens0.rho[p]), idx.size, rng)
         x[idx] = pts
-        xi[idx] = ph.xi.evaluate_at(pts)
+        xi[idx] = SpectralField(d, k, ens0.xi[p]).evaluate_at(pts)
     w = np.full(n, 1.0 / n)
     return ParticleCloud(
         x0=x, xi0=xi, weights=w, phase_idx=labels,
@@ -148,6 +150,8 @@ def save_cloud(cloud: ParticleCloud, path) -> None:
 def load_cloud(path) -> ParticleCloud:
     header, raw = read_binary(path, "vmvp-cloud-v1", counts=("n", "dim", "seed"), numbers=("t",))
     n, d = header["n"], header["dim"]
+    if n == 0:
+        raise ValidationError(f"{path}: a cloud needs at least one point")
     expect_bytes(path, raw, 8 * n * (6 * d + 2))  # six d-wide blocks, the weights, phase_idx
     arrays, offset = {}, 0
     for name in _BLOCKS:

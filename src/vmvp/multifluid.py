@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,59 +54,62 @@ CK_SLICE_BLOCK = 16
 NORM_TIME_STRIDE = 4
 
 
-@dataclass(frozen=True)
-class Phase:
-    mu: float
-    rho: SpectralField
-    xi: SpectralField
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValidationError("phase weights must be positive")
-        if not self.rho.is_scalar:
-            raise ValidationError("phase density must be scalar")
-        if self.xi.components != self.xi.dim:
-            raise ValidationError("phase momentum must be a d-component vector")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseEnsemble:
-    """Finite family of weighted monokinetic phases; eps = 0 is electrostatic."""
+    """M weighted monokinetic phases as stacked coefficient arrays; eps = 0 is electrostatic.
 
-    phases: tuple
+    mu (M,) holds the weights, rho (M, 1, J..) the densities and xi (M, d, J..)
+    the momenta, with J = 2K+1 modes along each of the d axes; all three are
+    kept as read-only copies, and every solver reads them as they are.
+    """
+
+    mu: np.ndarray
+    rho: np.ndarray
+    xi: np.ndarray
     eps: float
 
     def __post_init__(self):
-        if not self.phases:
+        mu = np.array(self.mu, dtype=float)
+        rho = np.array(self.rho, dtype=np.complex128)
+        xi = np.array(self.xi, dtype=np.complex128)
+        if mu.ndim != 1 or mu.size == 0:
             raise ValidationError("ensemble needs at least one phase")
+        if not (mu > 0).all():
+            raise ValidationError("phase weights must be positive")
         if not self.eps >= 0:
             raise ValidationError("eps must be nonnegative")
-        object.__setattr__(self, "phases", tuple(self.phases))
-        d, k = self.phases[0].rho.dim, self.phases[0].rho.cutoff
-        for ph in self.phases:
-            if ph.rho.dim != d or ph.rho.cutoff != k or ph.xi.cutoff != k:
-                raise ValidationError("phases must share one mode box")
-        wsum = sum(ph.mu for ph in self.phases)
+        box = rho.shape[2:]  # d axes of one odd length J
+        stacked = box and box == (box[0] | 1,) * len(box) and rho.shape[:2] == (mu.size, 1)
+        if not stacked or xi.shape != mu.shape + (len(box),) + box:
+            raise ValidationError(f"{mu.size} phases need rho (M, 1, J..), xi (M, d, J..), odd J: got {rho.shape}, {xi.shape}")
+        for name, a in (("mu", mu), ("rho", rho), ("xi", xi)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        wsum = mu.sum()
         if not abs(wsum - 1.0) <= 1e-9:
             raise ValidationError(f"phase weights must sum to 1 (got {wsum})")
-        msum = sum(ph.mu * mean(ph.rho)[0] for ph in self.phases)
+        msum = sum(mu * self.phase_masses())
         if not abs(msum - 1.0) <= 1e-9:
             raise ValidationError(f"total mass must be 1 for neutrality (got {msum})")
 
     @property
     def dim(self) -> int:
-        return self.phases[0].rho.dim
+        return self.rho.ndim - 2
 
     @property
     def cutoff(self) -> int:
-        return self.phases[0].rho.cutoff
+        return (self.rho.shape[-1] - 1) // 2
 
     def rho_total(self) -> SpectralField:
-        r, _, mus = _pack(self)
-        return SpectralField(self.dim, self.cutoff, np.tensordot(mus, r, axes=(0, 0)))
+        return SpectralField(self.dim, self.cutoff, np.tensordot(self.mu, self.rho, axes=(0, 0)))
 
     def phase_masses(self) -> np.ndarray:
-        return np.array([mean(ph.rho)[0] for ph in self.phases])
+        return self.rho[(slice(None), 0) + (self.cutoff,) * self.dim].real.copy()
+
+
+def _sup_norm(c: np.ndarray, delta: float) -> float:
+    """sup over phases and components of |c|_delta, for stacked coefficients c (M, m, J..)."""
+    return analytic_norm(SpectralField(c.ndim - 2, (c.shape[-1] - 1) // 2, c.reshape((-1,) + c.shape[2:])), delta)
 
 
 def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None, state=None) -> float:
@@ -114,7 +117,7 @@ def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None, s
 
     Given a context, a value above 1/sqrt(2) raises NumericalAbort dumping `state`.
     """
-    g = eps * analytic_norm(SpectralField(x.ndim - 2, (x.shape[-1] - 1) // 2, x.reshape((-1,) + x.shape[2:])), delta)
+    g = eps * _sup_norm(x, delta)
     if context is not None and not g <= GATE_BOUND:
         raise NumericalAbort(f"validity gate violated{context}: eps*sup|xi|_delta = {g:.6g} > 1/sqrt(2)", state_dump=state)
     return g
@@ -122,14 +125,13 @@ def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None, s
 
 def gate_margin(ens: PhaseEnsemble, delta: float = DEFAULT_GATE_DELTA) -> float:
     """eps * sup_theta |xi_theta|_delta; must stay <= 1/sqrt(2)."""
-    return _gate(ens.eps, _pack(ens)[1], delta)
+    return _gate(ens.eps, ens.xi, delta)
 
 
 def check_validity(ens: PhaseEnsemble, gate_delta: float = DEFAULT_GATE_DELTA, context: str = "") -> None:
     """Raise NumericalAbort when the gate or grid positivity fails."""
-    r, x, _ = _pack(ens)
-    _gate(ens.eps, x, gate_delta, context, ens)
-    mins = sp.to_grid(r, ens.dim).reshape(len(ens.phases), -1).min(axis=1)
+    _gate(ens.eps, ens.xi, gate_delta, context, ens)
+    mins = sp.to_grid(ens.rho, ens.dim).reshape(ens.mu.size, -1).min(axis=1)
     for i, m in enumerate(mins):
         if not m >= POSITIVITY_TOL:
             raise NumericalAbort(
@@ -156,19 +158,6 @@ def _velocity_grid(xi: np.ndarray, eps: float, axis: int = 0) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _phase_rhs_arrays(
-    rho_c: np.ndarray,
-    xi_c: np.ndarray,
-    e_c: np.ndarray,
-    b_grid: np.ndarray | None,
-    eps: float,
-    dim: int,
-    cutoff: int,
-):
-    """RHS coefficients of the phases plus their current densities: (drho, dxi, flux) of `_phase_rhs_grid`."""
-    return _phase_rhs_grid(rho_c, xi_c, e_c, b_grid, eps, dim, cutoff)[:3]
-
-
-def _phase_rhs_grid(
     rho_c: np.ndarray,
     xi_c: np.ndarray,
     e_c: np.ndarray,
@@ -249,21 +238,6 @@ def rk4_step(y0: tuple, slope, dt: float) -> tuple:
     return tuple(y + dt * sum(w * k for w, k in zip(RK4_WEIGHTS, k_y)) for y, k_y in zip(y0, zip(*ks)))
 
 
-def _pack(ens: PhaseEnsemble):
-    r = np.stack([ph.rho.coeffs for ph in ens.phases])
-    x = np.stack([ph.xi.coeffs for ph in ens.phases])
-    mus = np.array([ph.mu for ph in ens.phases])
-    return r, x, mus
-
-
-def _unpack(ens: PhaseEnsemble, r: np.ndarray, x: np.ndarray) -> PhaseEnsemble:
-    phases = tuple(
-        Phase(ph.mu, SpectralField(ens.dim, ens.cutoff, r[i]), SpectralField(ens.dim, ens.cutoff, x[i]))
-        for i, ph in enumerate(ens.phases)
-    )
-    return PhaseEnsemble(phases, ens.eps)
-
-
 @dataclass(frozen=True)
 class StepResult:
     """One fluid step of either system, with what the particle pushes reuse."""
@@ -294,7 +268,7 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
         raise ValidationError("relativistic stepping requires an EMState")
     check_validity(ens, gate_delta, context=" at step start")
     dim, cutoff, eps = ens.dim, ens.cutoff, ens.eps
-    r0, x0, mus = _pack(ens)
+    mus = ens.mu
     n = padded_grid_size(cutoff)
     b_const = SpectralField.constant(dim, cutoff, em.mean_b0)
     stage_fields = []
@@ -311,17 +285,17 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
         b_field = curl(SpectralField(dim, cutoff, a_hat)) + b_const
         stage_fields.append((e_field, b_field))
 
-        dr, dx, flux = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_field.to_grid(n), eps, dim, cutoff)
+        dr, dx, flux, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_field.to_grid(n), eps, dim, cutoff)
         j_hat = SpectralField(dim, cutoff, np.tensordot(mus, flux, axes=(0, 0)))
         # the divergence-free source, pulled back to the rotating frame
         ka, kw = _rotate(0.0, leray_project(j_hat).coeffs, -ci * dt, eps, dim, cutoff)
         return dr, dx, ka, kw, mean(j_hat)
 
-    y0 = (r0, x0, em.a.coeffs, em.eps_adot.coeffs, np.zeros(dim))
+    y0 = (ens.rho, ens.xi, em.a.coeffs, em.eps_adot.coeffs, np.zeros(dim))
     r1, x1, a1, w1, mean_j_inc = rk4_step(y0, slope, dt)
     a_new, w_new = _rotate(a1, w1, dt, eps, dim, cutoff)
 
-    ens_new = _unpack(ens, r1, x1)
+    ens_new = replace(ens, rho=r1, xi=x1)
     em_new = EMState(
         eps=eps,
         phi=solve_poisson(ens_new.rho_total()),
@@ -346,18 +320,18 @@ def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
         raise ValidationError("vp_step expects an eps = 0 ensemble")
     check_validity(ens, context=" at step start")
     dim, cutoff = ens.dim, ens.cutoff
-    r0, x0, mus = _pack(ens)
+    mus = ens.mu
     stage_fields = []
 
     def slope(i, ys):
         rs, xs = ys
         e_field = -1.0 * gradient(solve_poisson(SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))))
         stage_fields.append((e_field, None))
-        dr, dx, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
+        dr, dx, _, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
         return dr, dx
 
-    r1, x1 = rk4_step((r0, x0), slope, dt)
-    return StepResult(_unpack(ens, r1, x1), None, tuple(stage_fields), np.zeros(dim))
+    r1, x1 = rk4_step((ens.rho, ens.xi), slope, dt)
+    return StepResult(replace(ens, rho=r1, xi=x1), None, tuple(stage_fields), np.zeros(dim))
 
 
 def vp_step(ens: PhaseEnsemble, dt: float) -> PhaseEnsemble:
@@ -384,9 +358,8 @@ def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
     synthesis.  The kinetic energy is sum_theta mu int e(xi_theta) rho_theta dx
     with the relativistic e(xi).
     """
-    r, x, mus = _pack(ens)
-    g = sp.to_grid(np.concatenate([r, x], axis=1), ens.dim)
-    rg, xg, mu = g[:, :1], g[:, 1:], mus.reshape((-1,) + (1,) * (ens.dim + 1))
+    g = sp.to_grid(np.concatenate([ens.rho, ens.xi], axis=1), ens.dim)
+    rg, xg, mu = g[:, :1], g[:, 1:], ens.mu.reshape((-1,) + (1,) * (ens.dim + 1))
     vg = _velocity_grid(xg, ens.eps, axis=1)
     speed = np.sqrt((vg ** 2).sum(axis=1, keepdims=True))
     xi2 = (xg ** 2).sum(axis=1, keepdims=True)
@@ -522,12 +495,9 @@ def ck_iterate(
     horizon = p.eta * (p.delta0 - p.delta)
     times = np.linspace(0.0, horizon, n_time + 1)
     dt = times[1] - times[0]
-    rho0, xi0, mus = _pack(init)
+    rho0, xi0, mus = init.rho, init.xi, init.mu
     mode_shape = rho0.shape[2:]
-    c0 = max(
-        max(analytic_norm(ph.rho, p.delta0) for ph in init.phases),
-        max(analytic_norm(ph.xi, p.delta0) for ph in init.phases),
-    )
+    c0 = max(_sup_norm(rho0, p.delta0), _sup_norm(xi0, p.delta0))
 
     # iterate 0: frozen initial data
     rho = np.broadcast_to(rho0, (n_time + 1,) + rho0.shape).copy()
@@ -559,7 +529,7 @@ def ck_iterate(
             blk = slice(lo, lo + CK_SLICE_BLOCK)
             rho_tot = np.tensordot(mus, rho[blk], axes=(0, 1))
             e_hat = -(1j * sp.mode_vectors(dim, cutoff)) * sp.poisson_coeffs(rho_tot, dim)
-            drho[blk], dxi[blk], flux, v_g = _phase_rhs_grid(
+            drho[blk], dxi[blk], flux, v_g = _phase_rhs_arrays(
                 rho[blk], xi[blk], np.expand_dims(e_hat, 1), None, eps, dim, cutoff
             )
             if eps > 0:
@@ -643,33 +613,33 @@ def _traj_diff_norm(diff, times, p) -> float:
 # ----------------------------------------------------------------------
 
 def save_ensemble(ens: PhaseEnsemble, path) -> None:
-    """Header JSON (phase table) + per-phase field blocks (rho then xi)."""
+    """Header JSON (phase table), then one (M, 1 + d, J..) block: per phase rho, then xi."""
     header = {
         "format": "vmvp-ensemble-v1",
         "eps": ens.eps,
         "dim": ens.dim,
         "cutoff": ens.cutoff,
-        "phases": [{"id": i, "mu": ph.mu} for i, ph in enumerate(ens.phases)],
+        "phases": [{"id": i, "mu": float(mu)} for i, mu in enumerate(ens.mu)],
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode())
-        for ph in ens.phases:
-            fh.write(np.ascontiguousarray(ph.rho.coeffs).tobytes())
-            fh.write(np.ascontiguousarray(ph.xi.coeffs).tobytes())
+        fh.write(np.concatenate([ens.rho, ens.xi], axis=1).tobytes())
 
 
 def load_ensemble(path) -> PhaseEnsemble:
     header, raw = sp.read_binary(path, "vmvp-ensemble-v1", counts=("dim", "cutoff"), numbers=("eps",))
     dim, cutoff, entries = header["dim"], header["cutoff"], header.get("phases")
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("mu"), (int, float)) and not isinstance(e["mu"], bool) for e in entries
+    if not isinstance(entries, list) or not entries or not all(
+        isinstance(e, dict) and isinstance(e.get("mu"), (int, float)) and not isinstance(e["mu"], bool) and 0 < e["mu"] <= 1
+        for e in entries
     ):
-        raise ValidationError(f"{path}: header field 'phases' must list objects with a numeric 'mu'")
-    shape = (len(entries), 1 + dim) + (2 * cutoff + 1,) * dim
-    sp.expect_bytes(path, raw, 16 * int(np.prod(shape)))
-    blocks = np.frombuffer(raw, dtype=complex).reshape(shape)         # per phase: rho, then xi
-    phases = [
-        Phase(e["mu"], SpectralField(dim, cutoff, c[:1]), SpectralField(dim, cutoff, c[1:]))
-        for e, c in zip(entries, blocks)
-    ]
-    return PhaseEnsemble(tuple(phases), header["eps"])
+        raise ValidationError(f"{path}: header field 'phases' must list objects with a 'mu' in (0, 1]")
+    if dim > len(raw):  # a phase takes at least 16 (1 + dim) bytes
+        raise ValidationError(f"{path}: {len(raw)} data bytes cannot hold a phase of dim {dim}")
+    j = 2 * cutoff + 1
+    sp.expect_bytes(path, raw, 16 * len(entries) * (1 + dim) * j ** dim)
+    try:
+        blocks = np.frombuffer(raw, dtype=complex).reshape((len(entries), 1 + dim) + (j,) * dim)
+    except ValueError as exc:  # more axes than numpy holds
+        raise ValidationError(f"{path}: fields of dim {dim} do not fit in an array: {exc}") from exc
+    return PhaseEnsemble([e["mu"] for e in entries], blocks[:, :1], blocks[:, 1:], header["eps"])

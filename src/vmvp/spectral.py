@@ -15,6 +15,7 @@ restricted to the cutoff box.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -602,8 +603,8 @@ def read_binary(path, fmt: str, counts: Sequence[str] = (), numbers: Sequence[st
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValidationError(f"{path}: header field {key!r} must be a non-negative integer, got {v!r}")
     for key in numbers:
-        v = header.get(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        v = header.get(key)  # a JSON integer may lie past the float range, NaN and inf compare False
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ValidationError(f"{path}: header field {key!r} must be a finite number, got {v!r}")
     return header, raw
 

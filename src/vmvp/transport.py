@@ -97,8 +97,8 @@ def linprog(*args, **kwargs):
 class EmpiricalMeasure:
     """Weighted samples on torus x R^d; xi=None means a position-only measure.
 
-    Coordinates must be finite, and the weights nonnegative with sum 1 (a
-    NaN weight fails both).
+    Positions need at least one axis, coordinates must be finite, and the
+    weights nonnegative with sum 1 (a NaN weight fails both).
     """
 
     x: np.ndarray
@@ -114,6 +114,8 @@ class EmpiricalMeasure:
             raise ValidationError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"weights must sum to 1 (got {w.sum()})")
+        if x.shape[1] == 0:
+            raise ValidationError("positions need at least one axis")
         if not np.isfinite(x).all():
             raise ValidationError("positions must be finite")
         object.__setattr__(self, "x", x)
@@ -143,26 +145,43 @@ class EmpiricalMeasure:
         return np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-12 / self.size)
 
 
-def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
-    """Both measures live in one phase space in which no pair cost overflows.
+def _cost_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """B = d pi^2 + sum_a span_a^2, a bound on every pair cost (inf when it overflows).
 
-    Every pair cost is at most d pi^2 + sum_a span_a^2, with d the position
-    dimension and span_a the momentum range of both clouds on axis a, so
-    momenta for which that bound is not finite are refused.
+    d is the position dimension and span_a the momentum range of both clouds
+    on axis a.
+    """
+    bound = mu.x.shape[1] * np.pi ** 2
+    if mu.xi is not None:
+        with np.errstate(over="ignore"):
+            span = np.ptp(np.concatenate([mu.xi, nu.xi]), axis=0)
+            bound += (span * span).sum()
+    return float(bound)
+
+
+def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
+    """Both measures live in one phase space in which no sum the W2 solvers form overflows.
+
+    Every pair cost c lies in [0, B] (_cost_bound), with B >= pi^2 as a
+    cloud has a position axis.  The sums of c and column prices p stay
+    below 2 R B, R = AUCTION_MAX_ROUNDS, so B is refused when 2 R B is not
+    finite:
+
+    * the auction's first epsilon is at most B / 5, and a bid sets a price
+      to at most another price plus B + epsilon, so after its at most R
+      rounds every price is at most 1.2 R B, and c + p < 2 R B;
+    * the completion declines rather than raise a price past (2 R - 1) B,
+      so its sums c + p stay below 2 R B as well;
+    * the dense solve shifts each cost by the last such prices.
     """
     if mu.x.shape[1] != nu.x.shape[1]:
         raise ValidationError("position dimensions differ")
     if (mu.xi is None) != (nu.xi is None):
         raise ValidationError("one measure has velocities, the other does not")
-    if mu.xi is None:
-        return
-    if mu.xi.shape[1] != nu.xi.shape[1]:
+    if mu.xi is not None and mu.xi.shape[1] != nu.xi.shape[1]:
         raise ValidationError("velocity dimensions differ")
-    with np.errstate(over="ignore"):
-        span = np.ptp(np.concatenate([mu.xi, nu.xi]), axis=0)
-        bound = mu.x.shape[1] * np.pi ** 2 + (span * span).sum()
-    if not np.isfinite(bound):
-        raise ValidationError("momenta too far apart: their squared distances overflow")
+    if not np.isfinite(2.0 * AUCTION_MAX_ROUNDS * _cost_bound(mu, nu)):
+        raise ValidationError("momenta too far apart: the assignment's sums of costs and prices would overflow")
 
 
 def _squared_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cols: np.ndarray | None = None) -> np.ndarray:
@@ -407,8 +426,11 @@ def _lifted_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray
     return np.hstack([c, c_extra]), np.hstack([cand, extra])
 
 
-def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarray):
-    """An assignment on the candidate graph completed along shortest augmenting paths, or None if a free row has none.
+def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarray, cap: float):
+    """An assignment on the candidate graph completed along shortest augmenting paths, or None.
+
+    None when a free row has no path, or when its path would raise a price
+    past cap.
 
     Row i holds column cols[i] (-1 if free).  A row is freed first when that
     column is not among its candidates cand[i], or when c + p there exceeds
@@ -472,7 +494,7 @@ def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarr
             if np.isfinite(reach) or limit == np.inf:
                 break
             limit = 8.0 * limit if 8.0 * limit < bound else np.inf
-        if not np.isfinite(reach):
+        if not reach <= cap - price.max():  # no path, or a price rise past the cap
             return None
         price += np.maximum(reach - dist[node], 0.0)
         i, j = pred[end], free[end - n]
@@ -551,6 +573,7 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     completion's price rises made cheapest.
     """
     cands = _auction_candidates(mu, nu)
+    cap = (2.0 * AUCTION_MAX_ROUNDS - 1.0) * _cost_bound(mu, nu)  # see _check_same_space
     queries = []
 
     def lift(price):
@@ -566,7 +589,7 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     for _ in range(CERT_PASSES):
         kth, cand, span = queries.pop() if queries else _lifted_neighbours(mu, nu, price, AUCTION_K)
         c = _squared_costs(mu, nu, cand)
-        done = _complete(c, cand, price, cols)
+        done = _complete(c, cand, price, cols, cap)
         if done is None:
             break
         slot, price = done

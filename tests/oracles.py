@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, _filon_weights, _rotate, _wave_knorm
 from vmvp.lagrangian import ParticleCloud
-from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _pack, _phase_rhs_arrays, check_validity
+from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _phase_rhs_arrays, check_validity
 from vmvp.spectral import SpectralField, derivative, mode_norms, mode_vectors, padded_grid_size, stack
 from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq
 
@@ -64,8 +64,7 @@ def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
     """Per-phase (drho/dt, dxi/dt) for the relativistic system at frozen fields."""
     check_validity(ens)
     b_grid = b.to_grid(padded_grid_size(ens.cutoff)) if b is not None else None
-    r, x, _ = _pack(ens)
-    drho, dxi, _ = _phase_rhs_arrays(r, x, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
+    drho, dxi, _, _ = _phase_rhs_arrays(ens.rho, ens.xi, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
     return [
         (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
         for dr, dx in zip(drho, dxi)
@@ -151,11 +150,11 @@ def consistency_check(cloud: ParticleCloud, ens: PhaseEnsemble, system: str = "v
     density_rms = float(np.sqrt(((emp - fluid) ** 2).mean()))
 
     resid = np.empty(cloud.size)
-    for p, ph in enumerate(ens.phases):
+    for p, xi_p in enumerate(ens.xi):
         idx = np.flatnonzero(cloud.phase_idx == p)
         if idx.size == 0:
             continue
-        target = ph.xi.evaluate_at(x[idx])
+        target = SpectralField(d, ens.cutoff, xi_p).evaluate_at(x[idx])
         resid[idx] = np.sqrt(((xi[idx] - target) ** 2).sum(axis=1))
     return ConsistencyReport(
         density_rms=density_rms,

@@ -161,6 +161,11 @@ class TestWassersteinInputs:
     def test_momenta_whose_squared_gaps_overflow(self, tmp_path, n, far_a, far_b):
         assert main(["wasserstein", *save_clouds(tmp_path, (n, far_a), (n, far_b))]) == 2
 
+    @pytest.mark.parametrize("far", [1.2e154, 1.3e154])
+    def test_momenta_whose_sums_with_prices_overflow(self, tmp_path, far):
+        # the squared gaps are floats, but the sparse solve's costs plus prices would not be
+        assert main(["wasserstein", *save_clouds(tmp_path, (200, far), (200, 0.0))]) == 2
+
     def test_momenta_whose_squared_gaps_overflow_unequal_sizes(self, tmp_path):
         assert main(["wasserstein", *save_clouds(tmp_path, (10, 1e200), (12, 0.0))]) == 2
 
@@ -203,7 +208,7 @@ class TestSimulate:
         assert rc == 3
         assert "numerical abort: step 3, t = 0.003: phase 0 density negative" in capsys.readouterr().err
         dumped = multifluid.load_ensemble(out / "abort_state.ens")
-        assert dumped.eps == 0.0 and len(dumped.phases) == 2
+        assert dumped.eps == 0.0 and dumped.mu.size == 2
         assert not (out / "vp_final.ens").exists()
 
     @pytest.mark.parametrize("command", [["simulate", "--mode", "pair"], ["sweep", "--eps", "0.4,0.2,0.1"]])
@@ -226,7 +231,7 @@ class TestSimulate:
         assert rc == 3
         assert "numerical abort: step 3, t = 0.003: phase 0 density negative" in capsys.readouterr().err
         dumped = multifluid.load_ensemble(out / "abort_state.ens")
-        assert dumped.eps == 0.0 and len(dumped.phases) == 2
+        assert dumped.eps == 0.0 and dumped.mu.size == 2
         assert not (out / "report.json").exists()
 
 
@@ -271,6 +276,15 @@ class TestCkCli:
         assert not payload["diverged"]
 
 
+def save_zero_dimensional_cloud(tmp_path):
+    """A checkpoint of two points with no position or momentum axis: weights 0.5, 0.5, phase labels 0, 0."""
+    (tmp_path / "ck").mkdir()
+    path = tmp_path / "ck" / "a.cloud"
+    header = {"format": "vmvp-cloud-v1", "n": 2, "dim": 0, "seed": 1, "t": 0.0}
+    path.write_bytes((json.dumps(header) + "\n").encode() + np.full(2, 0.5).tobytes() + np.zeros(2, np.int64).tobytes())
+    return path
+
+
 class TestWassersteinAndReplay:
     def test_wasserstein_between_checkpoints(self, tiny_cfg_path, tmp_path):
         out = tmp_path / "wsrun"
@@ -296,6 +310,15 @@ class TestWassersteinAndReplay:
 
     def test_report_missing_args(self):
         assert main(["report"]) == 2
+
+    @pytest.mark.parametrize("side", ["vm", "vp"])
+    def test_zero_dimensional_checkpoint_wasserstein(self, tmp_path, side):
+        path = save_zero_dimensional_cloud(tmp_path)
+        assert main(["wasserstein", str(path), str(path), "--side", side]) == 2
+
+    def test_zero_dimensional_checkpoint_report(self, tmp_path):
+        path = save_zero_dimensional_cloud(tmp_path)
+        assert main(["report", "--from-checkpoints", str(path.parent)]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "negative", "unnormalised"])
     def test_report_checks_the_checkpoint_weights(self, tmp_path, bad):

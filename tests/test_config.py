@@ -142,7 +142,7 @@ class TestBuilders:
     def test_ensemble_and_em(self):
         cfg = sample_config()
         ens = build_ensemble(cfg, 0.2)
-        assert len(ens.phases) == 2 and ens.eps == 0.2
+        assert ens.mu.size == 2 and ens.eps == 0.2
         em = build_em_state(cfg, 0.2)
         assert em.eps == 0.2
         # well-prepared: transverse part vanishes

@@ -12,7 +12,7 @@ from vmvp.lagrangian import (
     sample_cloud,
     save_cloud,
 )
-from vmvp.multifluid import Phase, PhaseEnsemble
+from vmvp.multifluid import PhaseEnsemble
 from vmvp.spectral import SpectralField, gradient
 from vmvp.transport import TWO_PI, coupling_Q
 
@@ -20,12 +20,10 @@ K = 6
 
 
 def make_ensemble(entries, eps=0.0, dim=2):
-    phases = []
-    for mu, rho_modes, xi_modes in entries:
-        rho = SpectralField.from_modes(dim, K, 1, [(0, kv, a) for kv, a in rho_modes])
-        xi = SpectralField.from_modes(dim, K, dim, [(c, kv, a) for c, kv, a in xi_modes])
-        phases.append(Phase(mu, rho, xi))
-    return PhaseEnsemble(tuple(phases), eps)
+    mus, rho_tables, xi_tables = zip(*entries)
+    rho = [SpectralField.from_modes(dim, K, 1, [(0, kv, a) for kv, a in t]).coeffs for t in rho_tables]
+    xi = [SpectralField.from_modes(dim, K, dim, [(c, kv, a) for c, kv, a in t]).coeffs for t in xi_tables]
+    return PhaseEnsemble(mus, np.stack(rho), np.stack(xi), eps)
 
 
 def frozen(e, b=None):

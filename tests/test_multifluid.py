@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from vmvp.errors import NumericalAbort, ValidationError
 from vmvp.fields import assemble_b, assemble_e, init_em_state
 from vmvp.multifluid import (
     GATE_BOUND,
-    Phase,
     PhaseEnsemble,
     _velocity_grid,
     ck_iterate,
@@ -32,14 +34,21 @@ from vmvp.spectral import (
 
 
 def make_phase(dim, K, mu, rho_entries, xi_entries):
+    """One phase as (mu, rho, xi), the fields as SpectralFields."""
     rho = SpectralField.from_modes(dim, K, 1, [(0, kv, a) for kv, a in rho_entries])
     xi = SpectralField.from_modes(dim, K, dim, [(c, kv, a) for c, kv, a in xi_entries])
-    return Phase(mu, rho, xi)
+    return mu, rho, xi
+
+
+def ensemble(phases, eps):
+    """The PhaseEnsemble of (mu, rho, xi) phases, the fields stacked."""
+    mus, rhos, xis = zip(*phases)
+    return PhaseEnsemble(mus, np.stack([r.coeffs for r in rhos]), np.stack([x.coeffs for x in xis]), eps)
 
 
 def uniform_static(dim=2, K=6, eps=0.0):
     ph = make_phase(dim, K, 1.0, [([0] * dim, 1.0)], [])
-    return PhaseEnsemble((ph,), eps)
+    return ensemble((ph,), eps)
 
 
 def two_phase_2d(K=8, eps=0.2, rho_amp=0.08, xi_mean=0.25, xi_amp=0.1):
@@ -54,7 +63,7 @@ def two_phase_2d(K=8, eps=0.2, rho_amp=0.08, xi_mean=0.25, xi_amp=0.1):
         [([0, 0], 1.0), ([1, 0], rho_amp / 2)],
         [(0, [0, 0], -xi_mean), (0, [0, 1], 1j * xi_amp / 2), (1, [1, 0], 1j * xi_amp / 4)],
     )
-    return PhaseEnsemble((p1, p2), eps)
+    return ensemble((p1, p2), eps)
 
 
 def well_prepared_em(ens, eps):
@@ -69,16 +78,38 @@ class TestEnsembleInvariants:
     def test_weights_must_sum_to_one(self):
         ph = make_phase(2, 4, 0.7, [([0, 0], 1.0)], [])
         with pytest.raises(ValidationError, match="sum to 1"):
-            PhaseEnsemble((ph,), 0.0)
+            ensemble((ph,), 0.0)
 
     def test_neutrality_enforced(self):
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.2)], [])
         with pytest.raises(ValidationError, match="mass"):
-            PhaseEnsemble((ph,), 0.0)
+            ensemble((ph,), 0.0)
+
+    def test_arrays_are_read_only_copies(self):
+        mu, rho, xi = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [1, 0], 0.1)])
+        r, x = rho.coeffs[None].copy(), xi.coeffs[None].copy()
+        ens = PhaseEnsemble([mu], r, x, 0.0)
+        r[0, 0, 4, 4] = 2.0
+        assert ens.rho[0, 0, 4, 4] == 1.0
+        for a in (ens.mu, ens.rho, ens.xi):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("rho_shape,xi_shape", [
+        ((1, 1, 9, 8), (1, 2, 9, 8)),   # even J
+        ((1, 1, 9, 7), (1, 2, 9, 7)),   # unequal axes
+        ((1, 1, 9, 9), (1, 1, 9, 9)),   # xi with one component in d = 2
+        ((2, 1, 9, 9), (2, 2, 9, 9)),   # two phases, one weight
+        ((1, 1), (1, 0)),               # no position axis
+    ])
+    def test_stacked_shapes_checked(self, rho_shape, xi_shape):
+        rho = np.zeros(rho_shape, dtype=complex)
+        rho[(0, 0) + (rho_shape[-1] // 2,) * (len(rho_shape) - 2)] = 1.0
+        with pytest.raises(ValidationError, match="phases need"):
+            PhaseEnsemble([1.0], rho, np.zeros(xi_shape, dtype=complex), 0.0)
 
     def test_gate_margin_and_abort(self):
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], 5.0)])
-        ens = PhaseEnsemble((ph,), 0.3)
+        ens = ensemble((ph,), 0.3)
         assert gate_margin(ens, 1.1) == pytest.approx(1.5)
         assert gate_margin(ens, 1.1) > GATE_BOUND
         with pytest.raises(NumericalAbort, match="gate"):
@@ -88,34 +119,32 @@ class TestEnsembleInvariants:
         from vmvp.spectral import analytic_norm
 
         ens = two_phase_2d(eps=0.3)
-        loop_rho = sum((ph.mu * ph.rho.coeffs for ph in ens.phases), np.zeros_like(ens.phases[0].rho.coeffs))
+        loop_rho = sum((mu * r for mu, r in zip(ens.mu, ens.rho)), np.zeros_like(ens.rho[0]))
         assert np.abs(ens.rho_total().coeffs - loop_rho).max() <= 4 * np.finfo(float).eps * np.abs(loop_rho).max()
-        loop_gate = 0.3 * max(analytic_norm(ph.xi, 1.1) for ph in ens.phases)
+        loop_gate = 0.3 * max(analytic_norm(SpectralField(2, 8, x), 1.1) for x in ens.xi)
         assert gate_margin(ens, 1.1) == pytest.approx(loop_gate, rel=4 * np.finfo(float).eps)
 
     def test_positivity_abort(self):
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0), ([1, 0], 0.8)], [])
-        ens = PhaseEnsemble((ph,), 0.0)
+        ens = ensemble((ph,), 0.0)
         with pytest.raises(NumericalAbort, match="negative"):
             check_validity(ens)
 
     def test_nan_weight_and_eps_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
-            make_phase(2, 4, np.nan, [([0, 0], 1.0)], [])
+            ensemble((make_phase(2, 4, np.nan, [([0, 0], 1.0)], []),), 0.0)
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [])
         with pytest.raises(ValidationError, match="nonnegative"):
-            PhaseEnsemble((ph,), np.nan)
+            ensemble((ph,), np.nan)
         with pytest.raises(ValidationError, match="mass"):
-            PhaseEnsemble((make_phase(2, 4, 1.0, [([0, 0], np.nan)], []),), 0.0)
+            ensemble((make_phase(2, 4, 1.0, [([0, 0], np.nan)], []),), 0.0)
 
     @pytest.mark.parametrize("field,match", [("xi", "gate"), ("rho", "negative")])
     def test_nan_coefficient_aborts_validity_check(self, field, match):
         ens = two_phase_2d(K=4)
-        p1, p2 = ens.phases
-        coeffs = getattr(p1, field).coeffs.copy()
-        coeffs[0, 5, 4] = np.nan  # a k != 0 mode, so the mean mass stays 1
-        parts = {"rho": p1.rho, "xi": p1.xi, field: SpectralField(2, 4, coeffs)}
-        ens = PhaseEnsemble((Phase(p1.mu, parts["rho"], parts["xi"]), p2), ens.eps)
+        coeffs = getattr(ens, field).copy()
+        coeffs[0, 0, 5, 4] = np.nan  # a k != 0 mode of phase 0, so the mean mass stays 1
+        ens = replace(ens, **{field: coeffs})
         with pytest.raises(NumericalAbort, match=match) as info:
             check_validity(ens)
         assert info.value.state_dump is ens
@@ -152,7 +181,7 @@ class TestRelativisticVelocity:
         xi = SpectralField.constant(2, 4, [4.0, 0.0])
         rho = SpectralField.constant(2, 4, 1.0)
         with pytest.raises(NumericalAbort):
-            check_validity(PhaseEnsemble((Phase(1.0, rho, xi),), 0.5))
+            check_validity(ensemble(((1.0, rho, xi),), 0.5))
 
 
 class TestRhs:
@@ -166,7 +195,7 @@ class TestRhs:
 
     def test_free_uniform_stream(self):
         ph = make_phase(2, 6, 1.0, [([0, 0], 1.0)], [(0, [0, 0], 0.7)])
-        ens = PhaseEnsemble((ph,), 0.0)
+        ens = ensemble((ph,), 0.0)
         (drho, dxi), = vm_rhs(ens, SpectralField.zeros(2, 6, 2), None)
         assert np.abs(drho.coeffs).max() < 1e-14
         assert np.abs(dxi.coeffs).max() < 1e-14
@@ -178,8 +207,8 @@ class TestRhs:
         rhs = vm_rhs(ens, e, None)
         # electrostatic variant: dxi must equal -(xi.grad)xi + E
         from vmvp.multifluid import _phase_rhs_arrays
-        for ph, (drho, dxi) in zip(ens.phases, rhs):
-            dr2, dx2, _ = _phase_rhs_arrays(ph.rho.coeffs, ph.xi.coeffs, e.coeffs, None, 0.0, 2, 8)
+        for r, x, (drho, dxi) in zip(ens.rho, ens.xi, rhs):
+            dr2, dx2, _, _ = _phase_rhs_arrays(r, x, e.coeffs, None, 0.0, 2, 8)
             assert np.abs(drho.coeffs - dr2).max() == 0.0
             assert np.abs(dxi.coeffs - dx2).max() == 0.0
 
@@ -191,13 +220,12 @@ class TestRhs:
         K, eps = 6, 0.3
         rng = np.random.default_rng(11)
         shape = (2 * K + 1,) * 2
-        rho = np.stack([[two_phase_2d(K=K, rho_amp=0.05 * (1 + t), xi_amp=0.1 + 0.02 * t).phases[p].rho.coeffs
-                         for p in range(2)] for t in range(3)])
-        xi = np.stack([[two_phase_2d(K=K, xi_amp=0.1 + 0.02 * t).phases[p].xi.coeffs for p in range(2)] for t in range(3)])
+        rho = np.stack([two_phase_2d(K=K, rho_amp=0.05 * (1 + t), xi_amp=0.1 + 0.02 * t).rho for t in range(3)])
+        xi = np.stack([two_phase_2d(K=K, xi_amp=0.1 + 0.02 * t).xi for t in range(3)])
         e = rng.standard_normal((3, 1, 2) + shape) * 0.01
         b_grid = rng.standard_normal((1, 1, 1) + (4 * K + 2,) * 2) * 0.1
         for b in (b_grid, None):
-            drho, dxi, flux = _phase_rhs_arrays(rho, xi, e, b, eps, 2, K)
+            drho, dxi, flux, _ = _phase_rhs_arrays(rho, xi, e, b, eps, 2, K)
             assert drho.shape == rho.shape and dxi.shape == flux.shape == xi.shape
             for t in range(3):
                 for p in range(2):
@@ -210,13 +238,13 @@ class TestRhs:
         # the mu-weighted flux coefficients are the total current sum mu v(xi) rho,
         # and their k = 0 mode is the mean current of moments()
         from vmvp import spectral as sp
-        from vmvp.multifluid import _pack, _phase_rhs_arrays
+        from vmvp.multifluid import _phase_rhs_arrays
 
         p1 = make_phase(2, 6, 0.25, [([0, 0], 1.0), ([1, 0], 0.05)], [(0, [0, 0], 0.3), (1, [0, 1], 0.04j)])
         p2 = make_phase(2, 6, 0.75, [([0, 0], 1.0)], [(1, [1, 1], 0.05)])
-        ens = PhaseEnsemble((p1, p2), 0.3)
-        r, x, mus = _pack(ens)
-        _, _, flux = _phase_rhs_arrays(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
+        ens = ensemble((p1, p2), 0.3)
+        r, x, mus = ens.rho, ens.xi, ens.mu
+        _, _, flux, _ = _phase_rhs_arrays(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
         kernel_j = np.tensordot(mus, flux, axes=(0, 0))
         g = sp.to_grid(np.concatenate([r, x], axis=1), 2)
         rg, vg = g[:, :1], _velocity_grid(g[:, 1:], ens.eps, axis=1)
@@ -231,10 +259,10 @@ class TestRhs:
         from vmvp.multifluid import _phase_rhs_arrays
 
         ens = two_phase_2d(K=4)
-        xi = ens.phases[0].xi.coeffs.copy()
+        xi = ens.xi[0].copy()
         xi[0, 4, 4] = np.nan
         with pytest.raises(NumericalAbort):
-            _phase_rhs_arrays(ens.phases[0].rho.coeffs, xi, np.zeros_like(xi), None, 0.0, 2, 4)
+            _phase_rhs_arrays(ens.rho[0], xi, np.zeros_like(xi), None, 0.0, 2, 4)
 
 
 class TestRk4Step:
@@ -262,9 +290,8 @@ class TestStepping:
         ens = two_phase_2d(eps=0.2, rho_amp=0.0, xi_mean=0.0, xi_amp=0.0)
         em = well_prepared_em(ens, 0.2)
         ens2, em2 = vm_step(ens, em, 1e-2)
-        for ph, ph2 in zip(ens.phases, ens2.phases):
-            assert np.abs(ph2.rho.coeffs - ph.rho.coeffs).max() < 1e-12
-            assert np.abs(ph2.xi.coeffs - ph.xi.coeffs).max() < 1e-12
+        assert np.abs(ens2.rho - ens.rho).max() < 1e-12
+        assert np.abs(ens2.xi - ens.xi).max() < 1e-12
         assert np.abs(em2.a.coeffs).max() < 1e-12
 
     def test_vm_step_rejects_eps_zero_and_a_missing_field_state(self):
@@ -283,9 +310,7 @@ class TestStepping:
             ens = two_phase_2d(eps=eps)
             em = well_prepared_em(ens, eps)
             stepped, _ = vm_step(ens, em, 1e-2)
-            err = max(
-                np.abs(a.xi.coeffs - b.xi.coeffs).max() for a, b in zip(stepped.phases, ref.phases)
-            )
+            err = np.abs(stepped.xi - ref.xi).max()
             errs.append(err)
         assert errs[1] < errs[0]
 
@@ -304,10 +329,7 @@ class TestStepping:
         errs = []
         for nsteps in (4, 8, 16):
             coarse = run(T / nsteps)
-            err = max(
-                np.abs(a.xi.coeffs - b.xi.coeffs).max()
-                for a, b in zip(coarse.phases, fine.phases)
-            )
+            err = np.abs(coarse.xi - fine.xi).max()
             errs.append(err)
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
@@ -325,13 +347,13 @@ class TestStepping:
         # linearized electrostatic response: density mode oscillates at unit frequency
         K, a = 4, 1e-3
         ph = make_phase(1, K, 1.0, [([0], 1.0), ([1], a / 2)], [])
-        ens = PhaseEnsemble((ph,), 0.0)
+        ens = ensemble((ph,), 0.0)
         dt, T = 2 * np.pi / 2000, 2 * np.pi
         series = []
         cur = ens
         for _ in range(2000):
             cur = vp_step(cur, dt)
-            series.append(cur.phases[0].rho.coeffs[0, K + 1].real)
+            series.append(cur.rho[0, 0, K + 1].real)
         series = np.array(series)
         ts = dt * np.arange(1, 2001)
         expect = (a / 2) * np.cos(ts)
@@ -349,7 +371,7 @@ class TestStepping:
 
     def test_gate_abort_mid_run(self):
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], 2.0)])
-        ens = PhaseEnsemble((ph,), 0.5)
+        ens = ensemble((ph,), 0.5)
         em = well_prepared_em(ens, 0.5)
         with pytest.raises(NumericalAbort) as exc:
             vm_step(ens, em, 1e-3)
@@ -367,7 +389,7 @@ class TestMoments:
         c = 0.4
         p1 = make_phase(2, 4, 0.5, [([0, 0], 1.0)], [(0, [0, 0], c)])
         p2 = make_phase(2, 4, 0.5, [([0, 0], 1.0)], [(0, [0, 0], -c)])
-        ens = PhaseEnsemble((p1, p2), 0.0)
+        ens = ensemble((p1, p2), 0.0)
         m = moments(ens, alpha=1.0)
         assert np.abs(m.j_mean).max() < 1e-14
         assert m.m_alpha_sup == pytest.approx(c, rel=1e-12)
@@ -375,7 +397,7 @@ class TestMoments:
     def test_fourth_moment(self):
         c = 0.5
         p = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], c)])
-        ens = PhaseEnsemble((p,), 0.0)
+        ens = ensemble((p,), 0.0)
         assert moments(ens).fourth_moment_l1 == pytest.approx(c ** 4, rel=1e-12)
 
 
@@ -427,9 +449,9 @@ class TestCKIteration:
         cur, m = ens, em
         for _ in range(n_steps):
             cur, m = vm_step(cur, m, dt)
-        for pidx, ph in enumerate(cur.phases):
-            assert np.abs(rep.rho_traj[-1, pidx] - ph.rho.coeffs).max() < 1e-6
-            assert np.abs(rep.xi_traj[-1, pidx] - ph.xi.coeffs).max() < 1e-6
+        for pidx in range(cur.mu.size):
+            assert np.abs(rep.rho_traj[-1, pidx] - cur.rho[pidx]).max() < 1e-6
+            assert np.abs(rep.xi_traj[-1, pidx] - cur.xi[pidx]).max() < 1e-6
 
 
 def duhamel_closed_form(s_hat, a0, w0, times, eps, dim, cutoff):
@@ -671,7 +693,7 @@ class TestCkRecorded:
         ens, em = build_ensemble(cfg, eps), build_em_state(cfg, eps)
         p = AnalyticNormParams(delta0=cfg.delta0, delta=cfg.delta1, eta=cfg.eta, beta=cfg.loss_beta)
         unit = (cfg.ck_n_time + 1) * (2 * ens.cutoff + 1) ** ens.dim * 16
-        grid = multifluid.CK_SLICE_BLOCK * len(ens.phases) * padded_grid_size(ens.cutoff) ** ens.dim * 8
+        grid = multifluid.CK_SLICE_BLOCK * ens.mu.size * padded_grid_size(ens.cutoff) ** ens.dim * 8
         ck_iterate(ens, em, p, n_max=1, n_time=cfg.ck_n_time)  # the transform matrices are cached outside the trace
         tracemalloc.start()
         try:
@@ -690,10 +712,26 @@ class TestSerialization:
         save_ensemble(ens, path)
         back = load_ensemble(path)
         assert back.eps == ens.eps
-        for a, b in zip(back.phases, ens.phases):
-            assert a.mu == b.mu
-            assert np.array_equal(a.rho.coeffs, b.rho.coeffs)
-            assert np.array_equal(a.xi.coeffs, b.xi.coeffs)
+        assert np.array_equal(back.mu, ens.mu)
+        assert np.array_equal(back.rho, ens.rho)
+        assert np.array_equal(back.xi, ens.xi)
+
+    def test_save_of_load_is_byte_for_byte(self, tmp_path):
+        # the test pair and the bundled ck2d ensemble
+        from vmvp.config import build_ensemble, load_config, resolve_config_path
+
+        for ens in (two_phase_2d(), build_ensemble(load_config(resolve_config_path("bundled/ck2d")), 0.1)):
+            save_ensemble(ens, tmp_path / "a.ens")
+            save_ensemble(load_ensemble(tmp_path / "a.ens"), tmp_path / "b.ens")
+            assert (tmp_path / "b.ens").read_bytes() == (tmp_path / "a.ens").read_bytes()
+
+    def test_implied_byte_count_is_exact(self, tmp_path):
+        # 16 bytes x 2 phases x 41 blocks x 3^40 modes, which wraps at int64
+        path = tmp_path / "e.ens"
+        header = {"format": "vmvp-ensemble-v1", "eps": 0.1, "dim": 40, "cutoff": 1, "phases": [{"mu": 0.5}, {"mu": 0.5}]}
+        path.write_bytes((json.dumps(header) + "\n").encode() + bytes(64))
+        with pytest.raises(ValidationError, match=str(16 * 2 * 41 * 3 ** 40)):
+            load_ensemble(path)
 
     @pytest.mark.parametrize("cut", [1, 16])
     def test_truncated_or_padded_file_rejected(self, tmp_path, cut):

@@ -168,6 +168,24 @@ class TestNonFiniteCoordinates:
         w2 = w2_exact(EmpiricalMeasure.uniform(x, far), EmpiricalMeasure.uniform(x, xi))
         assert w2 == pytest.approx(1e150 / np.sqrt(n), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 200, 4096])
+    @pytest.mark.parametrize("far", [1e153, 5e153, 1.1e154, 1.2e154, 1.3e154, 1.34e154, 6.6e151])
+    def test_momenta_near_the_overflow_answer_or_refuse(self, n, far):
+        # the sparse solve adds auction prices to the costs, the dense one shifts by them:
+        # squared gaps just below the float range either answer or are refused, and the
+        # last value lies inside the bound on those sums
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, TWO_PI, (n, 2))
+        xi = rng.normal(0, 1, (n, 2))
+        far_xi = xi.copy()
+        far_xi[0, 0] = far
+        try:
+            w2 = w2_exact(EmpiricalMeasure.uniform(x, far_xi), EmpiricalMeasure.uniform(x, xi))
+        except ValidationError:
+            assert far > 6.6e151
+            return
+        assert w2 == pytest.approx(far / np.sqrt(n), rel=1e-12)
+
 
 class TestMeasureWeights:
     def test_empty_cloud_rejected(self):
@@ -541,6 +559,19 @@ class TestCertifiedAssignment:
         assert pairs
         for got, want in pairs:
             assert_same_completion(got, want)
+
+    def test_completion_declines_a_price_rise_past_its_cap(self, monkeypatch):
+        # the cap keeps costs plus prices in the float range (_check_same_space);
+        # at the input's own largest price no price may rise at all
+        rng = np.random.default_rng(17)
+        mu, nu = random_cloud(rng, 1024), random_cloud(rng, 1024)
+        real_complete, calls = transport._complete, []
+        monkeypatch.setattr(transport, "_complete", lambda *args: calls.append(args) or real_complete(*args))
+        w2_assignment(mu, nu)
+        rising = [args for args in calls if (done := real_complete(*args)) is not None and (done[1] > args[2]).any()]
+        assert rising
+        for args in rising:
+            assert real_complete(*args[:4], float(args[2].max())) is None
 
     @pytest.mark.parametrize("crowd, radius, seed", CROWDS)
     def test_crowds_complete_as_unbounded_searches_and_match_the_oracle(self, crowd, radius, seed, monkeypatch):
