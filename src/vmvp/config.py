@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fields import EMState, init_em_state
+from .fields import EMState, electric_coeffs, init_em_state
 from .multifluid import PhaseEnsemble
-from .spectral import SpectralField, gradient, leray_project, mean, solve_poisson
+from .spectral import SpectralField, leray_project, mean
 
 MODES = ("vp", "pair")  # what `vmvp simulate` runs: the VP side alone, or a VM/VP pair
 
@@ -258,8 +258,7 @@ def build_initial_fields(cfg: RunConfig, eps: float):
     the total density, transverse/magnetic extras scaled by eps^-gamma."""
     ens = build_ensemble(cfg, eps)
     rho0 = ens.rho_total()
-    phi0 = solve_poisson(rho0)
-    e0 = -1.0 * gradient(phi0)
+    e0 = SpectralField(cfg.dim, cfg.cutoff, electric_coeffs(rho0.coeffs, None, cfg.dim))
     scale = eps ** (-cfg.gamma) if cfg.gamma else 1.0
     if cfg.e0_modes:
         extra = SpectralField.from_modes(cfg.dim, cfg.cutoff, cfg.dim, cfg.e0_modes)

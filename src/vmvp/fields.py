@@ -1,4 +1,4 @@
-"""Coulomb-gauge electromagnetic state and the oscillatory wave integrator.
+"""Coulomb-gauge electromagnetic state, the formulas of E and B, and the oscillatory wave integrator.
 
 The vector potential solves  eps^2 d_tt A - Lap A = eps P(j)  per Fourier
 mode, an oscillator of frequency |k|/eps.  All of the wave quadrature lives
@@ -22,14 +22,14 @@ from .errors import ValidationError
 from .spectral import (
     SpectralField,
     biot_savart,
-    curl,
+    curl_coeffs,
     divergence,
-    gradient,
     l2_norm,
     leray_project,
     mean,
     mode_norms,
-    solve_poisson,
+    mode_vectors,
+    poisson_coeffs,
 )
 
 # tolerance of the normalization checks on initial field data (Gauss law, div B, zero means)
@@ -45,17 +45,34 @@ def _wave_knorm(dim: int, cutoff: int) -> np.ndarray:
     return kn
 
 
+def electric_coeffs(rho: np.ndarray, w: np.ndarray | None, dim: int) -> np.ndarray:
+    """E = -grad phi - w with -Lap phi = rho - 1, for total densities rho (..., 1, J..).
+
+    w = eps dA/dt (..., d, J..) for the full system, None for electrostatics;
+    leading batch axes broadcast.  The one place E is formed from a density.
+    """
+    e = poisson_coeffs(rho, dim) * (1j * mode_vectors(dim, (rho.shape[-1] - 1) // 2)) * -1.0
+    return e if w is None else e - w
+
+
+def magnetic_coeffs(a: np.ndarray, mean_b0: np.ndarray, dim: int) -> np.ndarray:
+    """B = curl A + <B0> for vector potentials a (..., d, J..): a scalar (planar curl) for d=2, a vector for d=3."""
+    b = curl_coeffs(a, dim)
+    b[(..., slice(None)) + ((a.shape[-1] - 1) // 2,) * dim] += mean_b0
+    return b
+
+
 @dataclass(frozen=True)
 class EMState:
-    """Value-type electromagnetic state (phi, A, eps*dA/dt) in Coulomb gauge.
+    """Value-type electromagnetic state (A, eps*dA/dt) in Coulomb gauge.
 
     A is divergence-free with zero mean; the k=0 momentum of eps*dA/dt lives
     in eps_adot's zero mode and is exposed as mean_eps_adot.  mean_b0 carries
-    the conserved spatial mean of B.
+    the conserved spatial mean of B.  phi is a function of the density, so
+    the state does not keep it: E takes the density (`assemble_e`).
     """
 
     eps: float
-    phi: SpectralField
     a: SpectralField
     eps_adot: SpectralField
     mean_b0: np.ndarray
@@ -84,11 +101,11 @@ def init_em_state(
     """Build the potential-formulation state from normalized field data.
 
     Validates the normalization conditions (Gauss constraint, solenoidal B,
-    zero-mean E and current), then sets phi from the Poisson equation, A from
-    the vector-potential reconstruction of B, and eps*dA/dt = -(E + grad phi),
-    which is the transverse part of -E (divergence-free and mean-zero once
-    the preconditions hold, and the unique choice reproducing E exactly from
-    E = -grad phi - eps dA/dt).
+    zero-mean E and current), then sets A from the vector-potential
+    reconstruction of B and eps*dA/dt = -(E + grad phi), phi from the Poisson
+    equation, which is the transverse part of -E (divergence-free and
+    mean-zero once the preconditions hold, and the unique choice reproducing
+    E exactly from E = -grad phi - eps dA/dt).
     """
     if not (0.0 < eps <= 1.0):
         raise ValidationError("eps must lie in (0, 1]")
@@ -108,12 +125,10 @@ def init_em_state(
     if np.abs(j0_mean).max() > NORMALIZATION_TOL:
         raise ValidationError(f"mean initial current must vanish (got {j0_mean})")
 
-    phi = solve_poisson(rho0)
     a = biot_savart(b0)
-    eps_adot = -1.0 * (e0 + gradient(phi))
+    eps_adot = SpectralField(rho0.dim, rho0.cutoff, electric_coeffs(rho0.coeffs, None, rho0.dim)) - e0
     return EMState(
         eps=eps,
-        phi=phi,
         a=a,
         eps_adot=eps_adot,
         mean_b0=mean(b0),
@@ -215,22 +230,19 @@ def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:
     )
 
 
-def assemble_e(state: EMState) -> SpectralField:
-    """E = -grad phi - eps dA/dt, including the k=0 momentum."""
-    return -1.0 * gradient(state.phi) - state.eps_adot
+def assemble_e(state: EMState, rho: SpectralField) -> SpectralField:
+    """E = -grad phi - eps dA/dt of the state at total density rho, including the k=0 momentum."""
+    return SpectralField(state.dim, state.cutoff, electric_coeffs(rho.coeffs, state.eps_adot.coeffs, state.dim))
 
 
 def assemble_b(state: EMState) -> SpectralField:
     """B = curl A + <B0>; a scalar (planar curl) for d=2, a vector for d=3."""
-    if state.dim == 1:
-        raise ValidationError("no magnetic field in one dimension")
-    cb = curl(state.a)
-    return cb + SpectralField.constant(state.dim, state.cutoff, state.mean_b0)
+    return SpectralField(state.dim, state.cutoff, magnetic_coeffs(state.a.coeffs, state.mean_b0, state.dim))
 
 
-def field_energy(state: EMState) -> float:
-    """(1/2)(||E||_L2^2 + ||B||_L2^2) by Parseval over the cutoff box."""
-    e = assemble_e(state)
+def field_energy(state: EMState, rho: SpectralField) -> float:
+    """(1/2)(||E||_L2^2 + ||B||_L2^2) at total density rho, by Parseval over the cutoff box."""
+    e = assemble_e(state, rho)
     b = assemble_b(state)
     return 0.5 * (l2_norm(e) ** 2 + l2_norm(b) ** 2)
 

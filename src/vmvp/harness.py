@@ -199,7 +199,7 @@ def run_pair(
         t = step * cfg.dt
         mom = moments(ens, alpha=cfg.alpha)
         b_field = assemble_b(em)
-        energy_field = field_energy(em)
+        energy_field = field_energy(em, ens.rho_total())
         g = gauge_residuals(em)
         l1_rho_run = max(l1_rho_run, float(np.abs(mom.rho_grid).mean()))
         step_rows.append(
@@ -451,7 +451,6 @@ def verify_suite(cfg: RunConfig) -> list:
     eps0 = cfg.eps_list[0]
     st = EMState(
         eps=eps0,
-        phi=SpectralField.zeros(2, 6, 1),
         a=SpectralField.from_modes(2, 6, 2, [(1, (1, 0), 0.25)]),
         eps_adot=SpectralField.zeros(2, 6, 2),
         mean_b0=np.zeros(1),

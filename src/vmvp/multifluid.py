@@ -27,19 +27,15 @@ import numpy as np
 
 from .errors import NumericalAbort, ValidationError
 from . import spectral as sp
-from .fields import EMState, _duhamel_series, _rotate, field_energy
+from .fields import EMState, _duhamel_series, _rotate, electric_coeffs, field_energy, magnetic_coeffs
 from .spectral import (
     AnalyticNormParams,
     SpectralField,
     analytic_norm,
-    curl,
-    gradient,
     l2_norm,
-    leray_project,
-    mean,
+    leray_coeffs,
     padded_grid_size,
     shrinking_norm,
-    solve_poisson,
 )
 
 logger = logging.getLogger(__name__)
@@ -101,10 +97,15 @@ class PhaseEnsemble:
         return (self.rho.shape[-1] - 1) // 2
 
     def rho_total(self) -> SpectralField:
-        return SpectralField(self.dim, self.cutoff, np.tensordot(self.mu, self.rho, axes=(0, 0)))
+        return SpectralField(self.dim, self.cutoff, _phase_sum(self.mu, self.rho, self.dim))
 
     def phase_masses(self) -> np.ndarray:
         return self.rho[(slice(None), 0) + (self.cutoff,) * self.dim].real.copy()
+
+
+def _phase_sum(mu: np.ndarray, c: np.ndarray, dim: int) -> np.ndarray:
+    """sum_theta mu_theta c_theta over the phase axis of c (..., M, m, J..); leading batch axes stay."""
+    return np.tensordot(mu, c, axes=(0, c.ndim - dim - 2))
 
 
 def _sup_norm(c: np.ndarray, delta: float) -> float:
@@ -270,7 +271,6 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
     dim, cutoff, eps = ens.dim, ens.cutoff, ens.eps
     mus = ens.mu
     n = padded_grid_size(cutoff)
-    b_const = SpectralField.constant(dim, cutoff, em.mean_b0)
     stage_fields = []
 
     def slope(i, ys):
@@ -280,31 +280,22 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
             _gate(eps, xs, gate_delta, f" at stage {i + 1}", ens)
         a_hat, w_hat = _rotate(as_, ws, ci * dt, eps, dim, cutoff)  # rotating frame -> lab frame
 
-        rho_tot = SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))
-        e_field = -1.0 * gradient(solve_poisson(rho_tot)) - SpectralField(dim, cutoff, w_hat)
-        b_field = curl(SpectralField(dim, cutoff, a_hat)) + b_const
-        stage_fields.append((e_field, b_field))
+        e_hat = electric_coeffs(_phase_sum(mus, rs, dim), w_hat, dim)
+        b_hat = magnetic_coeffs(a_hat, em.mean_b0, dim)
+        stage_fields.append((SpectralField(dim, cutoff, e_hat), SpectralField(dim, cutoff, b_hat)))
 
-        dr, dx, flux, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, b_field.to_grid(n), eps, dim, cutoff)
-        j_hat = SpectralField(dim, cutoff, np.tensordot(mus, flux, axes=(0, 0)))
+        dr, dx, flux, _ = _phase_rhs_arrays(rs, xs, e_hat, sp.to_grid(b_hat, dim, n), eps, dim, cutoff)
+        j_hat = _phase_sum(mus, flux, dim)
         # the divergence-free source, pulled back to the rotating frame
-        ka, kw = _rotate(0.0, leray_project(j_hat).coeffs, -ci * dt, eps, dim, cutoff)
-        return dr, dx, ka, kw, mean(j_hat)
+        ka, kw = _rotate(0.0, leray_coeffs(j_hat, dim), -ci * dt, eps, dim, cutoff)
+        return dr, dx, ka, kw, j_hat[(slice(None),) + (cutoff,) * dim].real  # the mean current
 
     y0 = (ens.rho, ens.xi, em.a.coeffs, em.eps_adot.coeffs, np.zeros(dim))
     r1, x1, a1, w1, mean_j_inc = rk4_step(y0, slope, dt)
     a_new, w_new = _rotate(a1, w1, dt, eps, dim, cutoff)
 
-    ens_new = replace(ens, rho=r1, xi=x1)
-    em_new = EMState(
-        eps=eps,
-        phi=solve_poisson(ens_new.rho_total()),
-        a=SpectralField(dim, cutoff, a_new),
-        eps_adot=SpectralField(dim, cutoff, w_new),
-        mean_b0=em.mean_b0,
-        mean_eps_adot0=em.mean_eps_adot0,
-    )
-    return StepResult(ens_new, em_new, tuple(stage_fields), mean_j_inc)
+    em_new = replace(em, a=SpectralField(dim, cutoff, a_new), eps_adot=SpectralField(dim, cutoff, w_new))
+    return StepResult(replace(ens, rho=r1, xi=x1), em_new, tuple(stage_fields), mean_j_inc)
 
 
 def vm_step(ens: PhaseEnsemble, em: EMState, dt: float, **kw):
@@ -325,9 +316,9 @@ def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
 
     def slope(i, ys):
         rs, xs = ys
-        e_field = -1.0 * gradient(solve_poisson(SpectralField(dim, cutoff, np.tensordot(mus, rs, axes=(0, 0)))))
-        stage_fields.append((e_field, None))
-        dr, dx, _, _ = _phase_rhs_arrays(rs, xs, e_field.coeffs, None, 0.0, dim, cutoff)
+        e_hat = electric_coeffs(_phase_sum(mus, rs, dim), None, dim)
+        stage_fields.append((SpectralField(dim, cutoff, e_hat), None))
+        dr, dx, _, _ = _phase_rhs_arrays(rs, xs, e_hat, None, 0.0, dim, cutoff)
         return dr, dx
 
     r1, x1 = rk4_step((ens.rho, ens.xi), slope, dt)
@@ -380,13 +371,14 @@ def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
 
 def electrostatic_energy(ens: PhaseEnsemble) -> float:
     """(1/2) ||grad phi||_L2^2 with -Lap phi = rho - 1, by Parseval."""
-    return 0.5 * l2_norm(gradient(solve_poisson(ens.rho_total()))) ** 2
+    e = electric_coeffs(ens.rho_total().coeffs, None, ens.dim)
+    return 0.5 * l2_norm(SpectralField(ens.dim, ens.cutoff, e)) ** 2
 
 
 def total_energy(ens: PhaseEnsemble, em: EMState | None = None) -> float:
     """Kinetic plus field energy (electrostatic energy only when em is None)."""
     kin = moments(ens).kinetic_energy
-    return kin + (field_energy(em) if em is not None else electrostatic_energy(ens))
+    return kin + (field_energy(em, ens.rho_total()) if em is not None else electrostatic_energy(ens))
 
 
 # ----------------------------------------------------------------------
@@ -503,9 +495,6 @@ def ck_iterate(
     rho = np.broadcast_to(rho0, (n_time + 1,) + rho0.shape).copy()
     xi = np.broadcast_to(xi0, (n_time + 1,) + xi0.shape).copy()
 
-    a0_hat = em0.a.coeffs if em0 is not None else np.zeros((dim,) + mode_shape, dtype=complex)
-    w0_hat = em0.eps_adot.coeffs if em0 is not None else np.zeros((dim,) + mode_shape, dtype=complex)
-    mean_b0 = em0.mean_b0 if em0 is not None else np.zeros(1 if dim == 2 else dim)
     ax = -(dim + 1)  # the component axis
     # A along the time grid: of the wave state, only A is kept for every slice
     a_traj = np.empty((n_time + 1, dim) + mode_shape, dtype=complex) if eps > 0 else None
@@ -523,12 +512,11 @@ def ck_iterate(
         drho = np.empty_like(rho)
         dxi = np.empty_like(xi)
         if eps > 0:
-            a_traj[0] = a0_hat
-            w_last = w0_hat
+            a_traj[0] = em0.a.coeffs
+            w_last = em0.eps_adot.coeffs
         for lo in range(0, n_time + 1, CK_SLICE_BLOCK):
             blk = slice(lo, lo + CK_SLICE_BLOCK)
-            rho_tot = np.tensordot(mus, rho[blk], axes=(0, 1))
-            e_hat = -(1j * sp.mode_vectors(dim, cutoff)) * sp.poisson_coeffs(rho_tot, dim)
+            e_hat = electric_coeffs(_phase_sum(mus, rho[blk], dim), None, dim)
             drho[blk], dxi[blk], flux, v_g = _phase_rhs_arrays(
                 rho[blk], xi[blk], np.expand_dims(e_hat, 1), None, eps, dim, cutoff
             )
@@ -537,7 +525,7 @@ def ck_iterate(
                 # before it (A(0) for the first block).  The recurrence does not
                 # depend on where it starts, so it runs on times[:m], whose
                 # spacing is dt bit for bit.
-                s_hat = sp.leray_coeffs(np.tensordot(mus, flux, axes=(0, 1)), dim)
+                s_hat = leray_coeffs(_phase_sum(mus, flux, dim), dim)
                 if lo:
                     s_hat = np.concatenate([s_last[None], s_hat])
                 s_last = s_hat[-1]
@@ -548,9 +536,7 @@ def ck_iterate(
                     )
                     w_last = w_seg[-1]
                 # the Lorentz force of B = curl A + <B0> on the block's velocity grid
-                b_hat = sp.curl_coeffs(a_traj[blk], dim)
-                b_hat[(..., slice(None)) + (cutoff,) * dim] += mean_b0
-                b_g = np.moveaxis(sp.to_grid(b_hat, dim), ax, 0)[:, :, None]
+                b_g = np.moveaxis(sp.to_grid(magnetic_coeffs(a_traj[blk], em0.mean_b0, dim), dim), ax, 0)[:, :, None]
                 dxi[blk] += eps * np.moveaxis(sp.from_grid(sp.cross(v_g, b_g, dim), dim, cutoff), 0, ax)
             del flux, v_g  # so the next block's kernel call runs without this block's grids
 
@@ -563,7 +549,7 @@ def ck_iterate(
         del dxi
         if eps > 0:
             # the -eps dA/dt contribution integrates exactly to -eps (A(t) - A(0))
-            a_traj -= a0_hat
+            a_traj -= em0.a.coeffs
             a_traj *= eps
             xi_new -= a_traj[:, None]
 

@@ -697,10 +697,12 @@ def coupling_Q(cloud) -> float:
 
     The gaps are cost_matrix_sq(vp, vm)'s diagonal, bit for bit, so 2Q is
     the index pairing's transport cost in the floats W2 is read from, and
-    an upper bound for W2^2.
+    an upper bound for W2^2.  The flows must be as close as W2 requires
+    (_check_same_space), so no gap overflows.
     """
     vp = EmpiricalMeasure(cloud.x_vp, cloud.xi_vp, cloud.weights)
     vm = EmpiricalMeasure(cloud.x_vm, cloud.xi_vm, cloud.weights)
+    _check_same_space(vp, vm)
     return float(0.5 * (vp.weights * _squared_costs(vp, vm, np.arange(vm.size)[:, None])[:, 0]).sum())
 
 

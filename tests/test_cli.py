@@ -329,3 +329,17 @@ class TestWassersteinAndReplay:
         (tmp_path / "ck").mkdir()
         save_cloud(ParticleCloud(x, xi, w, np.zeros(10, dtype=int), x, xi, x, xi + 0.1, seed=1), tmp_path / "ck" / "a.cloud")
         assert main(["report", "--from-checkpoints", str(tmp_path / "ck")]) == 2
+
+    def test_report_refuses_momenta_that_wasserstein_refuses(self, tmp_path, capsys):
+        # one VM momentum 1e200 away from its VP partner: the squared gap overflows
+        rng = np.random.default_rng(5)
+        x, xi = rng.uniform(0, 6, (10, 2)), rng.standard_normal((10, 2))
+        xi_vm = xi.copy()
+        xi_vm[3, 0] = 1e200
+        (tmp_path / "ck").mkdir()
+        path = tmp_path / "ck" / "a.cloud"
+        save_cloud(ParticleCloud(x, xi, np.full(10, 0.1), np.zeros(10, dtype=int), x, xi, x, xi_vm, seed=1), path)
+        assert main(["wasserstein", str(path), str(path), "--side", "vm"]) == 2
+        capsys.readouterr()
+        assert main(["report", "--from-checkpoints", str(tmp_path / "ck")]) == 2
+        assert "inf" not in capsys.readouterr().out

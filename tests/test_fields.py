@@ -8,18 +8,22 @@ from vmvp.fields import (
     _rotate,
     assemble_b,
     assemble_e,
+    electric_coeffs,
     field_energy,
     gauge_residuals,
     init_em_state,
+    magnetic_coeffs,
     mean_momentum_ledger,
     wave_step,
 )
 from vmvp.spectral import (
     SpectralField,
+    curl,
     divergence,
     gradient,
     l2_norm,
     mean,
+    mode_norms,
     multiply,
     solve_poisson,
 )
@@ -50,7 +54,7 @@ class TestInit:
         e0 = SpectralField.zeros(2, K, 2)
         b0 = SpectralField.constant(2, K, 0.7)
         st = init_em_state(rho, np.zeros(2), e0, b0, 0.5)
-        assert np.abs(st.phi.coeffs).max() == 0.0
+        assert np.abs(assemble_e(st, rho).coeffs).max() == 0.0
         assert np.abs(st.a.coeffs).max() == 0.0
         assert st.mean_b0[0] == pytest.approx(0.7)
 
@@ -72,7 +76,7 @@ class TestInit:
         e0 = -1.0 * gradient(phi) + transverse
         b0 = SpectralField.zeros(2, K, 1)
         st = init_em_state(rho, np.zeros(2), e0, b0, 0.3)
-        assert np.abs(assemble_e(st).coeffs - e0.coeffs).max() < 1e-13
+        assert np.abs(assemble_e(st, rho).coeffs - e0.coeffs).max() < 1e-13
         # gauge state is automatically clean
         g = gauge_residuals(st)
         assert g["div_a"] < 1e-13 and g["mean_a"] < 1e-14
@@ -89,7 +93,6 @@ def free_oscillation_state(K=8, eps=0.2, kvec=(1, 0), a_amp=0.5):
     a = _mode(2, K, 1, list(kvec), a_amp / 2)
     return EMState(
         eps=eps,
-        phi=SpectralField.zeros(2, K, 1),
         a=a,
         eps_adot=SpectralField.zeros(2, K, 2),
         mean_b0=np.zeros(1),
@@ -116,8 +119,7 @@ class TestWaveStep:
         w = _mode(2, K, 0, [0, 2], 0.3)
         st = EMState(
             eps=eps,
-            phi=SpectralField.zeros(2, K, 1),
-            a=SpectralField.zeros(2, K, 2),
+                a=SpectralField.zeros(2, K, 2),
             eps_adot=w,
             mean_b0=np.zeros(1),
             mean_eps_adot0=np.zeros(2),
@@ -136,8 +138,7 @@ class TestWaveStep:
         K, eps = 4, 0.3
         st = EMState(
             eps=eps,
-            phi=SpectralField.zeros(2, K, 1),
-            a=SpectralField.zeros(2, K, 2),
+                a=SpectralField.zeros(2, K, 2),
             eps_adot=SpectralField.zeros(2, K, 2),
             mean_b0=np.zeros(1),
             mean_eps_adot0=np.zeros(2),
@@ -204,7 +205,7 @@ class TestRotate:
 class TestAssembleAndLedger:
     def test_assemble_e_parts(self):
         rho, e0, b0, st = well_prepared_state()
-        e = assemble_e(st)
+        e = assemble_e(st, rho)
         assert np.abs(e.coeffs - e0.coeffs).max() < 1e-13
 
     def test_assemble_b_constant_mean(self):
@@ -215,7 +216,7 @@ class TestAssembleAndLedger:
     def test_gauss_law_identity(self):
         # div E = rho - 1 whenever phi is solved against the current rho
         rho, _, _, st = well_prepared_state(rho_amp=0.2)
-        dive = divergence(assemble_e(st))
+        dive = divergence(assemble_e(st, rho))
         target = rho - SpectralField.constant(2, 8, 1.0)
         assert np.abs(dive.coeffs - target.coeffs).max() < 1e-13
 
@@ -239,14 +240,62 @@ class TestAssembleAndLedger:
         K = 6
         e_only = EMState(
             eps=0.5,
-            phi=SpectralField.zeros(2, K, 1),
-            a=SpectralField.zeros(2, K, 2),
+                a=SpectralField.zeros(2, K, 2),
             eps_adot=_mode(2, K, 1, [1, 0], -0.5),  # E = -eps_adot = cos(x1) e2
             mean_b0=np.zeros(1),
             mean_eps_adot0=np.zeros(2),
         )
-        assert field_energy(e_only) == pytest.approx(0.25, rel=1e-12)
+        assert field_energy(e_only, SpectralField.constant(2, K, 1.0)) == pytest.approx(0.25, rel=1e-12)
 
     def test_energy_nonnegative_zero(self):
-        _, _, _, st = well_prepared_state(rho_amp=0.0)
-        assert field_energy(st) == pytest.approx(0.0, abs=1e-28)
+        rho, _, _, st = well_prepared_state(rho_amp=0.0)
+        assert field_energy(st, rho) == pytest.approx(0.0, abs=1e-28)
+
+
+class TestFieldFormulas:
+    """electric_coeffs and magnetic_coeffs, the one place each of E and B is formed."""
+
+    @staticmethod
+    def _batch(rng, dim, K, comps):
+        # (time, phase)-batched smooth coefficients of real fields
+        n = 2 * (2 * K + 1)
+        grids = rng.standard_normal((3 * 2 * comps,) + (n,) * dim)
+        c = SpectralField.from_grid(grids, K).coeffs * np.exp(-0.5 * mode_norms(dim, K))
+        return c.reshape((3, 2, comps) + c.shape[1:])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_equals_per_slice(self, dim):
+        K = 3
+        rng = np.random.default_rng(dim)
+        rho = self._batch(rng, dim, K, 1)
+        rho[(..., 0) + (K,) * dim] = 1.0  # neutral densities
+        w = self._batch(rng, dim, K, dim)
+        a = self._batch(rng, dim, K, dim)
+        a_before = a.copy()
+        mean_b0 = np.array([0.3]) if dim == 2 else np.array([0.3, -0.2, 0.1])
+        e, e_static, b = electric_coeffs(rho, w, dim), electric_coeffs(rho, None, dim), magnetic_coeffs(a, mean_b0, dim)
+        assert np.array_equal(a, a_before)
+        assert b.shape == (3, 2, 1 if dim == 2 else 3) + (2 * K + 1,) * dim
+        for t in range(3):
+            for p in range(2):
+                assert np.array_equal(e[t, p], electric_coeffs(rho[t, p], w[t, p], dim))
+                assert np.array_equal(e_static[t, p], electric_coeffs(rho[t, p], None, dim))
+                assert np.array_equal(b[t, p], magnetic_coeffs(a[t, p], mean_b0, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_against_the_operators(self, dim):
+        K = 3
+        rng = np.random.default_rng(10 + dim)
+        rho = SpectralField(dim, K, self._batch(rng, dim, K, 1)[0, 0]) + SpectralField.constant(dim, K, 1.0)
+        rho = rho - SpectralField.constant(dim, K, mean(rho) - 1.0)
+        w = SpectralField(dim, K, self._batch(rng, dim, K, dim)[0, 0])
+        a = SpectralField(dim, K, self._batch(rng, dim, K, dim)[0, 0])
+        mean_b0 = np.array([0.3]) if dim == 2 else np.array([0.3, -0.2, 0.1])
+        e = electric_coeffs(rho.coeffs, w.coeffs, dim)
+        assert np.abs(e - (-1.0 * gradient(solve_poisson(rho)) - w).coeffs).max() <= 1e-15
+        b = magnetic_coeffs(a.coeffs, mean_b0, dim)
+        assert np.abs(b - (curl(a) + SpectralField.constant(dim, K, mean_b0)).coeffs).max() <= 1e-15
+
+    def test_no_magnetic_field_in_one_dimension(self):
+        with pytest.raises(ValidationError):
+            magnetic_coeffs(np.zeros((1, 5), dtype=complex), np.zeros(1), 1)

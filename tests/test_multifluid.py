@@ -301,6 +301,21 @@ class TestStepping:
         with pytest.raises(ValidationError, match="EMState"):
             vm_step_full(two_phase_2d(eps=0.2), None, 1e-3)
 
+    def test_gauss_law_holds_after_steps(self):
+        # ck2d carries a transverse E0 and a mean B0; E is formed from the current density
+        from vmvp.config import build_em_state, build_ensemble, load_config, resolve_config_path
+        from vmvp.spectral import divergence
+
+        cfg = load_config(resolve_config_path("bundled/ck2d"))
+        eps = cfg.eps_list[0]
+        ens, em = build_ensemble(cfg, eps), build_em_state(cfg, eps)
+        assert np.abs(em.eps_adot.coeffs).max() > 1e-3 and np.abs(em.mean_b0).max() > 1e-3
+        for _ in range(10):
+            ens, em = vm_step(ens, em, cfg.dt)
+        rho = ens.rho_total()
+        gauss = divergence(assemble_e(em, rho)).coeffs - (rho - SpectralField.constant(2, cfg.cutoff, 1.0)).coeffs
+        assert np.abs(gauss).max() <= 1e-12
+
     def test_vm_step_matches_vp_step_small_eps(self):
         # one step at eps -> 0 approaches the electrostatic step at rate O(eps)
         base = two_phase_2d(eps=0.0)
@@ -518,8 +533,7 @@ class TestDuhamelSeries:
             return f - SpectralField.constant(2, K, mean(f)) + SpectralField.constant(2, K, mean_value)
 
         a0, w0, src = divfree([0.0, 0.0]), divfree([0.1, -0.2]), divfree([0.3, 0.05])
-        st = EMState(eps=eps, phi=SpectralField.zeros(2, K, 1), a=a0, eps_adot=w0,
-                     mean_b0=np.zeros(1), mean_eps_adot0=mean(w0))
+        st = EMState(eps=eps, a=a0, eps_adot=w0, mean_b0=np.zeros(1), mean_eps_adot0=mean(w0))
         times = dt * np.arange(n + 1)
         a, w = _duhamel_series(np.broadcast_to(src.coeffs, (n + 1,) + src.coeffs.shape),
                                a0.coeffs, w0.coeffs, times, eps, 2, K)
