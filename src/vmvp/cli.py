@@ -121,12 +121,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import run_sweep
+    from .harness import MIN_FIT_PAIRS, fit_pairs, run_sweep
 
     cfg = _load_cfg(args.config, {"output_dir": args.out, "eps_list": args.eps})
     report = run_sweep(cfg, out_dir=Path(cfg.output_dir))
     print(f"sweep over eps={report.eps_values}")
-    print(f"kappa_measured={report.kappa_measured:.4f} (R^2={report.r_squared:.4f}), monotone={report.monotone}")
+    if report.kappa_measured is None:
+        done = len(fit_pairs(report.eps_values, report.runs))
+        print(f"kappa_measured=null: {done} of {len(report.runs)} pairs reached t_final with a positive sup W2, "
+              f"a fit needs {MIN_FIT_PAIRS}")
+    else:
+        print(f"kappa_measured={report.kappa_measured:.4f} (R^2={report.r_squared:.4f}), monotone={report.monotone}")
     if report.partial:
         print("warning: at least one member run aborted; report flagged partial", file=sys.stderr)
     return EXIT_OK

@@ -24,11 +24,11 @@ from .spectral import (
     biot_savart,
     curl_coeffs,
     divergence,
+    ik_vectors,
     l2_norm,
     leray_project,
     mean,
     mode_norms,
-    mode_vectors,
     poisson_coeffs,
 )
 
@@ -51,7 +51,7 @@ def electric_coeffs(rho: np.ndarray, w: np.ndarray | None, dim: int) -> np.ndarr
     w = eps dA/dt (..., d, J..) for the full system, None for electrostatics;
     leading batch axes broadcast.  The one place E is formed from a density.
     """
-    e = poisson_coeffs(rho, dim) * (1j * mode_vectors(dim, (rho.shape[-1] - 1) // 2)) * -1.0
+    e = poisson_coeffs(rho, dim) * ik_vectors(dim, (rho.shape[-1] - 1) // 2) * -1.0
     return e if w is None else e - w
 
 
@@ -183,28 +183,46 @@ def _filon_weights(theta: np.ndarray, dt: float):
     return w_ss, w_se, w_cs, w_ce
 
 
+@lru_cache(maxsize=32)
+def _duhamel_factors(dt: float, eps: float, dim: int, cutoff: int):
+    """The rotation over dt and the Filon weights of `_duhamel_series`, read-only, formed once per (dt, eps, d, K)."""
+    rot = _rotation(dt, eps, dim, cutoff)
+    weights = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
+    for f in rot + weights:
+        f.flags.writeable = False
+    return rot, weights
+
+
 def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np.ndarray, eps: float, dim: int, cutoff: int):
     """A(t_j) and eps*dA/dt(t_j) for a sampled source, per mode, gauge-pinned k=0.
 
     One recurrence: each sample is the previous one rotated exactly over dt
-    (the factors of `_rotation`, formed once) plus a Filon-type local
+    (the factors of `_rotation`, formed once per dt) plus a Filon-type local
     quadrature of the Duhamel integral over [t_j, t_{j+1}], so the
     oscillation costs no accuracy.  The local terms of every step are formed
-    at once; the loop only rotates and adds them.
+    at once; the loop only rotates and adds them, in the float order of
+    `_apply_rotation`.
     """
     knm = _wave_knorm(dim, cutoff)
-    dt = times[1] - times[0]
-    rot = _rotation(dt, eps, dim, cutoff)
-    w_ss, w_se, w_cs, w_ce = _filon_weights(mode_norms(dim, cutoff) / eps * dt, dt)
+    (c, s, kns, _), (w_ss, w_se, w_cs, w_ce) = _duhamel_factors(float(times[1] - times[0]), eps, dim, cutoff)
     loc_a = (w_ss * s_hat[:-1] + w_se * s_hat[1:]) / knm
     loc_ws, loc_we = w_cs * s_hat[:-1], w_ce * s_hat[1:]
-    a_out = np.empty_like(s_hat)
-    w_out = np.empty_like(s_hat)
+    a_out = np.empty(s_hat.shape, dtype=np.result_type(s_hat, a0, w0))
+    w_out = np.empty_like(a_out)
     a_out[0], w_out[0] = a0, w0
+    tmp = np.empty_like(a_out[0])
     for j in range(len(times) - 1):
-        a, w = _apply_rotation(rot, a_out[j], w_out[j])
-        a_out[j + 1] = a + loc_a[j]
-        w_out[j + 1] = w + loc_ws[j] + loc_we[j]
+        a, w, a1, w1 = a_out[j], w_out[j], a_out[j + 1], w_out[j + 1]
+        np.multiply(c, a, out=a1)                   # c a + s w / |k|, then the local term
+        np.multiply(s, w, out=tmp)
+        tmp /= knm
+        a1 += tmp
+        a1 += loc_a[j]
+        np.multiply(kns, a, out=w1)                 # -|k| s a + c w, then the local terms
+        np.multiply(c, w, out=tmp)
+        w1 += tmp
+        w1 += loc_ws[j]
+        w1 += loc_we[j]
     return a_out, w_out
 
 
@@ -240,10 +258,13 @@ def assemble_b(state: EMState) -> SpectralField:
     return SpectralField(state.dim, state.cutoff, magnetic_coeffs(state.a.coeffs, state.mean_b0, state.dim))
 
 
-def field_energy(state: EMState, rho: SpectralField) -> float:
-    """(1/2)(||E||_L2^2 + ||B||_L2^2) at total density rho, by Parseval over the cutoff box."""
+def field_energy(state: EMState, rho: SpectralField, b: SpectralField | None = None) -> float:
+    """(1/2)(||E||_L2^2 + ||B||_L2^2) at total density rho, by Parseval over the cutoff box.
+
+    b is the state's B, `assemble_b(state)`, for a caller that has formed it.
+    """
     e = assemble_e(state, rho)
-    b = assemble_b(state)
+    b = assemble_b(state) if b is None else b
     return 0.5 * (l2_norm(e) ** 2 + l2_norm(b) ** 2)
 
 

@@ -199,7 +199,7 @@ def run_pair(
         t = step * cfg.dt
         mom = moments(ens, alpha=cfg.alpha)
         b_field = assemble_b(em)
-        energy_field = field_energy(em, ens.rho_total())
+        energy_field = field_energy(em, ens.rho_total(), b_field)
         g = gauge_residuals(em)
         l1_rho_run = max(l1_rho_run, float(np.abs(mom.rho_grid).mean()))
         step_rows.append(
@@ -295,12 +295,23 @@ def run_pair(
 # sweep
 # ----------------------------------------------------------------------
 
+# pairs that must reach t_final before a sweep fits kappa
+MIN_FIT_PAIRS = 3
+
+
 @dataclass
 class SweepReport:
+    """A sweep's pair runs and its fit of log sup W2 against log eps.
+
+    The fit and `monotone` read only the pairs that reached t_final with a
+    positive sup W2 (`fit_pairs`); with fewer than MIN_FIT_PAIRS of them,
+    kappa_measured and r_squared are None (null in sweep.json).
+    """
+
     eps_values: list
     sup_w2: list
-    kappa_measured: float
-    r_squared: float
+    kappa_measured: float | None
+    r_squared: float | None
     monotone: bool
     runs: list
     partial: bool = False
@@ -312,7 +323,7 @@ class SweepReport:
         floor kappa*exp(-C(1+T)^2) is positive but carries an unknown C, so
         the comparable statement is that the measured decay rate is positive
         (smooth data is expected to exceed the floor)."""
-        return self.kappa_measured > 0.0
+        return self.kappa_measured is not None and self.kappa_measured > 0.0
 
 
 def fit_kappa(eps_values, sup_w2):
@@ -326,11 +337,19 @@ def fit_kappa(eps_values, sup_w2):
     return float(slope), float(r2)
 
 
+def fit_pairs(eps_values, runs) -> list:
+    """(eps, sup W2) of the pair runs a sweep fits: those that reached t_final with a positive sup W2.
+
+    An aborted pair's sup W2 covers a shorter horizon, and log 0 has no fit.
+    """
+    return [(eps, r.sup_w2) for eps, r in zip(eps_values, runs) if not r.aborted and r.sup_w2 > 0]
+
+
 def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
     """Paired runs over cfg.eps_list sharing seed, data and the VP side."""
     eps_values = list(cfg.eps_list)
-    if len(eps_values) < 3:
-        raise ValidationError("a sweep needs at least 3 eps values")
+    if len(eps_values) < MIN_FIT_PAIRS:
+        raise ValidationError(f"a sweep needs at least {MIN_FIT_PAIRS} eps values")
     names = [f"{eps:g}" for eps in eps_values]
     if len(set(names)) != len(names):
         raise ValidationError(f"sweep eps values must be distinct (got {', '.join(names)})")
@@ -343,9 +362,9 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
         runs.append(rep)
         partial = partial or rep.aborted
     sup_w2 = [r.sup_w2 for r in runs]
-    kappa_m, r2 = fit_kappa(eps_values, sup_w2)
-    order = np.argsort(eps_values)
-    sw = np.array(sup_w2)[order]
+    done = fit_pairs(eps_values, runs)
+    kappa_m, r2 = fit_kappa(*zip(*done)) if len(done) >= MIN_FIT_PAIRS else (None, None)
+    sw = np.array([w for _, w in sorted(done)])
     monotone = bool((np.diff(sw) > 0).all())  # increasing with eps = decreasing toward the limit
     report = SweepReport(eps_values, sup_w2, kappa_m, r2, monotone, runs, partial, kappa_config=cfg.kappa)
     if out_dir is not None:

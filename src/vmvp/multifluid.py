@@ -151,12 +151,69 @@ def _velocity_grid(xi: np.ndarray, eps: float, axis: int = 0) -> np.ndarray:
     """v(xi) = xi / sqrt(1 + eps^2 |xi|^2) pointwise; `axis` holds the components."""
     if eps == 0:
         return xi
-    return xi / np.sqrt(1.0 + eps ** 2 * (xi ** 2).sum(axis=axis, keepdims=True))
+    comps = np.moveaxis(xi, axis, 0)
+    s = comps[0] * comps[0]  # the one scratch array: |xi|^2, then the denominator
+    for c in comps[1:]:
+        s += c * c
+    s *= eps ** 2
+    s += 1.0
+    np.sqrt(s, out=s)
+    return xi / np.expand_dims(s, axis)
 
 
 # ----------------------------------------------------------------------
 # fluid right-hand sides (dealiased, grid-based)
 # ----------------------------------------------------------------------
+
+def _phase_flux(rho_c: np.ndarray, xi_c: np.ndarray, eps: float, dim: int, cutoff: int):
+    """The transport half of the fluid kernel: (drho, flux, v_g, adv_g).
+
+    rho_c (..., 1, J..) and xi_c (..., d, J..) may carry leading (time slice,
+    phase) axes.  flux (..., d, J..) holds the coefficients of v(xi) * rho,
+    each phase's unweighted contribution to the current (the analysis is
+    linear, so their mu-weighted sum is the total current), and drho =
+    -div flux.  v_g and adv_g (d, ..., n..) hold v(xi) and (v . grad) xi on
+    the padded grid, component axis first, for `_phase_force`.  rho goes
+    through one synthesis and xi through one with its gradient (the
+    derivative matrices), the flux through one analysis; every pointwise
+    product runs on contiguous slabs.  Each field is transformed on its own,
+    so a batched call returns exactly what per-phase calls return.
+    """
+    n = padded_grid_size(cutoff)
+    ax = -(dim + 1)  # the component axis of the arguments and results
+    rho_g = sp.to_grid(np.moveaxis(rho_c, ax, 0)[0], dim, n)
+    xi_g = sp.to_grid(np.moveaxis(xi_c, ax, 0), dim, n, gradient=True)   # xi_g[0][b] = xi_b, xi_g[1 + a][b] = d_a xi_b
+    v_g = _velocity_grid(xi_g[0], eps)
+    j_g = v_g * rho_g
+    adv_g = np.multiply(v_g[0], xi_g[1])                                   # (v . grad) xi
+    for a in range(1, dim):
+        adv_g += v_g[a] * xi_g[1 + a]
+    del xi_g
+    flux = np.moveaxis(sp.from_grid(j_g, dim, cutoff), 0, ax)
+    drho = -(sp.ik_vectors(dim, cutoff) * flux).sum(axis=ax, keepdims=True)
+    if not np.isfinite(drho).all():
+        raise NumericalAbort("non-finite values in phase right-hand side")
+    return drho, flux, v_g, adv_g
+
+
+def _phase_force(v_g: np.ndarray, adv_g: np.ndarray, b_grid: np.ndarray | None, e_c: np.ndarray, eps: float, dim: int, cutoff: int):
+    """The momentum half of the fluid kernel: dxi = -(v . grad) xi + eps v x B + E.
+
+    v_g and adv_g come from `_phase_flux`; b_grid (components first) and the
+    coefficients e_c (..., d, J..) broadcast against them.  The force is
+    formed on the grid and analysed once; neither input is changed.
+    """
+    if b_grid is None:
+        force = np.negative(adv_g)
+    else:
+        force = sp.cross(v_g, b_grid, dim)
+        force *= eps
+        force -= adv_g
+    dxi = np.moveaxis(sp.from_grid(force, dim, cutoff), 0, -(dim + 1)) + e_c
+    if not np.isfinite(dxi).all():
+        raise NumericalAbort("non-finite values in phase right-hand side")
+    return dxi
+
 
 def _phase_rhs_arrays(
     rho_c: np.ndarray,
@@ -170,51 +227,13 @@ def _phase_rhs_arrays(
     """RHS coefficients of the phases, their current densities and the velocity grid.
 
     rho_c (..., 1, J..) and xi_c (..., d, J..) may carry leading (time slice,
-    phase) axes; e_c and b_grid broadcast against them.  Returns (drho, dxi,
-    flux, v_g) where flux (..., d, J..) holds the coefficients of v(xi) * rho,
-    each phase's unweighted contribution to the current (the analysis is
-    linear, so their mu-weighted sum is the total current), and v_g
-    (d, ..., n..) holds v(xi) on the padded grid, component axis first, for
-    a caller that adds a force of its own.  rho, xi and the
-    Jacobian d_a xi_b go through one synthesis; flux, advection and Lorentz
-    force through one analysis.  Internally the component axis comes first,
-    so every pointwise product runs on contiguous slabs.  Each field is
-    transformed on its own, so a batched call returns exactly what per-phase
-    calls return.
+    phase) axes; e_c and b_grid (..., 1 or d, n..) broadcast against them.
+    Returns (drho, dxi, flux, v_g): `_phase_flux` then `_phase_force`, so
+    the flux and the whole momentum force take one analysis each.
     """
-    n = padded_grid_size(cutoff)
-    ax = -(dim + 1)  # the component axis of the arguments and results
-    k = sp.mode_vectors(dim, cutoff)
-    xi_m = np.moveaxis(xi_c, ax, 0)
-    c = np.empty((1 + dim + dim * dim,) + xi_m.shape[1:], dtype=np.complex128)
-    c[0] = np.moveaxis(rho_c, ax, 0)[0]
-    c[1 : 1 + dim] = xi_m
-    for b in range(dim):
-        for a in range(dim):
-            np.multiply(1j * k[a], xi_m[b], out=c[1 + dim + b * dim + a])   # d_a xi_b
-    g = sp.to_grid(c, dim, n)
-    rho_g, xi_g, jac_g = g[0], g[1 : 1 + dim], g[1 + dim :]
-    v_g = _velocity_grid(xi_g, eps)
-    magnetic = b_grid is not None
-    src = np.empty(((3 if magnetic else 2) * dim,) + g.shape[1:])
-    np.multiply(v_g, rho_g, out=src[:dim])                                # j = v rho
-    for b in range(dim):                                                   # (v . grad) xi_b
-        adv_b = np.multiply(v_g[0], jac_g[b * dim], out=src[dim + b])
-        for a in range(1, dim):
-            adv_b += v_g[a] * jac_g[b * dim + a]
-    if magnetic:
-        src[2 * dim :] = sp.cross(v_g, np.moveaxis(b_grid, ax, 0), dim)
-    coeffs = sp.from_grid(src, dim, cutoff)
-
-    flux = np.moveaxis(coeffs[:dim], 0, ax)
-    drho = -(1j * k * flux).sum(axis=ax, keepdims=True)
-    force = -coeffs[dim : 2 * dim]
-    if magnetic:
-        force = force + eps * coeffs[2 * dim :]
-    dxi = np.moveaxis(force, 0, ax) + e_c
-    if not np.isfinite(dxi).all() or not np.isfinite(drho).all():
-        raise NumericalAbort("non-finite values in phase right-hand side")
-    return drho, dxi, flux, v_g
+    drho, flux, v_g, adv_g = _phase_flux(rho_c, xi_c, eps, dim, cutoff)
+    b = None if b_grid is None else np.moveaxis(b_grid, -(dim + 1), 0)
+    return drho, _phase_force(v_g, adv_g, b, e_c, eps, dim, cutoff), flux, v_g
 
 
 # ----------------------------------------------------------------------
@@ -514,18 +533,22 @@ def ck_iterate(
         if eps > 0:
             a_traj[0] = em0.a.coeffs
             w_last = em0.eps_adot.coeffs
+        # iterate 0 is the initial data at every slice, and the batched kernel
+        # equals per-slice calls bit for bit, so iteration 1 transports one
+        # slice and broadcasts it
+        first = _phase_flux(rho0[None], xi0[None], eps, dim, cutoff) if it == 1 else None
         for lo in range(0, n_time + 1, CK_SLICE_BLOCK):
             blk = slice(lo, lo + CK_SLICE_BLOCK)
             e_hat = electric_coeffs(_phase_sum(mus, rho[blk], dim), None, dim)
-            drho[blk], dxi[blk], flux, v_g = _phase_rhs_arrays(
-                rho[blk], xi[blk], np.expand_dims(e_hat, 1), None, eps, dim, cutoff
-            )
+            drho[blk], flux, v_g, adv_g = first or _phase_flux(rho[blk], xi[blk], eps, dim, cutoff)
+            b_g = None
             if eps > 0:
                 # A over the block: the Duhamel recurrence from the last sample
                 # before it (A(0) for the first block).  The recurrence does not
                 # depend on where it starts, so it runs on times[:m], whose
                 # spacing is dt bit for bit.
                 s_hat = leray_coeffs(_phase_sum(mus, flux, dim), dim)
+                s_hat = np.broadcast_to(s_hat, rho[blk].shape[:1] + s_hat.shape[1:])  # iteration 1: one slice for all
                 if lo:
                     s_hat = np.concatenate([s_last[None], s_hat])
                 s_last = s_hat[-1]
@@ -535,10 +558,11 @@ def ck_iterate(
                         s_hat, a_traj[win.start], w_last, times[: len(s_hat)], eps, dim, cutoff
                     )
                     w_last = w_seg[-1]
-                # the Lorentz force of B = curl A + <B0> on the block's velocity grid
+                # B = curl A + <B0> on the grid, components first, for the block's Lorentz force
                 b_g = np.moveaxis(sp.to_grid(magnetic_coeffs(a_traj[blk], em0.mean_b0, dim), dim), ax, 0)[:, :, None]
-                dxi[blk] += eps * np.moveaxis(sp.from_grid(sp.cross(v_g, b_g, dim), dim, cutoff), 0, ax)
-            del flux, v_g  # so the next block's kernel call runs without this block's grids
+            dxi[blk] = _phase_force(v_g, adv_g, b_g, np.expand_dims(e_hat, 1), eps, dim, cutoff)
+            del flux, v_g, adv_g, b_g  # so the next block's kernel call runs without this block's grids
+        del first
 
         # each derivative is dropped once integrated, so the peak holds one at a time
         rho_new = _cumint(drho, dt)

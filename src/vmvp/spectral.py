@@ -35,6 +35,14 @@ def mode_vectors(dim: int, cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def ik_vectors(dim: int, cutoff: int) -> np.ndarray:
+    """i k per mode, shape (dim, 2K+1, ..., 2K+1): the symbol of the gradient."""
+    out = 1j * mode_vectors(dim, cutoff)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
 def mode_norms(dim: int, cutoff: int) -> np.ndarray:
     """Euclidean |k| per mode (the weight exponent in the delta norms)."""
     k = mode_vectors(dim, cutoff)
@@ -69,37 +77,88 @@ def _phase_rows(x: np.ndarray, cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _dft_matrices(cutoff: int, n: int):
-    """Pruned DFT matrices between the K-box and an n-point axis.
+    """Pruned DFT matrices between the K-box and an n-point axis, all real.
 
-    full: (n, 2K+1) complex, exp(i k x_j) for k = -K..K;
-    half: (2(K+1), n) real, rows cos(k x_j), -sin(k x_j) interleaved, k = 0..K.
-    The analysis matrices are their conjugate transposes over n.  Angles are
-    reduced mod n before scaling, so every entry is accurate to an ulp.
+    syn (2n, 2J): the complex (n, J) matrix F = exp(i k x_j), k = -K..K,
+    over its derivative F diag(i k), each written [Re | Im] for `_syn_along`;
+    half (2, 2(K+1), n): rows cos(k x_j), -sin(k x_j) interleaved, k = 0..K,
+    then their x-derivatives -k sin(k x_j), -k cos(k x_j);
+    ana (2J, n): G = conj(F)^T / n written [Re; Im] for `_ana_along`;
+    ana_half (n, 2(K+1)): half[0]^T / n.
+    Angles are reduced mod n before scaling, so every entry is accurate to
+    an ulp.
     """
     j = np.arange(n)
-    angle = (2 * np.pi / n) * (np.outer(j, np.arange(-cutoff, cutoff + 1)) % n)
-    full = np.exp(1j * angle)
-    angle = (2 * np.pi / n) * (np.outer(np.arange(cutoff + 1), j) % n)
-    half = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(2 * (cutoff + 1), n)
-    mats = (full, half, np.ascontiguousarray(full.conj().T) / n, np.ascontiguousarray(half.T) / n)
+    k = np.arange(-cutoff, cutoff + 1)
+    full = np.exp(1j * (2 * np.pi / n) * (np.outer(j, k) % n))
+    kh = np.arange(cutoff + 1)[:, None]
+    angle = (2 * np.pi / n) * (kh * j % n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    half = np.stack([np.stack([cos, -sin], axis=1), np.stack([-kh * sin, -kh * cos], axis=1)])
+    half = half.reshape(2, 2 * (cutoff + 1), n)
+    syn = np.concatenate([full, full * (1j * k)])
+    ana = full.conj().T / n
+    mats = (
+        np.concatenate([syn.real, syn.imag], axis=1),
+        half,
+        np.concatenate([ana.real, ana.imag]),
+        np.ascontiguousarray(half[0].T) / n,
+    )
     for m in mats:
         m.flags.writeable = False
     return mats
 
 
-def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply mat (p, q) to axis `axis` (length q) of arr."""
-    return np.moveaxis(mat @ np.moveaxis(arr, axis, -2), -2, axis)
+def _syn_along(mat: np.ndarray, t: np.ndarray, pos: int) -> np.ndarray:
+    """M t along axis `pos` of the complex t, for a complex (p, q) matrix M given as [Re M | Im M] (p, 2q).
+
+    M t is [Re M | Im M] times the float view of t and i t stacked along the
+    axis: one real matrix product per leading index.  Stacking the input
+    suits p > q, as in a synthesis.
+    """
+    pre, tail = t.shape[:pos], t.shape[pos + 1 :]
+    t = t.reshape(pre + (t.shape[pos], -1))
+    s = np.empty(pre + (2,) + t.shape[-2:], dtype=np.complex128)
+    s[..., 0, :, :] = t
+    np.multiply(t, 1j, out=s[..., 1, :, :])
+    out = mat @ s.reshape(pre + (-1, t.shape[-1])).view(np.float64)
+    return out.view(np.complex128).reshape(pre + (mat.shape[0],) + tail)
 
 
-def _synthesis(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
+def _ana_along(mat: np.ndarray, t: np.ndarray, pos: int) -> np.ndarray:
+    """M t along axis `pos` of the complex t, for a complex (p, q) matrix M given as [Re M; Im M] (2p, q).
+
+    A real matrix acts on complex data as one real product on its float view,
+    so [Re M; Im M] t is one real matrix product per leading index, and
+    M t = Re M t + i Im M t is formed from its two halves.  Stacking the
+    output suits p < q, as in an analysis.
+    """
+    pre, q, tail = t.shape[:pos], t.shape[pos], t.shape[pos + 1 :]
+    p = mat.shape[0] // 2
+    u = mat @ np.ascontiguousarray(t).reshape(pre + (q, -1)).view(np.float64)
+    u = u.reshape(pre + (2, p, -1, 2))
+    out = np.empty(pre + (p,) + u.shape[-2:])
+    np.subtract(u[..., 0, :, :, 0], u[..., 1, :, :, 1], out=out[..., 0])
+    np.add(u[..., 0, :, :, 1], u[..., 1, :, :, 0], out=out[..., 1])
+    return out.view(np.complex128).reshape(pre + (p,) + tail)
+
+
+def _synthesis(coeffs: np.ndarray, dim: int, n: int | None = None, gradient: bool = False) -> np.ndarray:
     """Real part of the box sum on the uniform n^dim grid, for any leading axes.
 
     coeffs has shape (..., 2K+1, ..., 2K+1) with dim trailing mode axes and
     need not be Hermitian.  The last axis is folded onto k_d = 0..K by
     Re(c e^{ik.x}) = Re(conj(c) e^{-ik.x}); the other mode axes go through
-    the complex (n, 2K+1) matrix and the last through the real [cos | sin]
-    one, each a batched matrix product.
+    the complex (n, 2K+1) matrix as real products (`_syn_along`) and the
+    last through the real [cos | sin] one.  Each field is transformed by
+    matrix products of its own, so its grid does not depend on the batch.
+
+    With `gradient` the result is (1 + dim, ..., n, ..., n): the field, then
+    its dim partial derivatives, on a new leading axis.  They come from the
+    derivative matrices, F diag(ik) on the other axes (applied with F in one
+    product) and the derivative of [cos | sin] on the last, so the fold and
+    the products ahead of each axis are shared; they equal the synthesis of
+    i k_a coeffs to round-off.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     K = (c.shape[-1] - 1) // 2
@@ -107,22 +166,34 @@ def _synthesis(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray
         n = padded_grid_size(K)
     if n < 2 * K + 1:
         raise ValidationError("grid too small for the cutoff box")
-    full, half, _, _ = _dft_matrices(K, n)
-    mode_axes = tuple(range(-dim, -1))
+    syn, half, _, _ = _dft_matrices(K, n)
+    lead, mode_axes = c.shape[:-dim], tuple(range(-dim, -1))
     h = c[..., K:] + np.conj(np.flip(c[..., K::-1], axis=mode_axes))
     h[..., 0] *= 0.5
-    for a in mode_axes:
-        h = _along(full, h, a)
-    h = np.ascontiguousarray(h).view(np.float64)             # (Re, Im) pairs, k_d = 0..K
-    return h @ half
+    # with `gradient`, each other axis becomes (2, n): its value and its derivative
+    m = syn if gradient else syn[:n]
+    for a in range(dim - 1):
+        pos = len(lead) + (2 if gradient else 1) * a
+        h = _syn_along(m, h, pos)
+        if gradient:
+            h = h.reshape(h.shape[:pos] + (2, n) + h.shape[pos + 1 :])
+    h = h.view(np.float64)                                   # (Re, Im) pairs, k_d = 0..K
+    if not gradient:
+        return h @ half[0]
+    out = np.empty((1 + dim,) + lead + (n,) * dim)
+    for a in range(dim + 1):  # the value, d_1 .. d_{dim-1} from the branches, d_dim from the last matrix
+        pick = sum(((int(a == b + 1), slice(None)) for b in range(dim - 1)), ())
+        np.matmul(h[(Ellipsis,) + pick + (slice(None),)], half[int(a == dim)], out=out[a])
+    return out
 
 
 def _analysis(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     """Box coefficients of real grid samples (..., n_1, ..., n_dim), exactly Hermitian.
 
     The real last axis goes through the [cos | sin] matrix, giving k_d = 0..K,
-    the other axes through the complex (2K+1, n) one; k_d < 0 is the mirror
-    conj(c(-k)), and the k_d = 0 plane is averaged with its mirror.
+    the other axes through the complex (2K+1, n) one as real products
+    (`_ana_along`); k_d < 0 is the mirror conj(c(-k)), and the k_d = 0
+    plane is averaged with its mirror.
     """
     g = np.asarray(grid)
     if np.iscomplexobj(g):
@@ -134,10 +205,10 @@ def _analysis(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     t = (g @ _dft_matrices(K, g.shape[-1])[3]).view(np.complex128)
     mode_axes = tuple(range(-dim, -1))
     for a in mode_axes:
-        t = _along(_dft_matrices(K, g.shape[a])[2], t, a)
+        t = _ana_along(_dft_matrices(K, g.shape[a])[2], t, t.ndim + a)
     out = np.empty(t.shape[:-1] + (2 * K + 1,), dtype=np.complex128)
     out[..., K + 1:] = t[..., 1:]
-    out[..., :K] = np.conj(np.flip(t[..., 1:], axis=mode_axes + (-1,)))
+    np.conjugate(np.flip(t[..., 1:], axis=mode_axes + (-1,)), out=out[..., :K])
     t0 = t[..., 0]
     out[..., K] = 0.5 * (t0 + np.conj(np.flip(t0, axis=tuple(a + 1 for a in mode_axes))))
     return out
@@ -224,9 +295,13 @@ class SpectralField:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def to_grid(self, n: int | None = None) -> np.ndarray:
-        """Collocation values on the (padded) uniform grid, shape (m, n, ..., n)."""
-        return _synthesis(self.coeffs, self.dim, n)
+    def to_grid(self, n: int | None = None, gradient: bool = False) -> np.ndarray:
+        """Collocation values on the (padded) uniform grid, shape (m, n, ..., n).
+
+        With `gradient`, shape (1 + d, m, n, ..., n): the values, then the d
+        partial derivatives, from one shared synthesis.
+        """
+        return _synthesis(self.coeffs, self.dim, n, gradient)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Exact trigonometric sum at arbitrary points, shape (n_pts, m).
@@ -296,7 +371,7 @@ class SpectralField:
         return self._like(-self.coeffs)
 
 
-def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
+def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None, gradient: bool = False) -> np.ndarray:
     """SpectralField.to_grid for coefficients (..., m, 2K+1, ..., 2K+1) with leading batch axes.
 
     The batch axes are folded into the component axis of one field, so the
@@ -307,6 +382,9 @@ def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
     if c.ndim < dim:
         raise ValidationError(f"coefficient array of shape {c.shape} has fewer than {dim} mode axes")
     f = SpectralField(dim, (c.shape[-1] - 1) // 2, c.reshape((-1,) + c.shape[c.ndim - dim :]))
+    if gradient:  # the values and the partial derivatives on a new leading axis
+        g = f.to_grid(n, gradient=True)
+        return g.reshape(g.shape[:1] + c.shape[: c.ndim - dim] + g.shape[2:])
     g = f.to_grid(n)
     return g.reshape(c.shape[: c.ndim - dim] + g.shape[1:])
 
@@ -420,8 +498,7 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
     """d/dx_axis, axis in 1..d; mode-wise multiplication by i*k_axis."""
     if not (1 <= axis <= f.dim):
         raise ValidationError(f"axis {axis} out of range for dim {f.dim}")
-    k = mode_vectors(f.dim, f.cutoff)[axis - 1]
-    return f._like(f.coeffs * (1j * k))
+    return f._like(f.coeffs * ik_vectors(f.dim, f.cutoff)[axis - 1])
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -434,32 +511,38 @@ def gradient(f: SpectralField) -> SpectralField:
 def divergence(f: SpectralField) -> SpectralField:
     if f.components != f.dim:
         raise ValidationError("divergence expects a d-component vector field")
-    k = mode_vectors(f.dim, f.cutoff)
-    out = (1j * k * f.coeffs).sum(axis=0, keepdims=True)
+    out = (ik_vectors(f.dim, f.cutoff) * f.coeffs).sum(axis=0, keepdims=True)
     return SpectralField(f.dim, f.cutoff, out)
 
 
 def cross(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """a x b with components on axis 0: the full product for d=3, the planar (a2 b, -a1 b) of a scalar b for d=2."""
-    if dim == 2:
-        out = [a[1] * b[0], -a[0] * b[0]]
-    elif dim == 3:
-        out = [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    else:
+    """a x b with components on axis 0: the full product for d=3, the planar (a2 b, -a1 b) of a scalar b for d=2.
+
+    The components of a and b broadcast, and each is written straight into
+    the one result array.
+    """
+    if dim not in (2, 3):
         raise ValidationError("cross product needs d in {2,3}")
-    return np.stack(out)
+    out = np.empty((dim,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.result_type(a, b))
+    if dim == 2:
+        np.multiply(a[1], b[0], out=out[0])
+        np.multiply(a[0], b[0], out=out[1])
+        np.negative(out[1], out=out[1])
+    else:
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            np.multiply(a[j], b[k], out=out[i])
+            out[i] -= a[k] * b[j]
+    return out
 
 
 def curl_coeffs(c: np.ndarray, dim: int) -> np.ndarray:
     """Curl of vector coefficients (..., d, J..): i k x c for d=3, the scalar (d1 A2 - d2 A1) for d=2."""
-    k = mode_vectors(dim, (c.shape[-1] - 1) // 2)
+    cutoff = (c.shape[-1] - 1) // 2
+    k = mode_vectors(dim, cutoff)
     c = np.moveaxis(c, -(dim + 1), 0)
     if dim == 3:
-        out = cross(1j * k, c, 3)
+        out = cross(ik_vectors(dim, cutoff), c, 3)
     elif dim == 2:
         out = (1j * (k[0] * c[1] - k[1] * c[0]))[None]
     else:
@@ -563,8 +646,7 @@ def biot_savart(b: SpectralField) -> SpectralField:
             raise ValidationError(f"biot_savart requires div B = 0 mode-wise (residual {divres:.3e})")
     elif not (b.dim == 2 and b.components == 1):
         raise ValidationError("biot_savart: need d=3 vector B or d=2 scalar B")
-    k = mode_vectors(b.dim, b.cutoff)
-    return b._like(cross(1j * k, b.coeffs, b.dim) * _inverse_k2(b.dim, b.cutoff))
+    return b._like(cross(ik_vectors(b.dim, b.cutoff), b.coeffs, b.dim) * _inverse_k2(b.dim, b.cutoff))
 
 
 def reality_residual(f: SpectralField) -> float:

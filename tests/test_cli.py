@@ -261,6 +261,40 @@ class TestSweepCli:
         assert len(lines) == 4
 
 
+    @pytest.mark.parametrize("eps", ["0.4,0.2,0.1", "0.4,0.2,0.1,0.05"])
+    def test_sweep_fits_only_the_pairs_that_reached_t_final(self, eps, tiny_cfg_path, tmp_path, monkeypatch, capsys):
+        # fault injection: the eps = 0.2 pair aborts at its first step, so its sup W2 is W2(t = 0) = 0
+        from vmvp import harness
+        from vmvp.errors import NumericalAbort
+
+        step = harness.vm_step_full
+
+        def aborting(ens, em, dt, **kw):
+            if ens.eps == 0.2:
+                raise NumericalAbort("validity gate violated: injected")
+            return step(ens, em, dt, **kw)
+
+        monkeypatch.setattr(harness, "vm_step_full", aborting)
+        out = tmp_path / "sweep_abort"
+        assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        sweep = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        assert sweep["partial"] and sweep["sup_w2"][1] == 0.0
+        printed = capsys.readouterr().out
+        if eps.count(",") == 2:
+            assert sweep["kappa_measured"] is None and sweep["r_squared"] is None
+            assert not sweep["positive_rate_confirmed"]
+            assert "kappa_measured=null: 2 of 3 pairs reached t_final" in printed
+        else:
+            done = [0, 2, 3]
+            kappa, r2 = harness.fit_kappa([sweep["eps_values"][i] for i in done], [sweep["sup_w2"][i] for i in done])
+            assert sweep["kappa_measured"] == kappa and sweep["r_squared"] == r2
+            assert f"kappa_measured={kappa:.4f}" in printed
+
+
 class TestCkCli:
     def test_ck_report(self, tmp_path):
         cfg = load_config(resolve_config_path("bundled/ck2d"))

@@ -198,6 +198,43 @@ class TestTransforms:
             sp.to_grid(np.ones((1, 7, 7), dtype=complex), 2, 6)
 
 
+class TestTransformBatchInvariance:
+    """A field transforms to the same floats wherever it sits in a batch.
+
+    Each field goes through matrix products of its own.  One product over a
+    whole batch would round a field by its place in that product, and the
+    batched fluid kernel, which equals per-phase calls bit for bit, would not.
+    """
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 8), (3, 3)])
+    @pytest.mark.parametrize("batch", [1, 7, 42, 224])
+    def test_every_slot_equals_its_own_call(self, dim, cutoff, batch):
+        rng = np.random.default_rng(10 * batch + dim)
+        shape = (batch,) + (2 * cutoff + 1,) * dim
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = rng.standard_normal((batch,) + (sp.padded_grid_size(cutoff),) * dim)
+        vals, grads = sp.to_grid(c, dim), sp.to_grid(c, dim, gradient=True)
+        coeffs = sp.from_grid(grid, dim, cutoff)
+        assert grads.shape == (1 + dim,) + vals.shape
+        for i in range(batch):
+            assert np.array_equal(vals[i], sp.to_grid(c[i], dim))
+            assert np.array_equal(grads[:, i], sp.to_grid(c[i], dim, gradient=True))
+            assert np.array_equal(coeffs[i], sp.from_grid(grid[i], dim, cutoff))
+
+    @pytest.mark.parametrize("dim, cutoff", [(1, 8), (2, 8), (2, 0), (3, 3)])
+    @pytest.mark.parametrize("size", ["padded", "odd"])
+    def test_gradient_is_the_synthesis_of_ik_coeffs(self, dim, cutoff, size):
+        n = sp.padded_grid_size(cutoff) if size == "padded" else 2 * cutoff + 3
+        rng = np.random.default_rng(dim + cutoff)
+        shape = (2, 3) + (2 * cutoff + 1,) * dim
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
+        g = sp.to_grid(c, dim, n, gradient=True)
+        assert _close_to(g[0], sp.to_grid(c, dim, n))
+        ik = sp.ik_vectors(dim, cutoff)
+        for a in range(dim):
+            assert _close_to(g[1 + a], sp.to_grid(ik[a] * c, dim, n))
+
+
 class TestAnalyticNorm:
     def test_cosine(self):
         assert analytic_norm(cos_axis(1, 4), 2.0) == pytest.approx(2.0, rel=1e-14)
