@@ -93,7 +93,7 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args) -> int:
     from .harness import _abort_context, run_pair
-    from .multifluid import save_ensemble, vp_step
+    from .multifluid import save_ensemble, vp_step_full
 
     eps_list = None if args.eps is None else [args.eps]
     cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list})
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for step in range(cfg.n_steps):
             try:
-                ens = vp_step(ens, cfg.dt)
+                ens = vp_step_full(ens, cfg.dt).ensemble
             except NumericalAbort as exc:
                 if exc.state_dump is not None:
                     save_ensemble(ens, out / "abort_state.ens")

@@ -281,4 +281,4 @@ def build_em_state(cfg: RunConfig, eps: float) -> EMState:
     ens = build_ensemble(cfg, eps)
     from .multifluid import moments
 
-    return init_em_state(rho0, moments(ens).j_mean, e0, b0, eps)
+    return init_em_state(rho0, moments(ens).j_mean, e0, b0)

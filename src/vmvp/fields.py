@@ -3,17 +3,17 @@
 The vector potential solves  eps^2 d_tt A - Lap A = eps P(j)  per Fourier
 mode, an oscillator of frequency |k|/eps.  All of the wave quadrature lives
 here.  `_rotation` forms the factors of the oscillator's exact rotation (the
-one place they are written) and `_apply_rotation` applies them, so the
-homogeneous dynamics is exact for any dt.  `_duhamel_series` adds a sampled
-source by a Filon-type quadrature of the Duhamel integral, and `wave_step`,
-the frozen-source step, is one step of that series.  The k=0 mode has no
+one place they are written) and `_rotate` applies them, so the homogeneous
+dynamics is exact for any dt.  `_duhamel_series` adds a sampled source by a
+Filon-type quadrature of the Duhamel integral.  The k=0 mode has no
 restoring force: d/dt <eps dA/dt> = <j>, while <A> itself is pinned to zero
-(a pure gauge choice; no observable reads it).
+(a pure gauge choice; no observable reads it).  eps is not part of the
+state: the ensemble carries it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,13 +26,12 @@ from .spectral import (
     divergence,
     ik_vectors,
     l2_norm,
-    leray_project,
     mean,
     mode_norms,
     poisson_coeffs,
 )
 
-# tolerance of the normalization checks on initial field data (Gauss law, div B, zero means)
+# tolerance of the normalization checks on initial field data (Gauss law, zero means)
 NORMALIZATION_TOL = 1e-9
 
 
@@ -69,10 +68,9 @@ class EMState:
     A is divergence-free with zero mean; the k=0 momentum of eps*dA/dt lives
     in eps_adot's zero mode and is exposed as mean_eps_adot.  mean_b0 carries
     the conserved spatial mean of B.  phi is a function of the density, so
-    the state does not keep it: E takes the density (`assemble_e`).
+    the state does not keep it: E takes the density (`electric_coeffs`).
     """
 
-    eps: float
     a: SpectralField
     eps_adot: SpectralField
     mean_b0: np.ndarray
@@ -91,34 +89,23 @@ class EMState:
         return mean(self.eps_adot)
 
 
-def init_em_state(
-    rho0: SpectralField,
-    j0_mean: np.ndarray,
-    e0: SpectralField,
-    b0: SpectralField,
-    eps: float,
-) -> EMState:
+def init_em_state(rho0: SpectralField, j0_mean: np.ndarray, e0: SpectralField, b0: SpectralField) -> EMState:
     """Build the potential-formulation state from normalized field data.
 
-    Validates the normalization conditions (Gauss constraint, solenoidal B,
-    zero-mean E and current), then sets A from the vector-potential
-    reconstruction of B and eps*dA/dt = -(E + grad phi), phi from the Poisson
-    equation, which is the transverse part of -E (divergence-free and
-    mean-zero once the preconditions hold, and the unique choice reproducing
-    E exactly from E = -grad phi - eps dA/dt).
+    Validates the normalization conditions (Gauss constraint, zero-mean E
+    and current; `biot_savart` refuses a B that is not solenoidal), then
+    sets A from the vector-potential reconstruction of B and
+    eps*dA/dt = -(E + grad phi), phi from the Poisson equation, which is the
+    transverse part of -E (divergence-free and mean-zero once the
+    preconditions hold, and the unique choice reproducing E exactly from
+    E = -grad phi - eps dA/dt).
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError("eps must lie in (0, 1]")
     scale = max(np.abs(e0.coeffs).max(), np.abs(rho0.coeffs).max(), 1.0)
     gauss = divergence(e0).coeffs - (rho0.coeffs - SpectralField.constant(rho0.dim, rho0.cutoff, 1.0).coeffs)
     if np.abs(gauss).max() > NORMALIZATION_TOL * scale:
         raise ValidationError(
             f"Gauss constraint div E0 = rho0 - 1 violated (residual {np.abs(gauss).max():.3e})"
         )
-    if b0.dim == 3 and b0.components == 3:
-        divb = np.abs(divergence(b0).coeffs).max()
-        if divb > NORMALIZATION_TOL * max(np.abs(b0.coeffs).max(), 1.0):
-            raise ValidationError(f"div B0 = 0 violated (residual {divb:.3e})")
     if np.abs(mean(e0)).max() > NORMALIZATION_TOL:
         raise ValidationError(f"mean of E0 must vanish (got {mean(e0)})")
     j0_mean = np.asarray(j0_mean, dtype=float)
@@ -127,32 +114,20 @@ def init_em_state(
 
     a = biot_savart(b0)
     eps_adot = SpectralField(rho0.dim, rho0.cutoff, electric_coeffs(rho0.coeffs, None, rho0.dim)) - e0
-    return EMState(
-        eps=eps,
-        a=a,
-        eps_adot=eps_adot,
-        mean_b0=mean(b0),
-        mean_eps_adot0=mean(eps_adot),
-    )
+    return EMState(a, eps_adot, mean(b0), mean(eps_adot))
 
 
 def _rotation(t: float, eps: float, dim: int, cutoff: int):
     """Factors (cos, sin, -|k| sin, |k| masked) of the wave rotation over time t, per mode.
 
     Each mode k != 0 rotates by the angle |k| t / eps (t may be negative);
-    k = 0 has no restoring force (angle 0).  A caller that rotates by the
-    same t many times forms these once and passes them to `_apply_rotation`.
+    k = 0 has no restoring force (angle 0).  `_rotate` applies them;
+    `_duhamel_factors` forms them once per dt for the recurrence.
     """
     kn = mode_norms(dim, cutoff)
     theta = kn / eps * t
     c, s = np.cos(theta), np.sin(theta)
     return c, s, -kn * s, _wave_knorm(dim, cutoff)
-
-
-def _apply_rotation(rot, a, w):
-    """(A_hat, eps*dA_hat/dt) rotated by the factors `rot` of `_rotation`."""
-    c, s, kns, knm = rot
-    return c * a + s * w / knm, kns * a + c * w
 
 
 def _rotate(a, w, t: float, eps: float, dim: int, cutoff: int):
@@ -162,7 +137,8 @@ def _rotate(a, w, t: float, eps: float, dim: int, cutoff: int):
     k = 0 has no restoring force and is left as it is.  a and w broadcast
     against the (J, ..., J) mode box.
     """
-    return _apply_rotation(_rotation(t, eps, dim, cutoff), a, w)
+    c, s, kns, knm = _rotation(t, eps, dim, cutoff)
+    return c * a + s * w / knm, kns * a + c * w
 
 
 def _filon_weights(theta: np.ndarray, dt: float):
@@ -201,7 +177,7 @@ def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np
     quadrature of the Duhamel integral over [t_j, t_{j+1}], so the
     oscillation costs no accuracy.  The local terms of every step are formed
     at once; the loop only rotates and adds them, in the float order of
-    `_apply_rotation`.
+    `_rotate`.
     """
     knm = _wave_knorm(dim, cutoff)
     (c, s, kns, _), (w_ss, w_se, w_cs, w_ce) = _duhamel_factors(float(times[1] - times[0]), eps, dim, cutoff)
@@ -226,46 +202,24 @@ def _duhamel_series(s_hat: np.ndarray, a0: np.ndarray, w0: np.ndarray, times: np
     return a_out, w_out
 
 
-def wave_step(state: EMState, source_j: SpectralField, dt: float) -> EMState:
-    """Advance (A, eps*dA/dt) by dt with the source frozen over the step.
-
-    One step of `_duhamel_series` with the Leray-projected source at both
-    ends of [0, dt].  A Filon step is exact for a constant source, so the
-    step is exact for the homogeneous dynamics and for constant sources, and
-    order 2 in a time-varying source when the caller supplies the midpoint
-    value.
-    """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    s = leray_project(source_j).coeffs
-    a, w = _duhamel_series(
-        np.stack([s, s]), state.a.coeffs, state.eps_adot.coeffs, np.array([0.0, dt]), state.eps, state.dim, state.cutoff
-    )
-    return replace(
-        state,
-        a=SpectralField(state.dim, state.cutoff, a[1]),
-        eps_adot=SpectralField(state.dim, state.cutoff, w[1]),
-    )
-
-
-def assemble_e(state: EMState, rho: SpectralField) -> SpectralField:
-    """E = -grad phi - eps dA/dt of the state at total density rho, including the k=0 momentum."""
-    return SpectralField(state.dim, state.cutoff, electric_coeffs(rho.coeffs, state.eps_adot.coeffs, state.dim))
-
-
 def assemble_b(state: EMState) -> SpectralField:
     """B = curl A + <B0>; a scalar (planar curl) for d=2, a vector for d=3."""
     return SpectralField(state.dim, state.cutoff, magnetic_coeffs(state.a.coeffs, state.mean_b0, state.dim))
 
 
-def field_energy(state: EMState, rho: SpectralField, b: SpectralField | None = None) -> float:
+def field_energy(rho: SpectralField, em: EMState | None = None, b: SpectralField | None = None) -> float:
     """(1/2)(||E||_L2^2 + ||B||_L2^2) at total density rho, by Parseval over the cutoff box.
 
-    b is the state's B, `assemble_b(state)`, for a caller that has formed it.
+    With no EM state this is the electrostatic (1/2)||grad phi||_L2^2, with
+    no B term.  b is the state's B, `assemble_b(em)`, for a caller that has
+    formed it.
     """
-    e = assemble_e(state, rho)
-    b = assemble_b(state) if b is None else b
-    return 0.5 * (l2_norm(e) ** 2 + l2_norm(b) ** 2)
+    w = None if em is None else em.eps_adot.coeffs
+    e2 = l2_norm(SpectralField(rho.dim, rho.cutoff, electric_coeffs(rho.coeffs, w, rho.dim))) ** 2
+    if em is None:
+        return 0.5 * e2
+    b = assemble_b(em) if b is None else b
+    return 0.5 * (e2 + l2_norm(b) ** 2)
 
 
 def mean_momentum_ledger(state: EMState, integrated_mean_j: np.ndarray) -> float:

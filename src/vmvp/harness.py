@@ -25,7 +25,6 @@ from .lagrangian import ParticleCloud, flow_vm_step, flow_vp_step, sample_cloud,
 from .multifluid import (
     PhaseEnsemble,
     check_validity,
-    electrostatic_energy,
     moments,
     save_ensemble,
     total_energy,
@@ -100,7 +99,7 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | Non
     sup_rho = np.empty(cfg.n_steps + 1)
     for step in range(cfg.n_steps + 1):
         mom = moments(ens)
-        energy[step] = mom.kinetic_energy + electrostatic_energy(ens)
+        energy[step] = mom.kinetic_energy + field_energy(ens.rho_total())
         drift[step] = np.abs(mom.j_mean - j0).max()
         fourth[step] = mom.fourth_moment_l1
         sup_rho[step] = mom.rho_grid.max()
@@ -199,7 +198,7 @@ def run_pair(
         t = step * cfg.dt
         mom = moments(ens, alpha=cfg.alpha)
         b_field = assemble_b(em)
-        energy_field = field_energy(em, ens.rho_total(), b_field)
+        energy_field = field_energy(ens.rho_total(), em, b_field)
         g = gauge_residuals(em)
         l1_rho_run = max(l1_rho_run, float(np.abs(mom.rho_grid).mean()))
         step_rows.append(
@@ -424,8 +423,8 @@ def _check(name, residual, tol, note="") -> CheckResult:
 def verify_suite(cfg: RunConfig) -> list:
     """Machine-readable invariant battery across all layers; failures are data."""
     from . import spectral as sp
-    from .fields import EMState, wave_step
-    from .multifluid import _velocity_grid, gate_margin, vm_step
+    from .fields import EMState, _duhamel_series
+    from .multifluid import _velocity_grid, gate_margin
     from .spectral import analytic_norm, divergence, multiply, reality_residual
 
     results = []
@@ -467,23 +466,14 @@ def verify_suite(cfg: RunConfig) -> list:
     results.append(_check("spectral.biot_savart_gauge", max(np.abs(divergence(a2).coeffs).max(), np.abs(mean(a2)).max()), 1e-12))
 
     # oscillatory integrator: frequency exactness and gauge
+    # 200 steps of 1e-2 with a zero source; t is their running sum, as a stepping loop would add it
     eps0 = cfg.eps_list[0]
-    st = EMState(
-        eps=eps0,
-        a=SpectralField.from_modes(2, 6, 2, [(1, (1, 0), 0.25)]),
-        eps_adot=SpectralField.zeros(2, 6, 2),
-        mean_b0=np.zeros(1),
-        mean_eps_adot0=np.zeros(2),
-    )
-    zero = SpectralField.zeros(2, 6, 2)
-    t, cur = 0.0, st
-    for _ in range(200):
-        cur = wave_step(cur, zero, 1e-2)
-        t += 1e-2
-    expected = 0.25 * np.cos(t / eps0)
-    got = cur.a.coeffs[1, 7, 6].real
-    results.append(_check("fields.rotation_exactness", abs(got - expected), 1e-10))
-    g = gauge_residuals(cur)
+    times = np.concatenate([[0.0], np.add.accumulate(np.full(200, 1e-2))])
+    a0 = SpectralField.from_modes(2, 6, 2, [(1, (1, 0), 0.25)]).coeffs
+    a, w = _duhamel_series(np.zeros((201,) + a0.shape, dtype=complex), a0, np.zeros_like(a0), times, eps0, 2, 6)
+    got = a[-1][1, 7, 6].real
+    results.append(_check("fields.rotation_exactness", abs(got - 0.25 * np.cos(times[-1] / eps0)), 1e-10))
+    g = gauge_residuals(EMState(SpectralField(2, 6, a[-1]), SpectralField(2, 6, w[-1]), np.zeros(1), np.zeros(2)))
     results.append(_check("fields.gauge", max(g["div_a"], g["mean_a"]), 1e-12))
 
     # multifluid layer on the configured data
@@ -525,7 +515,8 @@ def verify_suite(cfg: RunConfig) -> list:
     for e in (eps, eps / 2):
         cur_ens, cur_em = build_ensemble(prepared, e), build_em_state(prepared, e)
         for _ in range(n_short):
-            cur_ens, cur_em = vm_step(cur_ens, cur_em, cfg.dt, gate_delta=cfg.delta1)
+            res = vm_step_full(cur_ens, cur_em, cfg.dt, gate_delta=cfg.delta1)
+            cur_ens, cur_em = res.ensemble, res.em
         gaps.append(np.abs(cur_ens.rho - vp_ens.rho).max())
     # densities that do not move leave gap(eps) at roundoff, with no rate to measure
     moving = gaps[0] > 1e-13 * np.abs(vp_ens.rho).max()

@@ -8,7 +8,7 @@ the electrostatic variant replaces v(xi) by xi and the force by -grad phi.
 
 Two independent solution paths are provided and cross-validated:
 
-* ``vm_step`` / ``vp_step``: classical 4-stage explicit stepping with the
+* ``vm_step_full`` / ``vp_step_full``: classical 4-stage explicit stepping with the
   stiff vector-potential oscillators integrated in a rotating frame (the
   homogeneous wave dynamics is exact for any dt, the source enters at the
   full order of the stage scheme);
@@ -32,7 +32,6 @@ from .spectral import (
     AnalyticNormParams,
     SpectralField,
     analytic_norm,
-    l2_norm,
     leray_coeffs,
     padded_grid_size,
     shrinking_norm,
@@ -57,6 +56,7 @@ class PhaseEnsemble:
     mu (M,) holds the weights, rho (M, 1, J..) the densities and xi (M, d, J..)
     the momenta, with J = 2K+1 modes along each of the d axes; all three are
     kept as read-only copies, and every solver reads them as they are.
+    eps in [0, 1] is the one eps of a state; `EMState` keeps none.
     """
 
     mu: np.ndarray
@@ -72,8 +72,8 @@ class PhaseEnsemble:
             raise ValidationError("ensemble needs at least one phase")
         if not (mu > 0).all():
             raise ValidationError("phase weights must be positive")
-        if not self.eps >= 0:
-            raise ValidationError("eps must be nonnegative")
+        if not 0 <= self.eps <= 1:
+            raise ValidationError(f"eps must be nonnegative and at most 1 (got {self.eps})")
         box = rho.shape[2:]  # d axes of one odd length J
         stacked = box and box == (box[0] | 1,) * len(box) and rho.shape[:2] == (mu.size, 1)
         if not stacked or xi.shape != mu.shape + (len(box),) + box:
@@ -317,17 +317,12 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
     return StepResult(replace(ens, rho=r1, xi=x1), em_new, tuple(stage_fields), mean_j_inc)
 
 
-def vm_step(ens: PhaseEnsemble, em: EMState, dt: float, **kw):
-    res = vm_step_full(ens, em, dt, **kw)
-    return res.ensemble, res.em
-
-
 def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
     """The eps = 0 system on vm_step_full's stages: v(xi) = xi, force -grad phi re-solved each stage."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if ens.eps != 0:
-        raise ValidationError("vp_step expects an eps = 0 ensemble")
+        raise ValidationError("vp_step_full expects an eps = 0 ensemble")
     check_validity(ens, context=" at step start")
     dim, cutoff = ens.dim, ens.cutoff
     mus = ens.mu
@@ -342,10 +337,6 @@ def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
 
     r1, x1 = rk4_step((ens.rho, ens.xi), slope, dt)
     return StepResult(replace(ens, rho=r1, xi=x1), None, tuple(stage_fields), np.zeros(dim))
-
-
-def vp_step(ens: PhaseEnsemble, dt: float) -> PhaseEnsemble:
-    return vp_step_full(ens, dt).ensemble
 
 
 # ----------------------------------------------------------------------
@@ -388,16 +379,10 @@ def moments(ens: PhaseEnsemble, alpha: float = 1.0) -> Moments:
     )
 
 
-def electrostatic_energy(ens: PhaseEnsemble) -> float:
-    """(1/2) ||grad phi||_L2^2 with -Lap phi = rho - 1, by Parseval."""
-    e = electric_coeffs(ens.rho_total().coeffs, None, ens.dim)
-    return 0.5 * l2_norm(SpectralField(ens.dim, ens.cutoff, e)) ** 2
-
-
 def total_energy(ens: PhaseEnsemble, em: EMState | None = None) -> float:
     """Kinetic plus field energy (electrostatic energy only when em is None)."""
     kin = moments(ens).kinetic_energy
-    return kin + (field_energy(em, ens.rho_total()) if em is not None else electrostatic_energy(ens))
+    return kin + field_energy(ens.rho_total(), em)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ import pytest
 
 from vmvp import spectral as sp
 from vmvp.config import build_em_state, build_ensemble, load_config, resolve_config_path
-from vmvp.fields import EMState, wave_step
+from vmvp.fields import _duhamel_series
 from vmvp.harness import STEP_COLUMNS, osgood_diagnostic, run_pair, run_sweep
-from vmvp.multifluid import ck_iterate, total_energy, vm_step
+from vmvp.multifluid import ck_iterate, total_energy, vm_step_full
 from vmvp.spectral import (
     AnalyticNormParams,
     SpectralField,
@@ -127,10 +127,19 @@ def test_criterion_2_projection_exactness():
     _report(2, "projection/decomposition exactness", ok, f"worst residual {worst:.2e}", t0, 10)
 
 
-def _free_state(K, eps, a_amp=0.0, w_amp=0.0, kvec=(1, 0)):
-    a = SpectralField.from_modes(2, K, 2, [(1, list(kvec), a_amp / 2)]) if a_amp else SpectralField.zeros(2, K, 2)
-    w = SpectralField.from_modes(2, K, 2, [(0, list(kvec), w_amp / 2)]) if w_amp else SpectralField.zeros(2, K, 2)
-    return EMState(eps=eps, a=a, eps_adot=w, mean_b0=np.zeros(1), mean_eps_adot0=np.zeros(2))
+def _wave_a(K, eps, dt, n, a_amp=0.0, w_amp=0.0, src=None, amp=np.ones_like):
+    """A(n dt) by `_duhamel_series`, the quadrature ck_iterate runs.
+
+    A(0) = a_amp cos(x1) e2 and eps dA/dt(0) = w_amp cos(x1) e1; the source
+    amp(t_j) P(src), Leray-projected, is sampled at t_j = j dt (none when src
+    is None).
+    """
+    a0 = SpectralField.from_modes(2, K, 2, [(1, [1, 0], a_amp / 2)]).coeffs
+    w0 = SpectralField.from_modes(2, K, 2, [(0, [1, 0], w_amp / 2)]).coeffs
+    times = dt * np.arange(n + 1)
+    s = np.zeros_like(a0) if src is None else sp.leray_project(src).coeffs
+    a, _ = _duhamel_series(amp(times)[:, None, None, None] * s, a0, w0, times, eps, 2, K)
+    return a[-1]
 
 
 def test_criterion_3_oscillatory_integrator():
@@ -139,21 +148,14 @@ def test_criterion_3_oscillatory_integrator():
     worst_free = 0.0
     for eps in (0.4, 0.05):
         for dt in (1e-2, 1e-3):
-            st = _free_state(K, eps, a_amp=0.5)
-            zero = SpectralField.zeros(2, K, 2)
             n = int(round(1.0 / dt))
-            for _ in range(n):
-                st = wave_step(st, zero, dt)
             t = n * dt
-            got = st.a.coeffs[1, K + 1, K].real
+            got = _wave_a(K, eps, dt, n, a_amp=0.5)[1, K + 1, K].real
             worst_free = max(worst_free, abs(got - 0.25 * np.cos(t / eps)))
-            st = _free_state(K, eps, w_amp=0.4)
-            for _ in range(n):
-                st = wave_step(st, zero, dt)
-            got = st.a.coeffs[0, K + 1, K].real
+            got = _wave_a(K, eps, dt, n, w_amp=0.4)[0, K + 1, K].real
             worst_free = max(worst_free, abs(got - 0.2 * np.sin(t / eps)))
 
-    # constant source: the frozen-source update is exact; compare to Simpson
+    # constant source: the series is exact for it; compare to Simpson
     # quadrature of the oscillatory integral
     from scipy.integrate import simpson
 
@@ -162,14 +164,12 @@ def test_criterion_3_oscillatory_integrator():
         src = SpectralField.from_modes(2, K, 2, [(1, [1, 0], 0.4)])
         T = 0.5
         for dt in (1e-2, 1e-3):
-            st = _free_state(K, eps)
-            for _ in range(int(round(T / dt))):
-                st = wave_step(st, src, dt)
+            got = _wave_a(K, eps, dt, int(round(T / dt)), src=src)[1, K + 1, K].real
             s_grid = np.linspace(0, T, 40001)
             oracle = simpson(np.sin((T - s_grid) / eps) * 0.4, x=s_grid)
-            worst_const = max(worst_const, abs(st.a.coeffs[1, K + 1, K].real - oracle))
+            worst_const = max(worst_const, abs(got - oracle))
 
-    # time-varying source with midpoint sampling: order >= 2 against the oracle
+    # time-varying source sampled at the grid times: order >= 2 against the oracle
     eps = 0.2
     amp = lambda t: 0.4 * np.cos(3.0 * t)
     src_mode = SpectralField.from_modes(2, K, 2, [(1, [1, 0], 1.0)])
@@ -178,12 +178,8 @@ def test_criterion_3_oscillatory_integrator():
     s_grid = np.linspace(0, T, 80001)
     oracle = simpson(np.sin((T - s_grid) / eps) * amp(s_grid), x=s_grid)
     for dt in (2e-2, 1e-2, 5e-3):
-        st = _free_state(K, eps)
-        t = 0.0
-        for _ in range(int(round(T / dt))):
-            st = wave_step(st, amp(t + dt / 2) * src_mode, dt)
-            t += dt
-        errs.append(abs(st.a.coeffs[1, K + 1, K].real - oracle))
+        got = _wave_a(K, eps, dt, int(round(T / dt)), src=src_mode, amp=amp)[1, K + 1, K].real
+        errs.append(abs(got - oracle))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = worst_free <= 1e-10 and worst_const <= 1e-9 and min(orders) >= 1.7
     _report(3, "oscillatory wave integrator", ok,
@@ -214,7 +210,8 @@ def test_criterion_4_conservation(sweep_report):
         e0 = total_energy(ens, em)
         worst = 0.0
         for _ in range(int(round(T / dt))):
-            ens, em = vm_step(ens, em, dt)
+            res = vm_step_full(ens, em, dt)
+            ens, em = res.ensemble, res.em
             worst = max(worst, abs(total_energy(ens, em) - e0) / abs(e0))
         return worst
 
@@ -330,7 +327,8 @@ def test_criterion_8_ck_contraction():
     dt = rep.horizon / n_steps
     cur, m = ens, em
     for _ in range(n_steps):
-        cur, m = vm_step(cur, m, dt)
+        res = vm_step_full(cur, m, dt)
+        cur, m = res.ensemble, res.em
     err = max(np.abs(rep.rho_traj[-1] - cur.rho).max(), np.abs(rep.xi_traj[-1] - cur.xi).max())
     ok = contraction_ok and err <= 1e-6
     _report(8, "analytic fixed-point contraction", ok,

@@ -194,7 +194,7 @@ class TestSimulate:
         from vmvp import multifluid
         from vmvp.errors import NumericalAbort
 
-        real_step, calls = multifluid.vp_step, []
+        real_step, calls = multifluid.vp_step_full, []
 
         def fails_on_step_3(ens, dt):
             calls.append(dt)
@@ -202,7 +202,7 @@ class TestSimulate:
                 raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03", state_dump=ens)
             return real_step(ens, dt)
 
-        monkeypatch.setattr(multifluid, "vp_step", fails_on_step_3)
+        monkeypatch.setattr(multifluid, "vp_step_full", fails_on_step_3)
         out = tmp_path / "vp_abort"
         rc = main(["simulate", "--config", str(tiny_cfg_path), "--mode", "vp", "--out", str(out)])
         assert rc == 3

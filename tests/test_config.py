@@ -144,7 +144,6 @@ class TestBuilders:
         ens = build_ensemble(cfg, 0.2)
         assert ens.mu.size == 2 and ens.eps == 0.2
         em = build_em_state(cfg, 0.2)
-        assert em.eps == 0.2
         # well-prepared: transverse part vanishes
         assert np.abs(em.eps_adot.coeffs).max() < 1e-14
 

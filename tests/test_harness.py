@@ -140,7 +140,6 @@ class TestVerifySuite:
         k = 4
         a = SpectralField.from_modes(2, k, 2, [(0, (0, 0), 0.3), (1, (1, 0), 0.1)])
         st = EMState(
-            eps=0.2,
             a=a,
             eps_adot=SpectralField.zeros(2, k, 2),
             mean_b0=np.zeros(1),

@@ -266,12 +266,12 @@ class TestConsistency:
         ens = make_ensemble([(1.0, [([0, 0], 1.0)], [(0, [0, 0], c)])], eps=0.0)
         cloud = sample_cloud(ens, 256, seed=4)
         stages = frozen(SpectralField.zeros(2, K, 2))
-        from vmvp.multifluid import vp_step
+        from vmvp.multifluid import vp_step_full
 
         cur = ens
         for _ in range(20):
             cloud = flow_vp_step(cloud, stages, 0.01)
-            cur = vp_step(cur, 0.01)
+            cur = vp_step_full(cur, 0.01).ensemble
         rep = consistency_check(cloud, cur, system="vp")
         assert rep.residual_max < 1e-10
 

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import cumint_scipy, duhamel_series_stepwise, ratios_below, vm_rhs
 from vmvp.errors import NumericalAbort, ValidationError
-from vmvp.fields import assemble_b, assemble_e, init_em_state
+from vmvp.fields import assemble_b, electric_coeffs, init_em_state
 from vmvp.multifluid import (
     GATE_BOUND,
     PhaseEnsemble,
@@ -19,9 +19,7 @@ from vmvp.multifluid import (
     rk4_step,
     save_ensemble,
     total_energy,
-    vm_step,
     vm_step_full,
-    vp_step,
     vp_step_full,
 )
 from vmvp.spectral import (
@@ -66,12 +64,12 @@ def two_phase_2d(K=8, eps=0.2, rho_amp=0.08, xi_mean=0.25, xi_amp=0.1):
     return ensemble((p1, p2), eps)
 
 
-def well_prepared_em(ens, eps):
+def well_prepared_em(ens):
     rho = ens.rho_total()
     phi = solve_poisson(rho)
     e0 = -1.0 * gradient(phi)
     b0 = SpectralField.zeros(ens.dim, ens.cutoff, 1 if ens.dim == 2 else 3)
-    return init_em_state(rho, np.zeros(ens.dim), e0, b0, eps)
+    return init_em_state(rho, np.zeros(ens.dim), e0, b0)
 
 
 class TestEnsembleInvariants:
@@ -138,6 +136,15 @@ class TestEnsembleInvariants:
             ensemble((ph,), np.nan)
         with pytest.raises(ValidationError, match="mass"):
             ensemble((make_phase(2, 4, 1.0, [([0, 0], np.nan)], []),), 0.0)
+
+    def test_eps_range_is_the_ensembles(self):
+        # the ensemble's eps is the one eps of a state, so it is refused outside [0, 1] here
+        ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [])
+        for bad in (1.5, np.nan, -0.1):
+            with pytest.raises(ValidationError, match="at most 1"):
+                ensemble((ph,), bad)
+        for ok in (0.0, 1.0):
+            assert ensemble((ph,), ok).eps == ok
 
     @pytest.mark.parametrize("field,match", [("xi", "gate"), ("rho", "negative")])
     def test_nan_coefficient_aborts_validity_check(self, field, match):
@@ -288,8 +295,9 @@ class TestRk4Step:
 class TestStepping:
     def test_uniform_fixed_point(self):
         ens = two_phase_2d(eps=0.2, rho_amp=0.0, xi_mean=0.0, xi_amp=0.0)
-        em = well_prepared_em(ens, 0.2)
-        ens2, em2 = vm_step(ens, em, 1e-2)
+        em = well_prepared_em(ens)
+        res = vm_step_full(ens, em, 1e-2)
+        ens2, em2 = res.ensemble, res.em
         assert np.abs(ens2.rho - ens.rho).max() < 1e-12
         assert np.abs(ens2.xi - ens.xi).max() < 1e-12
         assert np.abs(em2.a.coeffs).max() < 1e-12
@@ -311,33 +319,36 @@ class TestStepping:
         ens, em = build_ensemble(cfg, eps), build_em_state(cfg, eps)
         assert np.abs(em.eps_adot.coeffs).max() > 1e-3 and np.abs(em.mean_b0).max() > 1e-3
         for _ in range(10):
-            ens, em = vm_step(ens, em, cfg.dt)
+            res = vm_step_full(ens, em, cfg.dt)
+            ens, em = res.ensemble, res.em
         rho = ens.rho_total()
-        gauss = divergence(assemble_e(em, rho)).coeffs - (rho - SpectralField.constant(2, cfg.cutoff, 1.0)).coeffs
+        e = SpectralField(2, cfg.cutoff, electric_coeffs(rho.coeffs, em.eps_adot.coeffs, 2))
+        gauss = divergence(e).coeffs - (rho - SpectralField.constant(2, cfg.cutoff, 1.0)).coeffs
         assert np.abs(gauss).max() <= 1e-12
 
     def test_vm_step_matches_vp_step_small_eps(self):
         # one step at eps -> 0 approaches the electrostatic step at rate O(eps)
         base = two_phase_2d(eps=0.0)
-        ref = vp_step(base, 1e-2)
+        ref = vp_step_full(base, 1e-2).ensemble
         errs = []
         for eps in (0.2, 0.1):
             ens = two_phase_2d(eps=eps)
-            em = well_prepared_em(ens, eps)
-            stepped, _ = vm_step(ens, em, 1e-2)
+            em = well_prepared_em(ens)
+            stepped = vm_step_full(ens, em, 1e-2).ensemble
             err = np.abs(stepped.xi - ref.xi).max()
             errs.append(err)
         assert errs[1] < errs[0]
 
     def test_dt_refinement_fourth_order(self):
         ens = two_phase_2d(eps=0.25)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         T = 0.04
 
         def run(dt):
             e, m = ens, em
             for _ in range(int(round(T / dt))):
-                e, m = vm_step(e, m, dt)
+                res = vm_step_full(e, m, dt)
+                e, m = res.ensemble, res.em
             return e
 
         fine = run(T / 64)
@@ -352,10 +363,11 @@ class TestStepping:
 
     def test_mass_per_phase_exact(self):
         ens = two_phase_2d(eps=0.2)
-        em = well_prepared_em(ens, 0.2)
+        em = well_prepared_em(ens)
         masses0 = ens.phase_masses()
         for _ in range(50):
-            ens, em = vm_step(ens, em, 2e-3)
+            res = vm_step_full(ens, em, 2e-3)
+            ens, em = res.ensemble, res.em
         assert np.abs(ens.phase_masses() - masses0).max() < 1e-13
 
     def test_plasma_oscillation_period(self):
@@ -367,7 +379,7 @@ class TestStepping:
         series = []
         cur = ens
         for _ in range(2000):
-            cur = vp_step(cur, dt)
+            cur = vp_step_full(cur, dt).ensemble
             series.append(cur.rho[0, 0, K + 1].real)
         series = np.array(series)
         ts = dt * np.arange(1, 2001)
@@ -380,16 +392,16 @@ class TestStepping:
         assert np.abs(j0).max() < 1e-12  # normalized data
         cur = ens
         for _ in range(200):
-            cur = vp_step(cur, 5e-3)  # T = 1
+            cur = vp_step_full(cur, 5e-3).ensemble  # T = 1
         j1 = moments(cur).j_mean
         assert np.abs(j1 - j0).max() < 1e-8
 
     def test_gate_abort_mid_run(self):
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], 2.0)])
         ens = ensemble((ph,), 0.5)
-        em = well_prepared_em(ens, 0.5)
+        em = well_prepared_em(ens)
         with pytest.raises(NumericalAbort) as exc:
-            vm_step(ens, em, 1e-3)
+            vm_step_full(ens, em, 1e-3)
         assert exc.value.state_dump is not None
 
 
@@ -427,10 +439,11 @@ class TestEnergy:
 
     def test_vm_energy_drift_small(self):
         ens = two_phase_2d(eps=0.25)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         e0 = total_energy(ens, em)
         for _ in range(100):
-            ens, em = vm_step(ens, em, 1e-3)
+            res = vm_step_full(ens, em, 1e-3)
+            ens, em = res.ensemble, res.em
         e1 = total_energy(ens, em)
         assert abs(e1 - e0) / abs(e0) < 1e-8
 
@@ -438,7 +451,7 @@ class TestEnergy:
 class TestCKIteration:
     def test_stationary_fixed_point(self):
         ens = uniform_static(dim=2, K=4, eps=0.2)
-        em = well_prepared_em(ens, 0.2)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         rep = ck_iterate(ens, em, p, n_max=4, n_time=32)
         assert max(rep.diffs_rho + rep.diffs_xi) == 0.0
@@ -446,7 +459,7 @@ class TestCKIteration:
 
     def test_contraction_on_analytic_data(self):
         ens = two_phase_2d(K=6, eps=0.2, rho_amp=0.06, xi_mean=0.2, xi_amp=0.08)
-        em = well_prepared_em(ens, 0.2)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         rep = ck_iterate(ens, em, p, n_max=8, n_time=64)
         assert not rep.diverged
@@ -456,14 +469,15 @@ class TestCKIteration:
 
     def test_limit_matches_stepping(self):
         ens = two_phase_2d(K=6, eps=0.25, rho_amp=0.06, xi_mean=0.2, xi_amp=0.08)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         rep = ck_iterate(ens, em, p, n_max=12, n_time=128)
         n_steps = 128
         dt = rep.horizon / n_steps
         cur, m = ens, em
         for _ in range(n_steps):
-            cur, m = vm_step(cur, m, dt)
+            res = vm_step_full(cur, m, dt)
+            cur, m = res.ensemble, res.em
         for pidx in range(cur.mu.size):
             assert np.abs(rep.rho_traj[-1, pidx] - cur.rho[pidx]).max() < 1e-6
             assert np.abs(rep.xi_traj[-1, pidx] - cur.xi[pidx]).max() < 1e-6
@@ -518,30 +532,6 @@ class TestDuhamelSeries:
         a_step, w_step = duhamel_series_stepwise(s_hat, a0, w0, times, eps, 2, K)
         assert np.array_equal(a, a_step)
         assert np.array_equal(w, w_step)
-
-    def test_constant_source_matches_wave_step(self):
-        from vmvp.fields import EMState, wave_step
-        from vmvp.multifluid import _duhamel_series
-        from vmvp.spectral import leray_project
-
-        K, eps, dt, n = 4, 0.1, 2e-3, 256
-        rng = np.random.default_rng(11)
-        n_grid = 2 * (2 * K + 1)
-
-        def divfree(mean_value):
-            f = leray_project(SpectralField.from_grid(rng.standard_normal((2, n_grid, n_grid)), K))
-            return f - SpectralField.constant(2, K, mean(f)) + SpectralField.constant(2, K, mean_value)
-
-        a0, w0, src = divfree([0.0, 0.0]), divfree([0.1, -0.2]), divfree([0.3, 0.05])
-        st = EMState(eps=eps, a=a0, eps_adot=w0, mean_b0=np.zeros(1), mean_eps_adot0=mean(w0))
-        times = dt * np.arange(n + 1)
-        a, w = _duhamel_series(np.broadcast_to(src.coeffs, (n + 1,) + src.coeffs.shape),
-                               a0.coeffs, w0.coeffs, times, eps, 2, K)
-        scale = max(np.abs(a).max(), np.abs(w).max())
-        for j in range(1, n + 1):
-            st = wave_step(st, src, dt)
-            assert np.abs(a[j] - st.a.coeffs).max() <= 1e-13 * scale
-            assert np.abs(w[j] - st.eps_adot.coeffs).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("block", [1, 7, 32])
     def test_blocks_with_carried_state_match_one_call(self, block):
@@ -613,7 +603,7 @@ class TestCkOracles:
         from vmvp import multifluid
 
         ens = two_phase_2d(K=4, eps=0.25)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         got = ck_iterate(ens, em, p, n_max=3, n_time=n_time)
         monkeypatch.setattr(multifluid, "_cumint", cumint_scipy)
@@ -655,7 +645,7 @@ class TestCkRecorded:
         from vmvp import multifluid
 
         ens = two_phase_2d(K=4, eps=0.25)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         ref = ck_iterate(ens, em, p, n_max=3, n_time=20)
         monkeypatch.setattr(multifluid, "CK_SLICE_BLOCK", 7)
@@ -671,7 +661,7 @@ class TestCkRecorded:
         from vmvp import multifluid
 
         ens = two_phase_2d(K=4, eps=0.25)
-        em = well_prepared_em(ens, 0.25)
+        em = well_prepared_em(ens)
         p = AnalyticNormParams(delta0=1.4, delta=1.15, eta=0.2)
         ref = ck_iterate(ens, em, p, n_max=3, n_time=20)
         monkeypatch.setattr(multifluid, "CK_SLICE_BLOCK", block)
