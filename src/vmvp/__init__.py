@@ -10,6 +10,11 @@ xi (M, d, J..)), ``lagrangian`` (paired characteristic flows),
 ``harness`` (runs, sweeps, diagnostics), ``cli`` (command line).
 """
 
+from . import _heap
+
+# set before any submodule allocates; mallopt's return codes, () without mallopt
+_mallopt_codes = _heap.pin_heap_thresholds()
+
 from .errors import NumericalAbort, ValidationError
 from .spectral import AnalyticNormParams, SpectralField
 from .fields import EMState

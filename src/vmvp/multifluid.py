@@ -42,8 +42,8 @@ logger = logging.getLogger(__name__)
 GATE_BOUND = 1.0 / np.sqrt(2.0)
 DEFAULT_GATE_DELTA = 1.1
 POSITIVITY_TOL = -1e-8
-# time slices per ck_iterate block; a block's grids take about 5 MB on ck2d.  At 32 slices (10.6 MB)
-# glibc gave the freed heap top back to the system after every block: 84k minor faults per call, not 10k
+# time slices per ck_iterate block; a block's grids take about 5 MB on ck2d, which holds peak memory
+# down: 32 and 64 slices ran no faster and raised a ck2d pass's peak RSS by about 5 and 17 MB
 CK_SLICE_BLOCK = 16
 # ck_iterate measures iterate differences on every 4th time slice (and the last)
 NORM_TIME_STRIDE = 4

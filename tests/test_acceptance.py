@@ -35,6 +35,7 @@ from vmvp.spectral import (
 from vmvp.transport import EmpiricalMeasure, cost_matrix_sq, loeper_check, w2_exact
 
 _RESULTS = []
+_FIXTURE_SECONDS = {}  # shared-run wall times, reported by test_zz_summary, not criteria
 
 
 def _report(num, name, passed, detail, t0, budget):
@@ -65,13 +66,19 @@ def sweep_cfg():
 
 @pytest.fixture(scope="module")
 def sweep_report(sweep_cfg):
-    return run_sweep(sweep_cfg)
+    t0 = time.time()
+    report = run_sweep(sweep_cfg)
+    _FIXTURE_SECONDS["sweep_report"] = time.time() - t0
+    return report
 
 
 @pytest.fixture(scope="module")
 def small_pair():
+    t0 = time.time()
     cfg = load_config(resolve_config_path("bundled/small2d"))
-    return cfg, run_pair(cfg, cfg.eps_list[0])
+    pair = cfg, run_pair(cfg, cfg.eps_list[0])
+    _FIXTURE_SECONDS["small_pair"] = time.time() - t0
+    return pair
 
 
 def test_criterion_1_analytic_norm_algebra():
@@ -372,3 +379,5 @@ def test_zz_summary():
     for line in _RESULTS:
         print(line)
     print(f"{sum('PASS' in l for l in _RESULTS)}/{len(_RESULTS)} criteria passed", flush=True)
+    for name, seconds in _FIXTURE_SECONDS.items():
+        print(f"[ACCEPTANCE] fixture {name}: {seconds:.1f}s", flush=True)
