@@ -6,8 +6,11 @@ relativistic flow (Xdot = v(Xi), Xidot = E + eps v x B).  The index pairing
 between the two families is never reshuffled; it realizes the coupling whose
 mean squared gap the transport module turns into a Wasserstein bound.
 
-Forces are evaluated by exact trigonometric summation at particle positions
-(no grid interpolation).  Both steppers take the stage fields of a fluid
+Forces are trigonometric sums at particle positions (no grid interpolation),
+taken over each field's numerical support: `SpectralField.evaluate_at` leaves
+out the outer modes that carry at most u = 2^-53 of the l1 mass of the
+stacked (E, B), so with eps |v| < 1 a force moves by at most
+2 u (|E|_l1 + |B|_l1).  Both steppers take the stage fields of a fluid
 step's record (`multifluid.StepResult.stage_fields`, the (E, B) pair at each
 of the four stages), so the combined fluid+particle update is one classical
 4-stage step of the joint system (particles are passive and do not feed back

@@ -214,6 +214,36 @@ def _analysis(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     return out
 
 
+# float64's unit round-off: the l1 mass `evaluate_at` may leave out, relative to the whole
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# bytes of evaluate_at's first-axis product per point block: a few MB, so that
+# it is reused from the heap rather than mapped and zero-filled on every call
+EVAL_BLOCK_BYTES = 4 << 20
+
+
+def _support_radii(coeffs: np.ndarray) -> tuple[int, ...]:
+    """Per-axis radii r_a of the centred box that `evaluate_at` sums, for coeffs (m, 2K+1, ..., 2K+1).
+
+    r_a is the smallest radius whose outer rings |k_a| > r_a carry at most
+    (u / d) sum |c| of l1 mass, all components together; the union of the d
+    dropped slabs then carries at most u sum |c|.  A zero field gets radius 0
+    on every axis, and a non-finite coefficient (or sum) the full box.
+    """
+    d, K = coeffs.ndim - 1, (coeffs.shape[-1] - 1) // 2
+    mass = np.abs(coeffs).sum(axis=0)
+    total = mass.sum()
+    if not np.isfinite(total):
+        return (K,) * d
+    budget = UNIT_ROUNDOFF / d * total
+    radii = []
+    for a in range(d):
+        ring = mass.sum(axis=tuple(b for b in range(d) if b != a))     # by k_a = -K..K
+        ring = ring[K + 1:] + ring[:K][::-1]                              # by |k_a| = 1..K
+        tail = np.cumsum(ring[::-1])[::-1]                                # mass beyond |k_a| = 0..K-1
+        radii.append(int(np.count_nonzero(tail > budget)))
+    return tuple(radii)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable truncated Fourier representation of a real field.
@@ -304,18 +334,26 @@ class SpectralField:
         return _synthesis(self.coeffs, self.dim, n, gradient)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Exact trigonometric sum at arbitrary points, shape (n_pts, m).
+        """Trigonometric sum over the field's numerical support at arbitrary points, shape (n_pts, m).
 
-        Returns the real part of the full box sum for any coefficient array.
+        Returns the real part of the box sum for any coefficient array, taken
+        over the centred sub-box |k_a| <= r_a of `_support_radii`: the modes
+        it leaves out carry at most u sum |c| of l1 mass (u = 2^-53, all
+        components together), and since |e^{ik.x}| = 1 every value moves by
+        at most u sum |c|, under one rounding of the largest value the sum
+        can take.  The push evaluates stack([E, B]) as one field, so with
+        eps |v| < 1 its Lorentz force moves by at most 2 u (|E|_l1 + |B|_l1).
+        A non-finite coefficient keeps the full box, so NaN and inf propagate.
+
         Re(c e^{ik.x}) = Re(conj(c) e^{-ik.x}), so each k1 < 0 term folds
-        onto its mirror -k and only the half box k1 = 0..K is summed:
+        onto its mirror -k and only the half box k1 = 0..r_1 is summed:
 
             h[0, k'] = (c[0, k'] + conj(c[0, -k'])) / 2,
             h[k1, k'] = c[k1, k'] + conj(c[-k1, -k'])        (k1 > 0).
 
         Each further axis folds k and -k by
         h[k] e^{ikx} + h[-k] e^{-ikx} = (h[k] + h[-k]) cos kx + i (h[k] - h[-k]) sin kx,
-        so along it the coefficients of cos kx, sin kx (k = 0..K) are
+        so along it the coefficients of cos kx, sin kx (k = 0..r_a) are
 
             g_cos[0] = h[0],  g_cos[k] = h[k] + h[-k],
             g_sin[0] = 0,     g_sin[k] = i (h[k] - h[-k])          (k > 0),
@@ -323,30 +361,39 @@ class SpectralField:
         against real basis functions.  Only the first axis keeps a complex
         factor, and Re((a + ib) e^{ik1 x1}) = a cos k1x1 - b sin k1x1, so the
         sum is the real tensor [Re g; -Im g], of shape
-        (m, 2(K+1), ..., 2(K+1)), contracted with [cos; sin](x_a) on every
+        (m, 2(r_1+1), ..., 2(r_d+1)), contracted with [cos; sin](x_a) on every
         axis: one GEMM for the first axis, then one per-point contraction
-        per further axis.  The same sum as the naive evaluation,
-        reassociated; it agrees with it to round-off.
+        per further axis.  Points go through in blocks that keep the GEMM's
+        product within EVAL_BLOCK_BYTES.  On the sub-box this is the naive
+        evaluation reassociated; it agrees with it to round-off.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValidationError(f"points have dimension {pts.shape[1]}, field has {self.dim}")
         d, K, m, n = self.dim, self.cutoff, self.components, pts.shape[0]
-        c = self.coeffs
-        h = c[:, K:] + np.conj(np.flip(c[:, K::-1], axis=tuple(range(2, d + 1))))
+        radii = _support_radii(self.coeffs)
+        c = self.coeffs[(slice(None),) + tuple(slice(K - r, K + r + 1) for r in radii)]
+        h = c[:, radii[0]:] + np.conj(np.flip(c[:, radii[0]::-1], axis=tuple(range(2, d + 1))))
         h[:, 0] *= 0.5
         for a in range(2, d + 1):
-            pos = np.take(h, range(K + 1, 2 * K + 1), axis=a)
-            neg = np.take(h, range(K - 1, -1, -1), axis=a)
-            zero = np.take(h, [K], axis=a)
+            r = radii[a - 1]
+            pos = np.take(h, range(r + 1, 2 * r + 1), axis=a)
+            neg = np.take(h, range(r - 1, -1, -1), axis=a)
+            zero = np.take(h, [r], axis=a)
             h = np.concatenate([zero, pos + neg, np.zeros_like(zero), 1j * (pos - neg)], axis=a)
-        g = np.concatenate([h.real, -h.imag], axis=1)                    # (m, 2(K+1), ..., 2(K+1))
-        P = 2 * (K + 1)
-        # t[m, j2.., point]: the first-axis sum, real in the folded j2..jd
-        t = np.moveaxis(g, 1, 0).reshape(P, -1).T @ _phase_rows(pts[:, 0], K)
-        for a in range(1, d):
-            t = np.einsum("mjrn,jn->mrn", t.reshape(m, P, P ** (d - 1 - a), n), _phase_rows(pts[:, a], K))
-        return t.reshape(m, n).T
+        g = np.concatenate([h.real, -h.imag], axis=1)                    # (m, 2(r_1+1), ..., 2(r_d+1))
+        sizes = g.shape[1:]
+        first = np.moveaxis(g, 1, 0).reshape(sizes[0], -1).T
+        block = max(1, EVAL_BLOCK_BYTES // (first.shape[0] * first.itemsize))
+        out = np.empty((m, n))
+        for s in range(0, n, block):
+            p = pts[s : s + block]
+            # t[m, j2.., point]: the first-axis sum, real in the folded j2..jd
+            t = first @ _phase_rows(p[:, 0], radii[0])
+            for a in range(1, d):
+                t = np.einsum("mjrn,jn->mrn", t.reshape(m, sizes[a], -1, len(p)), _phase_rows(p[:, a], radii[a]))
+            out[:, s : s + block] = t.reshape(m, -1)
+        return out.T
 
     # ------------------------------------------------------------------
     # arithmetic in coefficient space

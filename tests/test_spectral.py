@@ -96,6 +96,100 @@ class TestEvaluate:
         assert f.evaluate_at(np.empty((0, dim))).shape == (0, dim)
 
 
+
+def axis_decaying_field(dim, cutoff, rates, components=1, seed=0):
+    """A random real field damped by exp(-sum_a rate_a |k_a|): a different support on every axis."""
+    k = np.abs(sp.mode_vectors(dim, cutoff))
+    damp = np.exp(-np.tensordot(np.asarray(rates, dtype=float), k, axes=1))
+    return SpectralField(dim, cutoff, random_field(dim, cutoff, components, seed).coeffs * damp)
+
+
+def outside_box(f, radii):
+    """Mask of the modes outside |k_a| <= radii[a]."""
+    k = np.abs(sp.mode_vectors(f.dim, f.cutoff))
+    return np.any(k > np.reshape(radii, (-1,) + (1,) * f.dim), axis=0)
+
+
+def dropped_mass(f, radii):
+    """l1 mass (all components) of the modes outside |k_a| <= radii[a]."""
+    return np.abs(f.coeffs)[:, outside_box(f, radii)].sum()
+
+
+# (dim, cutoff, per-axis decay rates): every radius below K on some axes, K on others
+DECAYING = [(1, 16, (4.0,)), (2, 16, (4.0, 2.5)), (2, 16, (1.5, 5.0)), (3, 8, (7.0, 1.0, 5.0))]
+
+
+class TestSupportRule:
+    """evaluate_at sums the box whose outside carries at most u sum |c|."""
+
+    @pytest.mark.parametrize("dim, cutoff, rates", DECAYING)
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_dropped_mass_within_budget_and_radii_minimal(self, dim, cutoff, rates, vector):
+        f = axis_decaying_field(dim, cutoff, rates, components=dim if vector else 1, seed=dim)
+        radii = sp._support_radii(f.coeffs)
+        total = np.abs(f.coeffs).sum()
+        assert min(radii) < cutoff
+        assert dropped_mass(f, radii) <= sp.UNIT_ROUNDOFF * total
+        for a, r in enumerate(radii):
+            if r:  # one ring less on axis a alone drops more than its share u/d of the mass
+                shrunk = [cutoff] * dim
+                shrunk[a] = r - 1
+                assert dropped_mass(f, shrunk) > sp.UNIT_ROUNDOFF / dim * total
+
+    @pytest.mark.parametrize("dim, cutoff, rates", DECAYING)
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_naive_within_the_bound(self, dim, cutoff, rates, hermitian):
+        f = axis_decaying_field(dim, cutoff, rates, components=dim, seed=dim + 1)
+        if not hermitian:
+            f = SpectralField(dim, cutoff, f.coeffs * (1.0 + 0.5j))
+        pts = np.random.default_rng(dim).uniform(-2.0, 9.0, (300, dim))
+        got, want = f.evaluate_at(pts), evaluate_at_naive(f, pts)
+        bound = sp.UNIT_ROUNDOFF * np.abs(f.coeffs).sum()
+        assert np.abs(got - want).max() <= bound + 1e-13 * max(1.0, np.abs(want).max())
+        # on the chosen sub-box it is the naive sum to round-off
+        kept = SpectralField(dim, cutoff, np.where(outside_box(f, sp._support_radii(f.coeffs)), 0, f.coeffs))
+        assert np.abs(got - evaluate_at_naive(kept, pts)).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_non_finite_outer_ring_propagates(self, dim, bad):
+        # dropped by the support rule, the outermost ring would hide it
+        cutoff = 4
+        c = axis_decaying_field(dim, cutoff, (8.0,) * dim, components=2, seed=dim).coeffs.copy()
+        c[(1, 0) + (cutoff,) * (dim - 1)] = bad                   # k = (-K, 0, ..., 0)
+        f = SpectralField(dim, cutoff, c)
+        assert sp._support_radii(f.coeffs) == (cutoff,) * dim
+        pts = np.random.default_rng(dim).uniform(0.0, 2 * np.pi, (9, dim))
+        with np.errstate(invalid="ignore"):
+            vals = f.evaluate_at(pts)
+        assert np.isfinite(vals[:, 0]).all()
+        assert not np.isfinite(vals[:, 1]).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_field_and_no_points(self, dim):
+        zero = SpectralField.zeros(dim, 5, components=3)
+        assert sp._support_radii(zero.coeffs) == (0,) * dim
+        pts = np.random.default_rng(dim).uniform(0.0, 2 * np.pi, (7, dim))
+        assert np.array_equal(zero.evaluate_at(pts), np.zeros((7, 3)))
+        assert zero.evaluate_at(np.empty((0, dim))).shape == (0, 3)
+        f = axis_decaying_field(dim, 8, (9.0,) * dim, components=2)
+        assert max(sp._support_radii(f.coeffs)) < 8
+        assert f.evaluate_at(np.empty((0, dim))).shape == (0, 2)
+
+    def test_tiny_b_keeps_the_radii_of_the_stack(self):
+        # the push evaluates stack([E, B]); B alone has mass in every ring,
+        # so a per-component rule would keep the full box
+        e = axis_decaying_field(2, 16, (4.0, 3.0), components=2, seed=3)
+        b = SpectralField(2, 16, 1e-30 * random_field(2, 16, seed=4).coeffs)
+        both = sp.stack([e, b])
+        assert sp._support_radii(b.coeffs) == (16, 16)
+        assert sp._support_radii(both.coeffs) == sp._support_radii(e.coeffs)
+        assert max(sp._support_radii(both.coeffs)) < 16
+        pts = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (50, 2))
+        want = evaluate_at_naive(both, pts)
+        bound = sp.UNIT_ROUNDOFF * np.abs(both.coeffs).sum()
+        assert np.abs(both.evaluate_at(pts) - want).max() <= bound + 1e-13 * max(1.0, np.abs(want).max())
+
 def fft_from_grid(grid, cutoff):
     """The former FFT analysis: fftn over the box axes, shifted and cropped."""
     dim = grid.ndim - 1
