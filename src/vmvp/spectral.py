@@ -15,6 +15,7 @@ restricted to the cutoff box.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,9 +217,6 @@ def _analysis(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
 
 # float64's unit round-off: the l1 mass `evaluate_at` may leave out, relative to the whole
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# bytes of evaluate_at's first-axis product per point block: a few MB, so that
-# it is reused from the heap rather than mapped and zero-filled on every call
-EVAL_BLOCK_BYTES = 4 << 20
 
 
 def _support_radii(coeffs: np.ndarray) -> tuple[int, ...]:
@@ -363,9 +361,8 @@ class SpectralField:
         sum is the real tensor [Re g; -Im g], of shape
         (m, 2(r_1+1), ..., 2(r_d+1)), contracted with [cos; sin](x_a) on every
         axis: one GEMM for the first axis, then one per-point contraction
-        per further axis.  Points go through in blocks that keep the GEMM's
-        product within EVAL_BLOCK_BYTES.  On the sub-box this is the naive
-        evaluation reassociated; it agrees with it to round-off.
+        per further axis.  On the sub-box this is the naive evaluation
+        reassociated; it agrees with it to round-off.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
@@ -383,17 +380,12 @@ class SpectralField:
             h = np.concatenate([zero, pos + neg, np.zeros_like(zero), 1j * (pos - neg)], axis=a)
         g = np.concatenate([h.real, -h.imag], axis=1)                    # (m, 2(r_1+1), ..., 2(r_d+1))
         sizes = g.shape[1:]
-        first = np.moveaxis(g, 1, 0).reshape(sizes[0], -1).T
-        block = max(1, EVAL_BLOCK_BYTES // (first.shape[0] * first.itemsize))
-        out = np.empty((m, n))
-        for s in range(0, n, block):
-            p = pts[s : s + block]
-            # t[m, j2.., point]: the first-axis sum, real in the folded j2..jd
-            t = first @ _phase_rows(p[:, 0], radii[0])
-            for a in range(1, d):
-                t = np.einsum("mjrn,jn->mrn", t.reshape(m, sizes[a], -1, len(p)), _phase_rows(p[:, a], radii[a]))
-            out[:, s : s + block] = t.reshape(m, -1)
-        return out.T
+        # t[m, j2.., point]: the first-axis sum, real in the folded j2..jd
+        t = np.moveaxis(g, 1, 0).reshape(sizes[0], -1).T @ _phase_rows(pts[:, 0], radii[0])
+        for a in range(1, d):
+            t = t.reshape(m, sizes[a], math.prod(sizes[a + 1:]), n)
+            t = np.einsum("mjrn,jn->mrn", t, _phase_rows(pts[:, a], radii[a]))
+        return t.reshape(m, n).T
 
     # ------------------------------------------------------------------
     # arithmetic in coefficient space

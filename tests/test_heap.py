@@ -17,27 +17,24 @@ import vmvp
 
 PACKAGE_PARENT = Path(vmvp.__file__).parent.parent
 
-# WARM warm-up and COUNT counted K = 16, 4096-point evaluate_at calls on random
-# full-support coefficients of M components in DIM dimensions; prints mallopt's
-# return codes and the mean minor page faults per counted call
+# 10 warm-up and 20 counted m = 2, K = 16, 4096-point evaluate_at calls; prints
+# mallopt's return codes and the mean minor page faults per counted call
 FAULT_PROBE = """
 import json, resource
 import numpy as np
 import vmvp
 from vmvp.spectral import SpectralField
-DIM, M, WARM, COUNT = {dim}, {components}, {warm}, {count}
 rng = np.random.default_rng(0)
-shape = (M,) + (33,) * DIM
-c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-field = SpectralField(DIM, 16, c)
-pts = rng.random((4096, DIM)) * 2 * np.pi
-for _ in range(WARM):
+c = rng.standard_normal((2, 33, 33)) + 1j * rng.standard_normal((2, 33, 33))
+field = SpectralField(2, 16, c)
+pts = rng.random((4096, 2)) * 2 * np.pi
+for _ in range(10):
     field.evaluate_at(pts)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(COUNT):
+for _ in range(20):
     field.evaluate_at(pts)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print(json.dumps({{"codes": list(vmvp._mallopt_codes), "faults_per_call": (after - before) / COUNT}}))
+print(json.dumps({"codes": list(vmvp._mallopt_codes), "faults_per_call": (after - before) / 20}))
 """
 
 
@@ -45,27 +42,13 @@ def has_mallopt() -> bool:
     return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
 
 
-def probe_faults(**params) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE_PARENT), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", FAULT_PROBE.format(**params)], capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout)
-
-
 @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
 def test_warm_evaluate_at_reuses_its_temporaries():
     # with glibc's start thresholds each call maps and zero-fills its
     # multi-MB temporaries afresh: about 1,060 minor faults per call, and
     # 1,070-1,650 with only one of the two thresholds pinned
-    result = probe_faults(dim=2, components=2, warm=10, count=20)
-    assert result["codes"] == [1, 1]
-    assert result["faults_per_call"] < 50
-
-
-@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
-def test_warm_3d_evaluate_at_blocks_its_points():
-    # at d = 3, m = 3 the first-axis product over all 4096 points would be
-    # 3,468 x 4,096 floats (113 MB), above the mmap threshold: mapped afresh
-    # on every call, about 150-660 minor faults per call
-    result = probe_faults(dim=3, components=3, warm=3, count=5)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE_PARENT), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env=env, check=True)
+    result = json.loads(out.stdout)
     assert result["codes"] == [1, 1]
     assert result["faults_per_call"] < 50
