@@ -74,6 +74,21 @@ def _load_cfg(path, overrides=None):
     return cfg
 
 
+def _out_path(path, is_file: bool = False) -> Path:
+    """The output path, its directory (`path`, or its parent for a file) made before any step runs.
+
+    A path that cannot be written is a validation error, so it exits 2 before the work, not 1 after it.
+    """
+    path = Path(path)
+    try:
+        (path.parent if is_file else path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output path {path}: {exc.strerror}: {exc.filename}") from None
+    if is_file and path.is_dir():
+        raise ValidationError(f"cannot write output path {path}: it is a directory")
+    return path
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -92,23 +107,20 @@ def main(argv=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .harness import _abort_context, run_pair
+    from .harness import _step_abort, run_pair
     from .multifluid import save_ensemble, vp_step_full
 
     eps_list = None if args.eps is None else [args.eps]
     cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list})
     eps = cfg.eps_list[0]
-    out = Path(cfg.output_dir)
+    out = _out_path(cfg.output_dir)
     if cfg.mode == "vp":
         ens = build_ensemble(cfg, 0.0)
-        out.mkdir(parents=True, exist_ok=True)
         for step in range(cfg.n_steps):
             try:
                 ens = vp_step_full(ens, cfg.dt).ensemble
             except NumericalAbort as exc:
-                if exc.state_dump is not None:
-                    save_ensemble(ens, out / "abort_state.ens")
-                raise NumericalAbort(_abort_context(exc, step, step * cfg.dt), exc.state_dump, exc.t) from exc
+                raise _step_abort(exc, step, step * cfg.dt, ens, out) from exc
         save_ensemble(ens, out / "vp_final.ens")
         print(f"vp run complete: {cfg.n_steps} steps, state in {out}")
         return EXIT_OK
@@ -124,7 +136,7 @@ def _cmd_sweep(args) -> int:
     from .harness import MIN_FIT_PAIRS, fit_pairs, run_sweep
 
     cfg = _load_cfg(args.config, {"output_dir": args.out, "eps_list": args.eps})
-    report = run_sweep(cfg, out_dir=Path(cfg.output_dir))
+    report = run_sweep(cfg, out_dir=_out_path(cfg.output_dir))
     print(f"sweep over eps={report.eps_values}")
     if report.kappa_measured is None:
         done = len(fit_pairs(report.eps_values, report.runs))
@@ -146,9 +158,8 @@ def _cmd_ck(args) -> int:
     ens = build_ensemble(cfg, eps)
     em = build_em_state(cfg, eps)
     p = AnalyticNormParams(delta0=cfg.delta0, delta=cfg.delta1, eta=cfg.eta, beta=cfg.loss_beta)
+    out = _out_path(cfg.output_dir)
     rep = ck_iterate(ens, em, p, n_max=cfg.ck_n_iters, n_time=cfg.ck_n_time)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "n_iters": rep.n_iters,
         "horizon": rep.horizon,
@@ -188,8 +199,9 @@ def _cmd_verify(args) -> int:
     from .harness import emit_verify, verify_suite
 
     cfg = _load_cfg(args.config)
+    out = None if args.out is None else _out_path(args.out, is_file=True)
     results = verify_suite(cfg)
-    text = emit_verify(results, args.out)
+    text = emit_verify(results, out)
     print(text, end="")
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")

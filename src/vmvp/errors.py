@@ -6,13 +6,11 @@ class ValidationError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when a run leaves its validity domain (gate / positivity).
+    """Raised when a run leaves its validity domain (gate / positivity / non-finite right-hand side).
 
-    Carries an optional ``state_dump`` attribute with the offending objects so
-    the harness can serialize them next to the run outputs.
+    `t` is the time of the step that raised it, set by the harness.
     """
 
-    def __init__(self, message, state_dump=None, t=None):
+    def __init__(self, message, t=None):
         super().__init__(message)
-        self.state_dump = state_dump
         self.t = t

@@ -72,27 +72,36 @@ class _VPRun:
     """The eps-independent electrostatic side, reusable across a sweep."""
 
     cloud: ParticleCloud | None    # the shared cloud at t = 0; None without particles
-    x_vp: list                     # particle positions and momenta at each snapshot
-    xi_vp: list
+    snaps: dict                    # snapshot step -> the cloud's VP side then; empty without particles
     energy: np.ndarray
     mean_j_drift: np.ndarray
     fourth_moment: np.ndarray
     sup_rho: np.ndarray
 
 
-def _abort_context(exc: NumericalAbort, step: int, t: float) -> str:
-    """Date an abort its raise site left undated; return its message led by the step index and time."""
-    if exc.t is None:
-        exc.t = t
-    return f"step {step}, t = {t:g}: {exc}"
+def _step_abort(exc: NumericalAbort, step: int, t: float, ens: PhaseEnsemble, out_dir) -> NumericalAbort:
+    """The abort `exc`, raised inside step `step` at time t, dated and led by "step N, t = T: ".
+
+    Given out_dir, the ensemble the step started from is written to
+    out_dir/abort_state.ens, whatever raised the abort.
+    """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        save_ensemble(ens, Path(out_dir) / "abort_state.ens")
+    return NumericalAbort(f"step {step}, t = {t:g}: {exc}", t)
 
 
 def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | None = None) -> _VPRun:
-    """The electrostatic side; an abort dumps its step's starting state into out_dir, if given, and re-raises dated."""
+    """The electrostatic side, re-raising an abort through _step_abort.
+
+    Snapshots fall at every snapshot_every-th step and at the last; with
+    particles, `snaps` keeps the cloud at each, and the pair runs take
+    theirs at exactly those steps.
+    """
     ens = build_ensemble(cfg, 0.0)
     cloud0 = cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
     j0 = moments(ens).j_mean
-    xs, xis = [], []
+    snaps = {}
     energy = np.empty(cfg.n_steps + 1)
     drift = np.empty(cfg.n_steps + 1)
     fourth = np.empty(cfg.n_steps + 1)
@@ -104,26 +113,17 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | Non
         fourth[step] = mom.fourth_moment_l1
         sup_rho[step] = mom.rho_grid.max()
         if with_particles and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
-            xs.append(cloud.x_vp.copy())
-            xis.append(cloud.xi_vp.copy())
+            snaps[step] = cloud
         if step == cfg.n_steps:
             break
         try:
             res = vp_step_full(ens, cfg.dt)
         except NumericalAbort as exc:
-            if out_dir is not None and exc.state_dump is not None:
-                _save_abort_state(ens, out_dir)
-            raise NumericalAbort(_abort_context(exc, step, step * cfg.dt), exc.state_dump, exc.t) from exc
+            raise _step_abort(exc, step, step * cfg.dt, ens, out_dir) from exc
         if with_particles:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
-    return _VPRun(cloud0, xs, xis, energy, drift, fourth, sup_rho)
-
-
-def _save_abort_state(ens: PhaseEnsemble, out_dir: str | Path) -> None:
-    """Write the ensemble an aborted step started from to out_dir/abort_state.ens."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    save_ensemble(ens, Path(out_dir) / "abort_state.ens")
+    return _VPRun(cloud0, snaps, energy, drift, fourth, sup_rho)
 
 
 def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
@@ -172,6 +172,9 @@ def run_pair(
 
     A given `vp_run` carries the particles: its cloud, or its lack of one,
     decides them, and `with_particles` applies only when the VP side runs here.
+    Snapshots fall at the VP side's snapshot steps, checkpointed in order as
+    cloud_0000.cloud, ...  An abort inside a VM step goes through _step_abort
+    and ends the run: the report is truncated at that step's time.
     """
     ens = build_ensemble(cfg, eps)
     em = build_em_state(cfg, eps)
@@ -192,7 +195,6 @@ def run_pair(
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     l1_rho_run = 0.0
-    snap_counter = 0
 
     for step in range(cfg.n_steps + 1):
         t = step * cfg.dt
@@ -219,25 +221,22 @@ def run_pair(
                 l2_norm(b_field),
             ]
         )
-        if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
-            if with_particles and snap_counter < len(vp_run.x_vp):
-                snap = replace(cloud, x_vp=vp_run.x_vp[snap_counter], xi_vp=vp_run.xi_vp[snap_counter], t=t)
-                w2_val, se_val = _subsampled_w2(snap, cfg.w2_subsample, rng, cfg.bootstrap_reps)
-                snap_t.append(t)
-                q_list.append(coupling_Q(snap))
-                w2_list.append(w2_val)
-                se_list.append(se_val)
-                if ckpt_dir is not None:
-                    save_cloud(snap, ckpt_dir / f"cloud_{snap_counter:04d}.cloud")
-            snap_counter += 1
+        if step in vp_run.snaps:
+            vp = vp_run.snaps[step]
+            snap = replace(cloud, x_vp=vp.x_vp, xi_vp=vp.xi_vp, t=t)
+            w2_val, se_val = _subsampled_w2(snap, cfg.w2_subsample, rng, cfg.bootstrap_reps)
+            if ckpt_dir is not None:
+                save_cloud(snap, ckpt_dir / f"cloud_{len(snap_t):04d}.cloud")
+            snap_t.append(t)
+            q_list.append(coupling_Q(snap))
+            w2_list.append(w2_val)
+            se_list.append(se_val)
         if step == cfg.n_steps:
             break
         try:
             res = vm_step_full(ens, em, cfg.dt, gate_delta=cfg.delta1)
         except NumericalAbort as exc:
-            aborted, abort_message, truncation = True, _abort_context(exc, step, t), t
-            if out_dir is not None and exc.state_dump is not None:
-                _save_abort_state(ens, out_dir)
+            aborted, abort_message, truncation = True, str(_step_abort(exc, step, t, ens, out_dir)), t
             break
         ens, em = res.ensemble, res.em
         int_mean_j = int_mean_j + res.mean_j_increment

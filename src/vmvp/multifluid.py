@@ -113,14 +113,14 @@ def _sup_norm(c: np.ndarray, delta: float) -> float:
     return analytic_norm(SpectralField(c.ndim - 2, (c.shape[-1] - 1) // 2, c.reshape((-1,) + c.shape[2:])), delta)
 
 
-def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None, state=None) -> float:
+def _gate(eps: float, x: np.ndarray, delta: float, context: str | None = None) -> float:
     """eps * sup_theta |xi_theta|_delta of the stacked momenta x (M, d, J..).
 
-    Given a context, a value above 1/sqrt(2) raises NumericalAbort dumping `state`.
+    Given a context, a value above 1/sqrt(2) raises NumericalAbort.
     """
     g = eps * _sup_norm(x, delta)
     if context is not None and not g <= GATE_BOUND:
-        raise NumericalAbort(f"validity gate violated{context}: eps*sup|xi|_delta = {g:.6g} > 1/sqrt(2)", state_dump=state)
+        raise NumericalAbort(f"validity gate violated{context}: eps*sup|xi|_delta = {g:.6g} > 1/sqrt(2)")
     return g
 
 
@@ -131,14 +131,11 @@ def gate_margin(ens: PhaseEnsemble, delta: float = DEFAULT_GATE_DELTA) -> float:
 
 def check_validity(ens: PhaseEnsemble, gate_delta: float = DEFAULT_GATE_DELTA, context: str = "") -> None:
     """Raise NumericalAbort when the gate or grid positivity fails."""
-    _gate(ens.eps, ens.xi, gate_delta, context, ens)
+    _gate(ens.eps, ens.xi, gate_delta, context)
     mins = sp.to_grid(ens.rho, ens.dim).reshape(ens.mu.size, -1).min(axis=1)
     for i, m in enumerate(mins):
         if not m >= POSITIVITY_TOL:
-            raise NumericalAbort(
-                f"phase {i} density negative on the grid{context}: min = {m:.3e}",
-                state_dump=ens,
-            )
+            raise NumericalAbort(f"phase {i} density negative on the grid{context}: min = {m:.3e}")
         if m < 0:
             logger.debug("phase %d density undershoot %.3e (below abort threshold)", i, m)
 
@@ -296,7 +293,7 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
         rs, xs, as_, ws, _ = ys
         ci = RK4_NODES[i]
         if i > 0:
-            _gate(eps, xs, gate_delta, f" at stage {i + 1}", ens)
+            _gate(eps, xs, gate_delta, f" at stage {i + 1}")
         a_hat, w_hat = _rotate(as_, ws, ci * dt, eps, dim, cutoff)  # rotating frame -> lab frame
 
         e_hat = electric_coeffs(_phase_sum(mus, rs, dim), w_hat, dim)

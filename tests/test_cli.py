@@ -135,6 +135,29 @@ class TestExitCodes:
         p.write_text(re.sub(r"^eta = .*$", f"eta = {eta}", text, count=1, flags=re.M), encoding="utf-8")
         assert main(["ck", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("argv,stub", [
+        (["simulate", "--config", "bundled/small2d"], "vmvp.harness.run_pair"),
+        (["simulate", "--config", "bundled/small2d", "--mode", "vp"], "vmvp.multifluid.vp_step_full"),
+        (["sweep", "--config", "bundled/small2d", "--eps", "0.4,0.2,0.1"], "vmvp.harness.run_sweep"),
+        (["ck", "--config", "bundled/ck2d"], "vmvp.multifluid.ck_iterate"),
+        (["verify", "--config", "bundled/small2d"], "vmvp.harness.verify_suite"),
+    ])
+    def test_unwritable_output_path_rejected_before_any_step(self, tmp_path, monkeypatch, capsys, argv, stub):
+        # the output path runs through a regular file, so no directory can be made there
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        monkeypatch.setattr(stub, lambda *a, **k: pytest.fail("a step ran"))
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot write output path {out}: ")
+        assert "Traceback" not in err
+
+    def test_verify_table_path_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("vmvp.harness.verify_suite", lambda *a, **k: pytest.fail("a check ran"))
+        assert main(["verify", "--config", "bundled/small2d", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"validation error: cannot write output path {tmp_path}: it is a directory\n"
+
     @pytest.mark.parametrize("eps", ["0.2,0.2,0.2", "0.4,0.2,0.20000001"])  # both name two runs eps_0.2
     def test_sweep_eps_names_collide(self, tiny_cfg_path, tmp_path, monkeypatch, eps):
         monkeypatch.setattr("vmvp.harness._run_vp_side", lambda *a, **k: pytest.fail("the sweep started"))
@@ -199,7 +222,7 @@ class TestSimulate:
         def fails_on_step_3(ens, dt):
             calls.append(dt)
             if len(calls) == 4:
-                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03", state_dump=ens)
+                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03")
             return real_step(ens, dt)
 
         monkeypatch.setattr(multifluid, "vp_step_full", fails_on_step_3)
@@ -222,7 +245,7 @@ class TestSimulate:
         def fails_on_step_3(ens, dt):
             calls.append(dt)
             if len(calls) == 4:
-                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03", state_dump=ens)
+                raise NumericalAbort("phase 0 density negative on the grid: min = -1.000e-03")
             return real_step(ens, dt)
 
         monkeypatch.setattr(harness, "vp_step_full", fails_on_step_3)
@@ -233,6 +256,45 @@ class TestSimulate:
         dumped = multifluid.load_ensemble(out / "abort_state.ens")
         assert dumped.eps == 0.0 and dumped.mu.size == 2
         assert not (out / "report.json").exists()
+
+
+def nan_rhs_on_call(module, name, k, monkeypatch):
+    """Fault injection: the k-th call of the step `module.name` meets a NaN velocity in `_phase_flux`.
+
+    That step raises the right-hand side's own non-finite abort; returns the
+    ensembles the calls started from.
+    """
+    from vmvp import multifluid
+
+    real_step, real_velocity, started = getattr(module, name), multifluid._velocity_grid, []
+
+    def velocity(xi, eps, axis=0):
+        v = real_velocity(xi, eps, axis)
+        return v * np.nan if len(started) == k else v
+
+    def step(ens, *args, **kwargs):
+        started.append(ens)
+        return real_step(ens, *args, **kwargs)
+
+    monkeypatch.setattr(multifluid, "_velocity_grid", velocity)
+    monkeypatch.setattr(module, name, step)
+    return started
+
+
+class TestNonFiniteRhsAbort:
+    @pytest.mark.parametrize("mode,side", [("pair", "vm_step_full"), ("vp", "vp_step_full")])
+    def test_dumps_the_state_its_step_started_from(self, mode, side, tiny_cfg_path, tmp_path, monkeypatch, capsys):
+        from vmvp import harness, multifluid
+
+        started = nan_rhs_on_call(harness if mode == "pair" else multifluid, side, 4, monkeypatch)
+        out = tmp_path / "nan_rhs"
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--mode", mode, "--out", str(out)]) == 3
+        assert "step 3, t = 0.003: non-finite values in phase right-hand side" in capsys.readouterr().err
+        assert len(started) == 4
+        dumped, start = multifluid.load_ensemble(out / "abort_state.ens"), started[-1]
+        assert dumped.eps == start.eps
+        for name in ("mu", "rho", "xi"):
+            assert (getattr(dumped, name) == getattr(start, name)).all()
 
 
 class TestCsvOutputs:

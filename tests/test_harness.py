@@ -149,6 +149,22 @@ class TestVerifySuite:
         assert g["mean_a"] > 1e-12  # the gauge check fails on the injected fault
 
 
+def gate_crossing_streams(cfg):
+    """Two mirrored streams whose gate starts 0.1% below its bound and crosses it
+    in an RK stage of step 14 of 20: (config, eps)."""
+    import copy
+
+    from vmvp.config import build_ensemble
+    from vmvp.multifluid import GATE_BOUND, gate_margin
+
+    hot = copy.deepcopy(cfg)
+    hot.phases[0].xi_modes = [(0, (0, 0), 3.0), (0, (1, 0), 0.3j)]
+    hot.phases[1].rho_modes = list(hot.phases[0].rho_modes)
+    hot.phases[1].xi_modes = [(0, (0, 0), -3.0), (0, (1, 0), -0.3j)]
+    hot = replace(hot, t_final=20 * hot.dt)
+    return hot, 0.999 * GATE_BOUND / gate_margin(build_ensemble(hot, 1.0), hot.delta1)
+
+
 class TestRunPairOutputs:
     def test_w2_bound_and_ledger_complete(self, small_cfg):
         rep = run_pair(small_cfg, 0.2)
@@ -218,19 +234,7 @@ class TestRunPairOutputs:
             run_pair(hot, 0.9, with_particles=False)
 
     def test_an_abort_reports_its_step_and_time(self, small_cfg):
-        import copy
-
-        from vmvp.config import build_ensemble
-        from vmvp.multifluid import GATE_BOUND, gate_margin
-
-        # two mirrored streams whose gate starts 0.1% below its bound and
-        # crosses it in an RK stage of step 14
-        hot = copy.deepcopy(small_cfg)
-        hot.phases[0].xi_modes = [(0, (0, 0), 3.0), (0, (1, 0), 0.3j)]
-        hot.phases[1].rho_modes = list(hot.phases[0].rho_modes)
-        hot.phases[1].xi_modes = [(0, (0, 0), -3.0), (0, (1, 0), -0.3j)]
-        hot = replace(hot, t_final=20 * hot.dt)
-        eps = 0.999 * GATE_BOUND / gate_margin(build_ensemble(hot, 1.0), hot.delta1)
+        hot, eps = gate_crossing_streams(small_cfg)
         rep = run_pair(hot, eps, with_particles=False)
         assert rep.aborted and rep.truncation_time == 14 * hot.dt
         assert rep.abort_message.startswith(f"step 14, t = {14 * hot.dt:g}: validity gate violated at stage ")
@@ -253,6 +257,72 @@ class TestRunPairOutputs:
             run_pair(cfg, 0.2)
         assert str(exc.value).startswith(f"step 3, t = {3 * cfg.dt:g}: phase 0 density negative")
         assert exc.value.t == 3 * cfg.dt
+
+
+def checkpoint_names(out):
+    return [p.name for p in sorted((out / "checkpoints").glob("*.cloud"))]
+
+
+class TestSnapshotSchedule:
+    def test_every_snapshot_step_and_the_last(self, small_cfg, tmp_path):
+        cfg = replace(small_cfg, t_final=23 * small_cfg.dt, snapshot_every=10)
+        rep = run_pair(cfg, 0.2, out_dir=tmp_path)
+        times = [s * cfg.dt for s in (0, 10, 20, 23)]
+        assert rep.snap_t.tolist() == times
+        names = checkpoint_names(tmp_path)
+        assert names == [f"cloud_{i:04d}.cloud" for i in range(len(times))]
+        assert [load_cloud(tmp_path / "checkpoints" / name).t for name in names] == times
+
+    def test_an_abort_ends_the_snapshots(self, small_cfg, tmp_path):
+        hot, eps = gate_crossing_streams(small_cfg)
+        assert hot.snapshot_every == 10
+        rep = run_pair(hot, eps, out_dir=tmp_path)
+        assert rep.aborted and rep.truncation_time == 14 * hot.dt
+        assert rep.snap_t.tolist() == [0.0, 10 * hot.dt]
+        assert checkpoint_names(tmp_path) == ["cloud_0000.cloud", "cloud_0001.cloud"]
+
+
+class TestBeamOracles:
+    """Two opposite homogeneous beams, whose particles' Q(t) has a closed form.
+
+    mu 0.5 each, rho = 1 and xi = +-(v0, 0): the net current is 0, so E and A
+    stay 0, neither fluid changes and the particles move freely.  With gamma =
+    sqrt(1 + eps^2 v0^2), without B0 the VM particles move at v0/gamma and the
+    VP ones at v0, so sqrt(2Q) = v0 (1 - 1/gamma) t (rate 2); in a mean B0 = b
+    the VM momenta rotate at omega = eps b / gamma (rate 1).
+    """
+
+    V0 = 0.25
+
+    def beams(self, small_cfg, b0_modes):
+        from vmvp.config import PhaseSpec
+
+        phases = [PhaseSpec(0.5, [((0, 0), 1.0)], [(0, (0, 0), s * self.V0)]) for s in (1, -1)]
+        return replace(small_cfg, cutoff=4, phases=phases, b0_modes=b0_modes, n_particles=256, dt=1e-3, t_final=0.1,
+                       snapshot_every=25, w2_subsample=256, eps_list=[0.2, 0.1, 0.05])
+
+    def q_exact(self, t, eps, b):
+        v0 = self.V0
+        gamma = np.sqrt(1 + eps ** 2 * v0 ** 2)
+        if b == 0:
+            return (v0 * (1 - 1 / gamma) * t) ** 2 / 2
+        omega = eps * b / gamma
+        s, c = np.sin(omega * t), np.cos(omega * t)
+        dx = (v0 / gamma) * np.array([s / omega, (1 - c) / omega]) - np.array([v0 * t, 0.0])
+        dxi = v0 * np.array([c - 1, s])
+        return (dx @ dx + dxi @ dxi) / 2
+
+    @pytest.mark.parametrize("b,q_tol,kappa", [(0.0, 1e-6, 2.0), (0.5, 1e-10, 1.0)])
+    def test_q_w2_and_rate_match_the_closed_form(self, small_cfg, b, q_tol, kappa):
+        cfg = self.beams(small_cfg, [(0, (0, 0), b)] if b else [])
+        sweep = run_sweep(cfg)
+        for eps, rep in zip(cfg.eps_list, sweep.runs):
+            assert not rep.aborted and rep.snap_t.tolist() == [s * cfg.dt for s in (0, 25, 50, 75, 100)]
+            assert rep.q[0] == 0.0 and rep.w2[0] == 0.0
+            for t, q, w2 in zip(rep.snap_t[1:], rep.q[1:], rep.w2[1:]):
+                assert abs(q / self.q_exact(t, eps, b) - 1) <= q_tol
+                assert abs(w2 / np.sqrt(2 * q) - 1) <= 1e-12
+        assert abs(sweep.kappa_measured - kappa) <= 0.01
 
 
 def _subsampled_w2_rebuilt(pairing, n_sub, rng, n_boot):

@@ -152,9 +152,8 @@ class TestEnsembleInvariants:
         coeffs = getattr(ens, field).copy()
         coeffs[0, 0, 5, 4] = np.nan  # a k != 0 mode of phase 0, so the mean mass stays 1
         ens = replace(ens, **{field: coeffs})
-        with pytest.raises(NumericalAbort, match=match) as info:
+        with pytest.raises(NumericalAbort, match=match):
             check_validity(ens)
-        assert info.value.state_dump is ens
 
 
 class TestRelativisticVelocity:
@@ -400,9 +399,8 @@ class TestStepping:
         ph = make_phase(2, 4, 1.0, [([0, 0], 1.0)], [(0, [0, 0], 2.0)])
         ens = ensemble((ph,), 0.5)
         em = well_prepared_em(ens)
-        with pytest.raises(NumericalAbort) as exc:
+        with pytest.raises(NumericalAbort):
             vm_step_full(ens, em, 1e-3)
-        assert exc.value.state_dump is not None
 
 
 class TestMoments:
