@@ -126,7 +126,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
     report = run_pair(cfg, eps, with_particles=not args.no_particles, out_dir=out)
     if report.aborted:
-        raise NumericalAbort(f"run truncated at t = {report.truncation_time}: {report.abort_message}")
+        raise NumericalAbort(report.abort_message, report.truncation_time)
     print(f"pair run complete: eps={eps} sup_t W2={report.sup_w2:.6g} sup_t Q={report.sup_q:.6g}")
     print(f"outputs in {out}")
     return EXIT_OK

@@ -398,7 +398,6 @@ class CKIterationReport:
     horizon: float
     diverged: bool
     c0_measured: float
-    times: np.ndarray = field(repr=False, default=None)
     rho_traj: np.ndarray = field(repr=False, default=None)
     xi_traj: np.ndarray = field(repr=False, default=None)
 
@@ -586,7 +585,6 @@ def ck_iterate(
         horizon=horizon,
         diverged=diverged,
         c0_measured=c0,
-        times=times,
         rho_traj=rho,
         xi_traj=xi,
     )

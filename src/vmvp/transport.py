@@ -3,36 +3,14 @@
 The metric is the product of the per-axis geodesic torus distance on positions
 and the Euclidean distance on velocities.  Equal-size uniform-weight clouds
 get an exact optimal assignment.  It is skipped when a duality certificate
-proves the index pairing optimal.  Otherwise, on large clouds, an
-epsilon-scaling auction on each point's nearest partners (found by a periodic
-kd-tree) gives column prices p and all but a few rows' columns; shortest
-augmenting paths assign the rest.  A second certificate proves which edges an
-optimal assignment can use: with u_i the smallest c_ij + p_j over all columns
-(less a rounding margin), every reduced cost c_ij + p_j - u_i is >= 0, and an
-optimal assignment's reduced costs sum to at most S, the sum at the assignment
-in hand.  When each row's edges of reduced cost <= S all lie among its nearest
-columns under c_ij + p_j, a sparse solver on those edges alone returns an
-optimal assignment, and no n x n array is built.  The margin is 1e-12 of the
-problem's scale, over a hundred times the kd-tree's rounding, and that
-assignment's total cost is within n 2^-51 (max c + max p) of the minimum
-(_certified_columns states the budget).  When that proof declines, and on
-small clouds, scipy's shortest augmenting path solver runs on the one cost
-matrix of the solve, shifted by the prices when there are any.  Adding a price
-to every entry of a column adds the same constant to every assignment's cost,
-so the optimal assignments do not change; only the solver's work does.  Either
-way W2 is read from the unshifted pair costs at the assignment.  General
-weights go through a small LP (HiGHS).
-
-Two shortcuts keep the sparse path's work down without changing what it
-proves:
-
-* the nearest columns under c_ij + p_j come from one kd-tree query, made when
-  the auction widens its candidates and reused by the first proof, which only
-  needs prices that have not fallen since the query (a proof that declines
-  on it gets a fresh query on the next pass);
-* each augmenting-path search stops at a distance limit that grows until a
-  free column lies within it: Dijkstra settles the nodes within the limit
-  as an unlimited search does, so the completion is the same bit for bit.
+proves the index pairing optimal (identity_pair_costs).  Otherwise, on large
+clouds, a sparse solve that builds no n x n array is tried first: an
+epsilon-scaling auction on each point's nearest partners (_auction_prices),
+shortest augmenting paths for the rows it leaves free (_complete), and an LP
+duality certificate that proves which edges an optimal assignment can use
+(_certified_columns).  Any of the three may decline; then, and on small
+clouds, scipy's shortest augmenting path solver runs on the cost matrix
+(w2_assignment).  General weights go through a small LP (HiGHS).
 """
 
 from __future__ import annotations
@@ -56,7 +34,7 @@ AUCTION_K = 48                 # candidate columns per row; clouds up to 2 K poi
 AUCTION_EPS_FINAL = 1e-6       # epsilon of the last scaling phase
 AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
-AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases; the dense solver then starts from their prices
+AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the auction declines
 AUCTION_CHECK_ROUNDS = 2000    # a first phase still bidding after this many rounds declines; Loeper cases take 231-1235
 AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
 AUCTION_LIFT_EPS = 1e-4
@@ -171,8 +149,7 @@ def _check_same_space(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
       to at most another price plus B + epsilon, so after its at most R
       rounds every price is at most 1.2 R B, and c + p < 2 R B;
     * the completion declines rather than raise a price past (2 R - 1) B,
-      so its sums c + p stay below 2 R B as well;
-    * the dense solve shifts each cost by the last such prices.
+      so its sums c + p stay below 2 R B as well.
     """
     if mu.x.shape[1] != nu.x.shape[1]:
         raise ValidationError("position dimensions differ")
@@ -351,18 +328,15 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     _lifted_candidates does); the first phase with epsilon below
     AUCTION_LIFT_EPS and every later one bid on lift(price), taken at that
     first phase's start.  Returns (price, cols) after the last phase: row
-    i holds column cols[i], -1 for a free row.  When AUCTION_MAX_ROUNDS
-    rounds do not finish, cols is None and price holds the prices so far,
-    which still warm-start the dense solver.
+    i holds column cols[i], -1 for a free row.
 
     None when the first phase has not ended after AUCTION_CHECK_ROUNDS
-    rounds, whichever candidates it bids on.  A first phase stalls like
-    that when no assignment of its edges leaves at most AUCTION_FREE_ROWS
-    rows free, as when 60 rows share 48 candidate columns.  Of 762
-    measured Loeper cases one first phase got that far, on such a graph,
-    and every other one ended within 1235 rounds.  The dense solve then
-    starts cold: on that case, prices bid on the graph made it slower than
-    a cold one.
+    rounds, whichever candidates it bids on, or when AUCTION_MAX_ROUNDS
+    rounds over all phases do not finish.  A first phase stalls like that
+    when no assignment of its edges leaves at most AUCTION_FREE_ROWS rows
+    free, as when 60 rows share 48 candidate columns.  Of 762 measured
+    Loeper cases one first phase got that far, on such a graph, and every
+    other one ended within 1235 rounds.
     """
     n = c.shape[0]
     first = True  # no phase has ended yet
@@ -376,9 +350,7 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
         owner = np.full(n, -1, dtype=np.intp)
         free = np.arange(n)
         while free.size > AUCTION_FREE_ROWS:
-            if rounds == AUCTION_MAX_ROUNDS:
-                return price, None
-            if first and rounds == AUCTION_CHECK_ROUNDS:
+            if rounds == AUCTION_MAX_ROUNDS or (first and rounds == AUCTION_CHECK_ROUNDS):
                 return None
             rounds += 1
             free = _bid(c, cand, price, owner, free, eps)
@@ -556,21 +528,19 @@ def _certified_columns(c: np.ndarray, cand: np.ndarray, kth: np.ndarray, span: f
 
 
 def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """(cols, price) from the auction, its completion and the certificate; cols None on a decline.
+    """An optimal assignment's columns from the auction, its completion and the certificate, or None.
 
-    price is None when the auction declined, else the last prices, which
-    warm-start the dense solver after a later decline or after an auction
-    stopped at AUCTION_MAX_ROUNDS.  The auction's lift
-    asks _lifted_neighbours once for each row's AUCTION_K columns of
-    smallest cost + price and bids on the first AUCTION_LIFT of them.  Each
-    of up to CERT_PASSES passes takes one such query, whose columns are the
-    candidates of both the completion and the certificate.  The first pass
-    reuses the lift's query: prices only rise after it, which is all
-    _certified_columns asks of its query (an auction with no lift, which
-    never bid below AUCTION_LIFT_EPS, leaves the first pass a fresh query).
-    A pass after a declined proof starts from the last assignment, and its
-    fresh query at the current prices sees the columns that the
-    completion's price rises made cheapest.
+    None when the auction, a completion or CERT_PASSES certificates
+    decline.  The auction's lift asks _lifted_neighbours once for each
+    row's AUCTION_K columns of smallest cost + price and bids on the first
+    AUCTION_LIFT of them.  Each of up to CERT_PASSES passes takes one such
+    query, whose columns are the candidates of both the completion and the
+    certificate.  The first pass reuses the lift's query: prices only rise
+    after it, which is all _certified_columns asks of its query (an auction
+    with no lift, which never bid below AUCTION_LIFT_EPS, leaves the first
+    pass a fresh query).  A pass after a declined proof starts from the
+    last assignment, and its fresh query at the current prices sees the
+    columns that the completion's price rises made cheapest.
     """
     cands = _auction_candidates(mu, nu)
     cap = (2.0 * AUCTION_MAX_ROUNDS - 1.0) * _cost_bound(mu, nu)  # see _check_same_space
@@ -582,65 +552,36 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
 
     auction = _auction_prices(*cands, lift=lift)
     if auction is None:
-        return None, None
+        return None
     price, cols = auction
-    if cols is None:
-        return None, price
     for _ in range(CERT_PASSES):
         kth, cand, span = queries.pop() if queries else _lifted_neighbours(mu, nu, price, AUCTION_K)
         c = _squared_costs(mu, nu, cand)
         done = _complete(c, cand, price, cols, cap)
         if done is None:
-            break
+            return None
         slot, price = done
         proof = _certified_columns(c, cand, kth, span, slot, price)
         if proof is not None:
-            return proof, price
+            return proof
         cols = cand[np.arange(mu.size), slot]
-    return None, price
+    return None
 
 
 def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """W2 of two equal-size uniform clouds by an optimal assignment, with no identity certificate tried.
 
-    Above 2 AUCTION_K points the solve is sparse and builds no n x n
-    array.  The auction (_auction_prices) bids on each row's AUCTION_K
-    nearest columns from the kd-tree (_auction_candidates), plus, once
-    epsilon is below AUCTION_LIFT_EPS, its AUCTION_LIFT columns of smallest
-    cost + price from the lifted tree (_lifted_candidates).  Then, in up to
-    CERT_PASSES passes (_sparse_assignment), one lifted query (the lift's
-    own on the first pass) gives each row its AUCTION_K columns of
-    smallest cost + price; _complete assigns the rows left free along
-    shortest augmenting paths on those columns, and _certified_columns
-    proves by LP duality which edges an optimal assignment can use and
-    solves on them alone.  Its docstring gives the margin and the rounding
-    bound, n 2^-51 (max cost + max p) on the total cost.
-
-    When the auction, the completion or the proof declines, cost_matrix_sq
-    is built once, the last prices p (if any) are added to its columns
-    in place (the matrix belongs to the solver), and scipy's
-    linear_sum_assignment solves it.  Every assignment's total rises by the
-    same sum(p), so the optimal assignments are those of the unshifted
-    matrix; the prices only let the solver, which starts from zero duals,
-    end almost every augmenting path at its first column.  The rounding of
-    the shifted entries moves an assignment's total by at most 2^-53 times
-    its sum of |cost + p|, so the returned assignment's total cost exceeds
-    the minimum by at most n 2^-52 (max |cost| + max p).  Clouds of at most
-    2 AUCTION_K points go to the solver on the unshifted matrix.
-
-    W2 is the root mean of the index-pair costs at the assignment, the
-    floats the matrix holds there.  Ties break deterministically for a
+    Above 2 AUCTION_K points _sparse_assignment tries a solve that builds
+    no n x n array.  When it declines, and on clouds of at most 2 AUCTION_K
+    points, scipy's linear_sum_assignment solves cost_matrix_sq(mu, nu) as
+    it is.  W2 is the root mean of the index-pair costs at the assignment,
+    the floats the matrix holds there.  Ties break deterministically for a
     given input.
     """
     _check_same_space(mu, nu)
-    cols = price = None
-    if mu.size > 2 * AUCTION_K:
-        cols, price = _sparse_assignment(mu, nu)
+    cols = _sparse_assignment(mu, nu) if mu.size > 2 * AUCTION_K else None
     if cols is None:
-        cost = cost_matrix_sq(mu, nu)
-        if price is not None:
-            cost += price[None, :]
-        _, cols = linear_sum_assignment(cost)  # rows come back as arange(n) on a square matrix
+        _, cols = linear_sum_assignment(cost_matrix_sq(mu, nu))  # rows come back as arange(n) on a square matrix
     return float(np.sqrt(_squared_costs(mu, nu, cols[:, None]).mean()))
 
 
@@ -650,17 +591,7 @@ def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Equal-size uniform clouds first try identity_pair_costs: when it proves
     the index pairing optimal, W2 is the root mean of the pair costs, the
     float the assignment solver would give, and no cost matrix is built.
-    Otherwise they route to w2_assignment.  Above 2 AUCTION_K points an
-    auction and shortest augmenting paths give an assignment sigma and
-    prices p; with u_i the smallest c_ij + p_j over all columns less a
-    rounding margin m (1e-12 of the problem's scale, over a hundred times
-    the kd-tree's rounding), every optimal assignment uses only edges with
-    c_ij + p_j - u_i <= S, the same sum at sigma, and when those edges all
-    lie among each row's AUCTION_K nearest columns under c + p, a sparse
-    solve on them alone is exact and no cost matrix is built.  Otherwise
-    one cost matrix is solved, warm-started by the prices.  Either way the
-    assignment's total cost is within n 2^-51 (max cost + max p) of the
-    minimum, the bound stated there.  General weights go through a
+    Otherwise they go to w2_assignment.  General weights go through a
     transportation LP (up to N_LP points each).  Tie-breaking is
     deterministic for a given input.
     """

@@ -3,6 +3,7 @@
 Each is a slow or narrow counterpart of a library path (direct summation,
 brute-force assignment, per-phase right-hand sides) or a diagnostic of
 fluid/particle agreement; the tests check the library against them.
+refuse_dense pins which assignment path answers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import linear_sum_assignment
 
+from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, _filon_weights, _rotate, _wave_knorm
 from vmvp.lagrangian import ParticleCloud
@@ -214,9 +216,18 @@ def squared_costs_masked(mu: EmpiricalMeasure, nu: EmpiricalMeasure, outer: bool
 
 
 def w2_from_cost_plain(cost: np.ndarray) -> float:
-    """W2 from a square cost matrix without the auction warm start: the solver on cost as it is."""
+    """W2 from a square cost matrix by the dense solver on cost as it is."""
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def refuse_dense(monkeypatch):
+    """Make transport's dense path raise, so that only the certified sparse path can answer."""
+    def refuse(*args):
+        raise AssertionError("the dense solver ran")
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", refuse)
+    monkeypatch.setattr(transport, "cost_matrix_sq", refuse)
 
 
 def subsampled_w2_plain(pairing, n_sub: int, rng: np.random.Generator, n_boot: int):

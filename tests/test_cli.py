@@ -289,7 +289,9 @@ class TestNonFiniteRhsAbort:
         started = nan_rhs_on_call(harness if mode == "pair" else multifluid, side, 4, monkeypatch)
         out = tmp_path / "nan_rhs"
         assert main(["simulate", "--config", str(tiny_cfg_path), "--mode", mode, "--out", str(out)]) == 3
-        assert "step 3, t = 0.003: non-finite values in phase right-hand side" in capsys.readouterr().err
+        # the whole line, so a second time prefix fails it
+        want = "numerical abort: step 3, t = 0.003: non-finite values in phase right-hand side\n"
+        assert capsys.readouterr().err == want
         assert len(started) == 4
         dumped, start = multifluid.load_ensemble(out / "abort_state.ens"), started[-1]
         assert dumped.eps == start.eps

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import subsampled_w2_plain
+from oracles import refuse_dense, subsampled_w2_plain
 from vmvp.config import load_config, resolve_config_path
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, gauge_residuals
@@ -382,11 +382,11 @@ class TestSubsampledW2:
         assert got == want
         assert got[1] > 0.0
 
-    def test_swapped_close_pair_takes_the_warm_started_fallback(self):
-        # the certificate declines on a near-identity cloud with one close pair
-        # swapped, so the whole cloud goes through the auction-warm-started
-        # solver, and so do the bootstrap replicates' gathered points, which
-        # repeat
+    def test_swapped_close_pair_takes_the_certified_sparse_solve(self, monkeypatch):
+        # the identity certificate declines on a near-identity cloud with one
+        # close pair swapped, so the whole cloud goes through w2_assignment,
+        # and so do the bootstrap replicates' gathered points, which repeat;
+        # the sparse solve certifies every one of them
         n = 200
         rng = np.random.default_rng(8)
         x = rng.uniform(0, TWO_PI, (n, 2))
@@ -404,8 +404,9 @@ class TestSubsampledW2:
         assert n > 2 * AUCTION_K
         assert identity_pair_costs(mu, nu) is None
         assert _auction_prices(*_auction_candidates(mu, nu)) is not None
-        w2, se = _subsampled_w2(pairing, n, np.random.default_rng(0), 8)
         w2_plain, se_plain = subsampled_w2_plain(pairing, n, np.random.default_rng(0), 8)
+        refuse_dense(monkeypatch)
+        w2, se = _subsampled_w2(pairing, n, np.random.default_rng(0), 8)
         assert w2 == pytest.approx(w2_plain, rel=1e-13)
         assert se == pytest.approx(se_plain, rel=1e-13)
         assert se > 0.0

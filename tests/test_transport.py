@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import circular_w2_sq, circular_w2_sq_brute, squared_costs_masked, take, w2_exact_brute, w2_from_cost_plain
+from oracles import (
+    circular_w2_sq,
+    circular_w2_sq_brute,
+    refuse_dense,
+    squared_costs_masked,
+    take,
+    w2_exact_brute,
+    w2_from_cost_plain,
+)
 from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
@@ -171,9 +179,9 @@ class TestNonFiniteCoordinates:
     @pytest.mark.parametrize("n", [3, 200, 4096])
     @pytest.mark.parametrize("far", [1e153, 5e153, 1.1e154, 1.2e154, 1.3e154, 1.34e154, 6.6e151])
     def test_momenta_near_the_overflow_answer_or_refuse(self, n, far):
-        # the sparse solve adds auction prices to the costs, the dense one shifts by them:
-        # squared gaps just below the float range either answer or are refused, and the
-        # last value lies inside the bound on those sums
+        # the sparse solve adds auction prices to the costs: squared gaps just below the
+        # float range either answer or are refused, and the last value lies inside the
+        # bound on those sums
         rng = np.random.default_rng(n)
         x = rng.uniform(0, TWO_PI, (n, 2))
         xi = rng.normal(0, 1, (n, 2))
@@ -361,8 +369,8 @@ def ball_cloud(rng, n, crowd):
     return EmpiricalMeasure.uniform(x, rng.normal(0, 1e-7, (n, 2)))
 
 
-class TestWarmStartedAssignment:
-    """w2_exact above 2 AUCTION_K points against the solver on the unshifted matrix."""
+class TestAuctionAndDenseFallback:
+    """w2_exact above 2 AUCTION_K points, the auction's declines and the one cold dense fallback."""
 
     @pytest.mark.parametrize("n", [200, 1024])
     @pytest.mark.parametrize("momenta", [True, False])
@@ -391,7 +399,7 @@ class TestWarmStartedAssignment:
         # rows' candidates are the same AUCTION_K columns, so a maximum matching
         # leaves at least 60 - AUCTION_K rows out and no phase can end; the
         # auction checks the matching after AUCTION_CHECK_ROUNDS rounds of its
-        # first phase, declines, and the solver runs on the unshifted matrix
+        # first phase, declines, and the solver runs on the cost matrix as it is
         real, rounds = transport._bid, []
 
         def count(*args):
@@ -406,7 +414,7 @@ class TestWarmStartedAssignment:
         assert np.array_equal(np.sort(cand[:60], axis=1), np.tile(np.arange(AUCTION_K), (60, 1)))
         assert _auction_prices(c, cand) is None
         assert len(rounds) == transport.AUCTION_CHECK_ROUNDS
-        assert w2_exact(mu, nu) == w2_from_cost_plain(cost_matrix_sq(mu, nu))
+        assert_one_cold_solve(monkeypatch, mu, nu)
 
     def test_a_stalled_lifted_first_phase_declines(self, monkeypatch):
         # costs spread by less than AUCTION_LIFT_EPS put the first phase on the
@@ -431,28 +439,15 @@ class TestWarmStartedAssignment:
         assert len(lifts) == 1 and not lifts[0].any()
         assert len(rounds) == transport.AUCTION_CHECK_ROUNDS
 
-    def test_an_auction_out_of_rounds_warm_starts_the_solver(self, monkeypatch):
-        # an auction stopped at AUCTION_MAX_ROUNDS hands its prices to the
-        # dense solver, which sees the price-shifted matrix and still returns
-        # an optimal assignment
+    def test_an_auction_out_of_rounds_declines_to_the_cold_solver(self, monkeypatch):
+        # an auction stopped at AUCTION_MAX_ROUNDS declines like a stalled
+        # first phase: the solver sees the cost matrix as it is
         monkeypatch.setattr(transport, "AUCTION_MAX_ROUNDS", 5)
         rng = np.random.default_rng(21)
         mu, nu = random_cloud(rng, 1024), random_cloud(rng, 1024)
-        cost = cost_matrix_sq(mu, nu)
-        want = w2_from_cost_plain(cost)
-        real, solved = transport.linear_sum_assignment, []
-
-        def record(matrix):
-            solved.append(matrix.copy())
-            return real(matrix)
-
-        monkeypatch.setattr(transport, "linear_sum_assignment", record)
         auctions = spy(monkeypatch, "_auction_prices")
-        assert w2_exact(mu, nu) == want
-        assert len(auctions) == 1 and auctions[0] is not None
-        price, cols = auctions[0]
-        assert cols is None and price.any()
-        assert len(solved) == 1 and np.array_equal(solved[0], cost + price[None, :])
+        assert_one_cold_solve(monkeypatch, mu, nu)
+        assert auctions == [None]
 
     def test_small_matrices_skip_the_auction(self, monkeypatch):
         def refuse(*args):
@@ -463,27 +458,37 @@ class TestWarmStartedAssignment:
         mu, nu = random_cloud(rng, 2 * AUCTION_K), random_cloud(rng, 2 * AUCTION_K)
         assert w2_assignment(mu, nu) == w2_from_cost_plain(cost_matrix_sq(mu, nu))
 
-    def test_w2_exact_holds_one_matrix(self):
-        # the solve's only n x n array is the cost matrix the solver shifts in place
+    def test_w2_exact_holds_one_matrix(self, monkeypatch):
+        # the dense fallback's only n x n array is the cost matrix handed to the
+        # solver; these clouds are certified unless the auction runs out of rounds
+        monkeypatch.setattr(transport, "AUCTION_MAX_ROUNDS", 5)
         n = 2048
         rng = np.random.default_rng(9)
         mu, nu = random_cloud(rng, n), random_cloud(rng, n)
+        solved = spy(monkeypatch, "linear_sum_assignment")
         tracemalloc.start()
         try:
             w2_exact(mu, nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(solved) == 1
         assert peak <= 1.3 * 8 * n * n
 
 
-def refuse_dense(monkeypatch):
-    """Make the dense path raise, so that only the certified sparse path can answer."""
-    def refuse(*args):
-        raise AssertionError("the dense solver ran")
+def assert_one_cold_solve(monkeypatch, mu, nu):
+    """w2_exact(mu, nu) solves cost_matrix_sq(mu, nu) once, as it is, and equals the cold oracle bit for bit."""
+    real, solved = transport.linear_sum_assignment, []
 
-    monkeypatch.setattr(transport, "linear_sum_assignment", refuse)
-    monkeypatch.setattr(transport, "cost_matrix_sq", refuse)
+    def record(matrix):
+        solved.append(matrix.copy())
+        return real(matrix)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", record)
+    got = w2_exact(mu, nu)
+    cost = cost_matrix_sq(mu, nu)
+    assert len(solved) == 1 and np.array_equal(solved[0], cost)
+    assert got == w2_from_cost_plain(cost)
 
 
 def spy(monkeypatch, name):
@@ -618,9 +623,8 @@ class TestCertifiedAssignment:
         rng = np.random.default_rng(3)
         mu, nu = ball_cloud(rng, 200, 50), ball_cloud(rng, 200, AUCTION_K)
         auctions, completions = spy(monkeypatch, "_auction_prices"), spy(monkeypatch, "_complete")
-        got = w2_exact(mu, nu)
+        assert_one_cold_solve(monkeypatch, mu, nu)
         assert auctions[0] is not None and completions == [None]
-        assert got == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
 
     def test_survivors_beyond_the_kth_neighbour_decline(self, monkeypatch):
         # an auction stopped at epsilon 0.03 leaves each of 400 rows up to 0.03
@@ -631,9 +635,8 @@ class TestCertifiedAssignment:
         rng = np.random.default_rng(8)
         mu, nu = (EmpiricalMeasure.uniform(rng.uniform(0, TWO_PI, (400, 2))) for _ in range(2))
         completions, proofs = spy(monkeypatch, "_complete"), spy(monkeypatch, "_certified_columns")
-        got = w2_exact(mu, nu)
+        assert_one_cold_solve(monkeypatch, mu, nu)
         assert None not in completions and proofs == [None] * transport.CERT_PASSES
-        assert got == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
 
     def test_certified_w2_exact_holds_no_matrix(self, monkeypatch):
         # the sparse path's arrays are n x (AUCTION_K + AUCTION_LIFT) at most
