@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--out", default=None)
     ck.set_defaults(func=_cmd_ck)
 
-    ws = sub.add_parser("wasserstein", help="exact W2 between two saved clouds")
+    ws = sub.add_parser("wasserstein", help="exact W2 between two saved clouds of one size")
     ws.add_argument("cloud_a")
     ws.add_argument("cloud_b")
     ws.add_argument("--side", choices=("vm", "vp", "initial"), default="vm")

@@ -413,19 +413,14 @@ class SpectralField:
 def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None, gradient: bool = False) -> np.ndarray:
     """SpectralField.to_grid for coefficients (..., m, 2K+1, ..., 2K+1) with leading batch axes.
 
-    The batch axes are folded into the component axis of one field, so the
-    methods stay the single entry point of every grid transform; each
-    component is transformed on its own, so the result equals per-field calls.
+    `_synthesis` and `_analysis` are the single entry of every grid
+    transform, methods and these functions alike; each field is transformed
+    by matrix products of its own, so the result equals per-field calls.
     """
     c = np.asarray(coeffs)
-    if c.ndim < dim:
-        raise ValidationError(f"coefficient array of shape {c.shape} has fewer than {dim} mode axes")
-    f = SpectralField(dim, (c.shape[-1] - 1) // 2, c.reshape((-1,) + c.shape[c.ndim - dim :]))
-    if gradient:  # the values and the partial derivatives on a new leading axis
-        g = f.to_grid(n, gradient=True)
-        return g.reshape(g.shape[:1] + c.shape[: c.ndim - dim] + g.shape[2:])
-    g = f.to_grid(n)
-    return g.reshape(c.shape[: c.ndim - dim] + g.shape[1:])
+    if c.ndim < dim or len(set(c.shape[-dim:])) != 1 or c.shape[-1] % 2 == 0:
+        raise ValidationError(f"coefficient array of shape {c.shape} does not end in {dim} mode axes of one odd length")
+    return _synthesis(c, dim, n, gradient)
 
 
 def from_grid(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -433,8 +428,7 @@ def from_grid(grid: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     g = np.asarray(grid)
     if g.ndim < dim:
         raise ValidationError(f"grid of shape {g.shape} has fewer than {dim} axes")
-    c = SpectralField.from_grid(g.reshape((-1,) + g.shape[g.ndim - dim :]), cutoff).coeffs
-    return c.reshape(g.shape[: g.ndim - dim] + c.shape[1:])
+    return _analysis(g, dim, cutoff)
 
 
 def stack(fields: Sequence[SpectralField]) -> SpectralField:

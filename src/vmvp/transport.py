@@ -1,16 +1,16 @@
 """Wasserstein-2 machinery on (torus x velocity) phase space.
 
 The metric is the product of the per-axis geodesic torus distance on positions
-and the Euclidean distance on velocities.  Equal-size uniform-weight clouds
-get an exact optimal assignment.  It is skipped when a duality certificate
-proves the index pairing optimal (identity_pair_costs).  Otherwise, on large
-clouds, a sparse solve that builds no n x n array is tried first: an
-epsilon-scaling auction on each point's nearest partners (_auction_prices),
-shortest augmenting paths for the rows it leaves free (_complete), and an LP
-duality certificate that proves which edges an optimal assignment can use
-(_certified_columns).  Any of the three may decline; then, and on small
-clouds, scipy's shortest augmenting path solver runs on the cost matrix
-(w2_assignment).  General weights go through a small LP (HiGHS).
+and the Euclidean distance on velocities.  W2 is taken between two equally
+weighted clouds of one size, by an exact optimal assignment.  It is skipped
+when a duality certificate proves the index pairing optimal
+(identity_pair_costs).  Otherwise, on large clouds, a sparse solve that
+builds no n x n array is tried first: an epsilon-scaling auction on each
+point's nearest partners (_auction_prices), shortest augmenting paths for the
+rows it leaves free (_complete), and an LP duality certificate that proves
+which edges an optimal assignment can use (_certified_columns).  Any of the
+three may decline; then, and on small clouds, scipy's shortest augmenting
+path solver runs on the cost matrix (w2_assignment).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import ValidationError
 from .spectral import SpectralField, gradient, l2_norm, padded_grid_size, solve_poisson
 
 TWO_PI = 2.0 * np.pi
-N_LP = 512               # the general-weight LP has N_LP^2 unknowns at most
 EFFICIENCY_FLOOR = 1e-3  # rejection sampling aborts below this acceptance rate
 _COST_BLOCK = 1 << 15    # entries per cost-kernel temporary (256 KiB), so a row block stays in cache
 
@@ -62,13 +61,6 @@ def linear_sum_assignment(cost: np.ndarray):
     from scipy.optimize import linear_sum_assignment as solve
 
     return solve(cost)
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call, as linear_sum_assignment is."""
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -586,37 +578,21 @@ def w2_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def w2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact W2 between empirical measures.
+    """Exact W2 between two equally weighted clouds of one size.
 
-    Equal-size uniform clouds first try identity_pair_costs: when it proves
-    the index pairing optimal, W2 is the root mean of the pair costs, the
-    float the assignment solver would give, and no cost matrix is built.
-    Otherwise they go to w2_assignment.  General weights go through a
-    transportation LP (up to N_LP points each).  Tie-breaking is
-    deterministic for a given input.
+    identity_pair_costs is tried first: when it proves the index pairing
+    optimal, W2 is the root mean of the pair costs, the float the
+    assignment solver would give, and no cost matrix is built.  Otherwise
+    the clouds go to w2_assignment.  Tie-breaking is deterministic for a
+    given input.  Any other pair, of unequal sizes or weights, is a
+    ValidationError.
     """
-    if mu.is_uniform() and nu.is_uniform() and mu.size == nu.size:
-        pair = identity_pair_costs(mu, nu)
-        if pair is not None:
-            return float(np.sqrt(pair.mean()))
-        return w2_assignment(mu, nu)
-    if mu.size > N_LP or nu.size > N_LP:
-        raise ValidationError(
-            f"general-weight LP path limited to {N_LP} points per side (got {mu.size}, {nu.size})"
-        )
-    cost = cost_matrix_sq(mu, nu)
-    n, m = cost.shape
-    # transportation polytope on the row-major plan: row marginals mu.weights,
-    # column marginals nu.weights, the last one dropped as redundant
-    a_eq = sparse.vstack([
-        sparse.kron(sparse.eye(n), np.ones((1, m))),
-        sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr")[:-1]),
-    ], format="csr")
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(np.sqrt(max(res.fun, 0.0)))
+    if not (mu.size == nu.size and mu.is_uniform() and nu.is_uniform()):
+        raise ValidationError(f"exact W2 needs two equally weighted clouds of one size (got {mu.size} and {nu.size} points)")
+    pair = identity_pair_costs(mu, nu)
+    if pair is not None:
+        return float(np.sqrt(pair.mean()))
+    return w2_assignment(mu, nu)
 
 
 # ----------------------------------------------------------------------

@@ -35,11 +35,14 @@ from vmvp.spectral import (
 from vmvp.transport import EmpiricalMeasure, cost_matrix_sq, loeper_check, w2_exact
 
 _RESULTS = []
-_FIXTURE_SECONDS = {}  # shared-run wall times, reported by test_zz_summary, not criteria
+_SECONDS = {}          # each criterion's own wall time
+_FIXTURE_SECONDS = {}  # shared-run wall times, charged by test_zz_summary to the criteria that request them
+_FIXTURE_CRITERIA = {"sweep_report": (4, 6, 9, 10), "small_pair": (6, 10)}
 
 
 def _report(num, name, passed, detail, t0, budget):
     elapsed = time.time() - t0
+    _SECONDS[num] = elapsed
     status = "PASS" if passed else "FAIL"
     line = f"[ACCEPTANCE] criterion {num} ({name}): {status} in {elapsed:.1f}s (budget {budget}s) - {detail}"
     print(line, flush=True)
@@ -379,5 +382,11 @@ def test_zz_summary():
     for line in _RESULTS:
         print(line)
     print(f"{sum('PASS' in l for l in _RESULTS)}/{len(_RESULTS)} criteria passed", flush=True)
+    charge = dict.fromkeys(_SECONDS, 0.0)
     for name, seconds in _FIXTURE_SECONDS.items():
-        print(f"[ACCEPTANCE] fixture {name}: {seconds:.1f}s", flush=True)
+        for num in _FIXTURE_CRITERIA[name]:
+            charge[num] = charge.get(num, 0.0) + seconds / len(_FIXTURE_CRITERIA[name])
+    for num in sorted(charge):
+        own = _SECONDS.get(num, 0.0)
+        print(f"[ACCEPTANCE] criterion {num}: {own:.1f}s own + {charge[num]:.1f}s shared runs = {own + charge[num]:.1f}s")
+    print(f"[ACCEPTANCE] total: {sum(_SECONDS.values()) + sum(_FIXTURE_SECONDS.values()):.1f}s", flush=True)

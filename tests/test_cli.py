@@ -108,19 +108,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("block", ["x_vm", "xi_vm"])
-    @pytest.mark.parametrize("n_other", [10, 12])  # equal sizes go to the assignment, unequal ones to the LP
-    def test_wasserstein_non_finite_coordinate(self, tmp_path, bad, block, n_other):
+    def test_wasserstein_non_finite_coordinate(self, tmp_path, bad, block):
         rng = np.random.default_rng(2)
         paths = []
-        for n in (10, n_other):
-            x, xi = rng.uniform(0, 6, (n, 2)), rng.standard_normal((n, 2))
-            cloud = ParticleCloud(x, xi, np.full(n, 1 / n), np.zeros(n, dtype=int), x, xi, x.copy(), xi.copy(), seed=1)
+        for _ in range(2):
+            x, xi = rng.uniform(0, 6, (10, 2)), rng.standard_normal((10, 2))
+            cloud = ParticleCloud(x, xi, np.full(10, 0.1), np.zeros(10, dtype=int), x, xi, x.copy(), xi.copy(), seed=1)
             paths.append(tmp_path / f"{len(paths)}.cloud")
             save_cloud(cloud, paths[-1])
         assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 0
         getattr(cloud, block)[3, 1] = bad
         save_cloud(cloud, paths[1])
         assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 2
+
+    def test_wasserstein_clouds_of_different_sizes(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        paths = []
+        for n in (10, 12):
+            x, xi = rng.uniform(0, 6, (n, 2)), rng.standard_normal((n, 2))
+            paths.append(tmp_path / f"n{n}.cloud")
+            save_cloud(ParticleCloud(x, xi, np.full(n, 1 / n), np.zeros(n, dtype=int), x, xi, x, xi, seed=1), paths[-1])
+        assert main(["wasserstein", str(paths[0]), str(paths[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert "10 and 12 points" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "ck"])
     @pytest.mark.parametrize("key,value", [("alpha", "nan"), ("xi_modes", "\n\t0 0 0 nan 0.0")])

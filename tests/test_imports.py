@@ -57,7 +57,7 @@ def test_every_import_is_used(path):
 
 def test_importing_the_package_leaves_unused_scipy_parts_unloaded():
     # scipy.sparse.csgraph serves only the sparse assignment and scipy.optimize
-    # only the dense one and the LP; both are imported where they are called,
+    # only the dense one; both are imported where they are called,
     # and each of these raises every run's peak memory
     code = (
         "import sys, vmvp.cli, vmvp.config, vmvp.harness, vmvp.lagrangian, vmvp.multifluid, vmvp.transport; "

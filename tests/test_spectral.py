@@ -253,23 +253,15 @@ class TestTransforms:
         grid = f.to_grid()
         assert np.array_equal(SpectralField.from_grid(grid, 4).coeffs, sp.from_grid(grid, 2, 4))
 
-    def test_batched_transforms_go_through_the_methods(self, monkeypatch):
+    def test_batched_transforms_call_the_kernels_once(self, monkeypatch):
         calls = []
-        to_grid, from_grid = SpectralField.to_grid, SpectralField.from_grid.__func__
-
-        def spy_to(f, n=None):
-            calls.append(("to", f.components))
-            return to_grid(f, n)
-
-        def spy_from(cls, grid, cutoff):
-            calls.append(("from", len(grid)))
-            return from_grid(cls, grid, cutoff)
-
-        monkeypatch.setattr(SpectralField, "to_grid", spy_to)
-        monkeypatch.setattr(SpectralField, "from_grid", classmethod(spy_from))
+        synthesis, analysis = sp._synthesis, sp._analysis
+        monkeypatch.setattr(sp, "_synthesis", lambda c, *a: calls.append(("to", c.shape)) or synthesis(c, *a))
+        monkeypatch.setattr(sp, "_analysis", lambda g, *a: calls.append(("from", g.shape)) or analysis(g, *a))
+        monkeypatch.setattr(SpectralField, "__post_init__", lambda f: pytest.fail("a field was built"))
         grid = sp.to_grid(np.zeros((4, 3, 2, 5, 5), dtype=complex), 2, 8)
         sp.from_grid(grid, 2, 2)
-        assert calls == [("to", 24), ("from", 24)]
+        assert calls == [("to", (4, 3, 2, 5, 5)), ("from", (4, 3, 2, 8, 8))]
 
     def test_round_trip(self):
         f = random_field(3, 4, components=3, seed=9)
@@ -291,6 +283,11 @@ class TestTransforms:
     def test_to_grid_rejects_small_grid(self):
         with pytest.raises(ValidationError):
             sp.to_grid(np.ones((1, 7, 7), dtype=complex), 2, 6)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 5, 7), (1, 7, 5), (1, 6, 6)])
+    def test_to_grid_rejects_a_malformed_mode_box(self, shape):
+        with pytest.raises(ValidationError):
+            sp.to_grid(np.ones(shape, dtype=complex), 2)
 
 
 class TestTransformBatchInvariance:
