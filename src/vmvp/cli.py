@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--eps", type=float, default=None, help="override: single eps value")
     sim.add_argument("--mode", choices=MODES, default=None)
     sim.add_argument("--out", default=None, help="output directory override")
-    sim.add_argument("--no-particles", action="store_true")
+    sim.add_argument("--no-particles", action="store_true", help="run without particles: same as n_particles = 0")
     sim.set_defaults(func=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="paired runs over an eps list, with rate fit")
@@ -111,7 +111,8 @@ def _cmd_simulate(args) -> int:
     from .multifluid import save_ensemble, vp_step_full
 
     eps_list = None if args.eps is None else [args.eps]
-    cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list})
+    cfg = _load_cfg(args.config, {"mode": args.mode, "output_dir": args.out, "eps_list": eps_list,
+                                  "n_particles": 0 if args.no_particles else None})
     eps = cfg.eps_list[0]
     out = _out_path(cfg.output_dir)
     if cfg.mode == "vp":
@@ -124,7 +125,7 @@ def _cmd_simulate(args) -> int:
         save_ensemble(ens, out / "vp_final.ens")
         print(f"vp run complete: {cfg.n_steps} steps, state in {out}")
         return EXIT_OK
-    report = run_pair(cfg, eps, with_particles=not args.no_particles, out_dir=out)
+    report = run_pair(cfg, eps, out_dir=out)
     if report.aborted:
         raise NumericalAbort(report.abort_message, report.truncation_time)
     print(f"pair run complete: eps={eps} sup_t W2={report.sup_w2:.6g} sup_t Q={report.sup_q:.6g}")
@@ -222,7 +223,7 @@ def _cmd_report(args) -> int:
         return EXIT_OK
     if args.run:
         path = Path(args.run) / "report.json"
-        if not path.exists():
+        if not path.is_file():
             raise ValidationError(f"no report.json under {args.run}")
         print(path.read_text(encoding="utf-8"))
         return EXIT_OK

@@ -39,11 +39,11 @@ SCHEMA = (
 )
 FILE_KEYS = {"eps_list": "eps"}
 # The least value of each integer field.  Below it a run divides by zero
-# (n_particles, w2_subsample, snapshot_every), indexes past a one-sample time
-# grid (ck_n_time), hands numpy a negative seed or array size, or is asked
-# for a negative iteration count.  dim is checked where a run needs it: only
-# 2 and 3 have a field solver.
-INT_FLOORS = {"n_particles": 1, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
+# (w2_subsample, snapshot_every), indexes past a one-sample time grid
+# (ck_n_time), hands numpy a negative seed or array size, or is asked for a
+# negative iteration count.  n_particles = 0 is the particle-free run.  dim
+# is checked where a run needs it: only 2 and 3 have a field solver.
+INT_FLOORS = {"n_particles": 0, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
               "seed": 0, "cutoff": 0, "bootstrap_reps": 0, "ck_n_iters": 0}
 
 

@@ -53,7 +53,6 @@ class RunReport:
     step_rows: np.ndarray          # columns follow STEP_COLUMNS
     ledger: dict
     osgood_c: float
-    kappa: float
     aborted: bool = False
     abort_message: str = ""
     truncation_time: float | None = None
@@ -71,7 +70,6 @@ class RunReport:
 class _VPRun:
     """The eps-independent electrostatic side, reusable across a sweep."""
 
-    cloud: ParticleCloud | None    # the shared cloud at t = 0; None without particles
     snaps: dict                    # snapshot step -> the cloud's VP side then; empty without particles
     energy: np.ndarray
     mean_j_drift: np.ndarray
@@ -91,16 +89,16 @@ def _step_abort(exc: NumericalAbort, step: int, t: float, ens: PhaseEnsemble, ou
     return NumericalAbort(f"step {step}, t = {t:g}: {exc}", t)
 
 
-def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | None = None) -> _VPRun:
+def _run_vp_side(cfg: RunConfig, out_dir: str | Path | None = None) -> _VPRun:
     """The electrostatic side, re-raising an abort through _step_abort.
 
-    Snapshots fall at every snapshot_every-th step and at the last; with
-    particles, `snaps` keeps the cloud at each, and the pair runs take
-    theirs at exactly those steps.
+    A cloud of cfg.n_particles is sampled when that is positive.  Snapshots
+    fall at every snapshot_every-th step and at the last; `snaps` keeps the
+    cloud at each (snaps[0] is the shared cloud at t = 0), and the pair runs
+    take theirs at exactly those steps.
     """
     ens = build_ensemble(cfg, 0.0)
-    cloud0 = cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if with_particles else None
-    j0 = moments(ens).j_mean
+    cloud = sample_cloud(ens, cfg.n_particles, cfg.seed) if cfg.n_particles > 0 else None
     snaps = {}
     energy = np.empty(cfg.n_steps + 1)
     drift = np.empty(cfg.n_steps + 1)
@@ -108,11 +106,13 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | Non
     sup_rho = np.empty(cfg.n_steps + 1)
     for step in range(cfg.n_steps + 1):
         mom = moments(ens)
+        if step == 0:
+            j0 = mom.j_mean
         energy[step] = mom.kinetic_energy + field_energy(ens.rho_total())
         drift[step] = np.abs(mom.j_mean - j0).max()
         fourth[step] = mom.fourth_moment_l1
         sup_rho[step] = mom.rho_grid.max()
-        if with_particles and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
+        if cloud is not None and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
             snaps[step] = cloud
         if step == cfg.n_steps:
             break
@@ -120,10 +120,10 @@ def _run_vp_side(cfg: RunConfig, with_particles: bool, out_dir: str | Path | Non
             res = vp_step_full(ens, cfg.dt)
         except NumericalAbort as exc:
             raise _step_abort(exc, step, step * cfg.dt, ens, out_dir) from exc
-        if with_particles:
+        if cloud is not None:
             cloud = flow_vp_step(cloud, res.stage_fields, cfg.dt)
         ens = res.ensemble
-    return _VPRun(cloud0, snaps, energy, drift, fourth, sup_rho)
+    return _VPRun(snaps, energy, drift, fourth, sup_rho)
 
 
 def _subsampled_w2(cloud: ParticleCloud, n_sub: int, rng: np.random.Generator, n_boot: int):
@@ -165,24 +165,22 @@ def run_pair(
     cfg: RunConfig,
     eps: float,
     vp_run: _VPRun | None = None,
-    with_particles: bool = True,
     out_dir: str | Path | None = None,
 ) -> RunReport:
     """Advance the paired systems at one eps and assemble the full report.
 
-    A given `vp_run` carries the particles: its cloud, or its lack of one,
-    decides them, and `with_particles` applies only when the VP side runs here.
-    Snapshots fall at the VP side's snapshot steps, checkpointed in order as
-    cloud_0000.cloud, ...  An abort inside a VM step goes through _step_abort
-    and ends the run: the report is truncated at that step's time.
+    The VP side, given or run here, carries the particles: its cloud at
+    t = 0, or its lack of one, decides them.  Snapshots fall at the VP
+    side's snapshot steps, checkpointed in order as cloud_0000.cloud, ...
+    An abort inside a VM step goes through _step_abort and ends the run:
+    the report is truncated at that step's time.
     """
     ens = build_ensemble(cfg, eps)
     em = build_em_state(cfg, eps)
     check_validity(ens, cfg.delta1, context=" in initial data")
     if vp_run is None:
-        vp_run = _run_vp_side(cfg, with_particles, out_dir)
-    cloud = vp_run.cloud
-    with_particles = cloud is not None
+        vp_run = _run_vp_side(cfg, out_dir)
+    cloud = vp_run.snaps.get(0)
     rng = np.random.default_rng(cfg.seed + 987654321)
 
     int_mean_j = np.zeros(cfg.dim)
@@ -240,7 +238,7 @@ def run_pair(
             break
         ens, em = res.ensemble, res.em
         int_mean_j = int_mean_j + res.mean_j_increment
-        if with_particles:
+        if cloud is not None:
             cloud = flow_vm_step(cloud, res.stage_fields, eps, cfg.dt)
 
     step_arr = np.array(step_rows)
@@ -279,7 +277,6 @@ def run_pair(
         step_rows=step_arr,
         ledger=ledger,
         osgood_c=osgood_c,
-        kappa=cfg.kappa,
         aborted=aborted,
         abort_message=abort_message,
         truncation_time=truncation,
@@ -313,7 +310,6 @@ class SweepReport:
     monotone: bool
     runs: list
     partial: bool = False
-    kappa_config: float = 0.0
 
     @property
     def positive_rate_confirmed(self) -> bool:
@@ -351,7 +347,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
     names = [f"{eps:g}" for eps in eps_values]
     if len(set(names)) != len(names):
         raise ValidationError(f"sweep eps values must be distinct (got {', '.join(names)})")
-    vp_run = _run_vp_side(cfg, with_particles=True, out_dir=out_dir)
+    vp_run = _run_vp_side(cfg, out_dir)
     runs = []
     partial = False
     for eps in eps_values:
@@ -364,7 +360,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path | None = None) -> SweepReport:
     kappa_m, r2 = fit_kappa(*zip(*done)) if len(done) >= MIN_FIT_PAIRS else (None, None)
     sw = np.array([w for _, w in sorted(done)])
     monotone = bool((np.diff(sw) > 0).all())  # increasing with eps = decreasing toward the limit
-    report = SweepReport(eps_values, sup_w2, kappa_m, r2, monotone, runs, partial, kappa_config=cfg.kappa)
+    report = SweepReport(eps_values, sup_w2, kappa_m, r2, monotone, runs, partial)
     if out_dir is not None:
         emit_sweep(report, out_dir)
     return report
@@ -577,7 +573,7 @@ def emit_run(report: RunReport, out_dir) -> None:
     _write_csv(out / "snapshots.csv", SNAP_COLUMNS, zip(report.snap_t, report.q, report.w2, report.w2_se))
     payload = {
         "eps": report.eps,
-        "kappa": report.kappa,
+        "kappa": report.ledger["kappa"],
         "osgood_c": report.osgood_c,
         "sup_w2": report.sup_w2,
         "sup_q": report.sup_q,
@@ -602,7 +598,7 @@ def emit_sweep(report: SweepReport, out_dir) -> None:
         "r_squared": report.r_squared,
         "monotone": report.monotone,
         "partial": report.partial,
-        "kappa_config": report.kappa_config,
+        "kappa_config": report.runs[0].ledger["kappa"],
         "positive_rate_confirmed": report.positive_rate_confirmed,
     }
     (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")

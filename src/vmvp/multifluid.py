@@ -212,27 +212,6 @@ def _phase_force(v_g: np.ndarray, adv_g: np.ndarray, b_grid: np.ndarray | None, 
     return dxi
 
 
-def _phase_rhs_arrays(
-    rho_c: np.ndarray,
-    xi_c: np.ndarray,
-    e_c: np.ndarray,
-    b_grid: np.ndarray | None,
-    eps: float,
-    dim: int,
-    cutoff: int,
-):
-    """RHS coefficients of the phases, their current densities and the velocity grid.
-
-    rho_c (..., 1, J..) and xi_c (..., d, J..) may carry leading (time slice,
-    phase) axes; e_c and b_grid (..., 1 or d, n..) broadcast against them.
-    Returns (drho, dxi, flux, v_g): `_phase_flux` then `_phase_force`, so
-    the flux and the whole momentum force take one analysis each.
-    """
-    drho, flux, v_g, adv_g = _phase_flux(rho_c, xi_c, eps, dim, cutoff)
-    b = None if b_grid is None else np.moveaxis(b_grid, -(dim + 1), 0)
-    return drho, _phase_force(v_g, adv_g, b, e_c, eps, dim, cutoff), flux, v_g
-
-
 # ----------------------------------------------------------------------
 # time stepping (classical 4-stage scheme, wave modes in a rotating frame)
 # ----------------------------------------------------------------------
@@ -300,7 +279,8 @@ def vm_step_full(ens: PhaseEnsemble, em: EMState, dt: float, gate_delta: float =
         b_hat = magnetic_coeffs(a_hat, em.mean_b0, dim)
         stage_fields.append((SpectralField(dim, cutoff, e_hat), SpectralField(dim, cutoff, b_hat)))
 
-        dr, dx, flux, _ = _phase_rhs_arrays(rs, xs, e_hat, sp.to_grid(b_hat, dim, n), eps, dim, cutoff)
+        dr, flux, v_g, adv_g = _phase_flux(rs, xs, eps, dim, cutoff)
+        dx = _phase_force(v_g, adv_g, sp.to_grid(b_hat, dim, n), e_hat, eps, dim, cutoff)
         j_hat = _phase_sum(mus, flux, dim)
         # the divergence-free source, pulled back to the rotating frame
         ka, kw = _rotate(0.0, leray_coeffs(j_hat, dim), -ci * dt, eps, dim, cutoff)
@@ -329,8 +309,8 @@ def vp_step_full(ens: PhaseEnsemble, dt: float) -> StepResult:
         rs, xs = ys
         e_hat = electric_coeffs(_phase_sum(mus, rs, dim), None, dim)
         stage_fields.append((SpectralField(dim, cutoff, e_hat), None))
-        dr, dx, _, _ = _phase_rhs_arrays(rs, xs, e_hat, None, 0.0, dim, cutoff)
-        return dr, dx
+        dr, _, v_g, adv_g = _phase_flux(rs, xs, 0.0, dim, cutoff)
+        return dr, _phase_force(v_g, adv_g, None, e_hat, 0.0, dim, cutoff)
 
     r1, x1 = rk4_step((ens.rho, ens.xi), slope, dt)
     return StepResult(replace(ens, rho=r1, xi=x1), None, tuple(stage_fields), np.zeros(dim))
@@ -394,7 +374,6 @@ class CKIterationReport:
     diffs_rho: list
     diffs_xi: list
     ratios: list
-    params: AnalyticNormParams
     horizon: float
     diverged: bool
     c0_measured: float
@@ -581,7 +560,6 @@ def ck_iterate(
         diffs_rho=diffs_rho,
         diffs_xi=diffs_xi,
         ratios=ratios,
-        params=p,
         horizon=horizon,
         diverged=diverged,
         c0_measured=c0,

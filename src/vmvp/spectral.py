@@ -323,13 +323,9 @@ class SpectralField:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def to_grid(self, n: int | None = None, gradient: bool = False) -> np.ndarray:
-        """Collocation values on the (padded) uniform grid, shape (m, n, ..., n).
-
-        With `gradient`, shape (1 + d, m, n, ..., n): the values, then the d
-        partial derivatives, from one shared synthesis.
-        """
-        return _synthesis(self.coeffs, self.dim, n, gradient)
+    def to_grid(self, n: int | None = None) -> np.ndarray:
+        """Collocation values on the (padded) uniform grid, shape (m, n, ..., n)."""
+        return _synthesis(self.coeffs, self.dim, n)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Trigonometric sum over the field's numerical support at arbitrary points, shape (n_pts, m).
@@ -412,6 +408,9 @@ class SpectralField:
 
 def to_grid(coeffs: np.ndarray, dim: int, n: int | None = None, gradient: bool = False) -> np.ndarray:
     """SpectralField.to_grid for coefficients (..., m, 2K+1, ..., 2K+1) with leading batch axes.
+
+    With `gradient`, shape (1 + d, ..., m, n, ..., n): the values, then the
+    d partial derivatives, from one shared synthesis.
 
     `_synthesis` and `_analysis` are the single entry of every grid
     transform, methods and these functions alike; each field is transformed

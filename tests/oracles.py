@@ -20,7 +20,7 @@ from vmvp import transport
 from vmvp.errors import ValidationError
 from vmvp.fields import EMState, _filon_weights, _rotate, _wave_knorm
 from vmvp.lagrangian import ParticleCloud
-from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _phase_rhs_arrays, check_validity
+from vmvp.multifluid import CKIterationReport, PhaseEnsemble, _phase_flux, _phase_force, check_validity
 from vmvp.spectral import SpectralField, derivative, mode_norms, mode_vectors, padded_grid_size, stack
 from vmvp.transport import TWO_PI, EmpiricalMeasure, cost_matrix_sq
 
@@ -62,11 +62,17 @@ def mode_oscillation_energy(state: EMState) -> np.ndarray:
     return (np.abs(state.a.coeffs) ** 2 + np.abs(state.eps_adot.coeffs) ** 2 / kn ** 2).sum(axis=0)
 
 
+def phase_rhs(rho_c, xi_c, e_c, b_grid, eps: float, dim: int, cutoff: int):
+    """(drho, dxi, flux) of the fluid kernel: `_phase_flux`, then `_phase_force`, as the steps chain them."""
+    drho, flux, v_g, adv_g = _phase_flux(rho_c, xi_c, eps, dim, cutoff)
+    return drho, _phase_force(v_g, adv_g, b_grid, e_c, eps, dim, cutoff), flux
+
+
 def vm_rhs(ens: PhaseEnsemble, e: SpectralField, b: SpectralField | None):
     """Per-phase (drho/dt, dxi/dt) for the relativistic system at frozen fields."""
     check_validity(ens)
     b_grid = b.to_grid(padded_grid_size(ens.cutoff)) if b is not None else None
-    drho, dxi, _, _ = _phase_rhs_arrays(ens.rho, ens.xi, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
+    drho, dxi, _ = phase_rhs(ens.rho, ens.xi, e.coeffs, b_grid, ens.eps, ens.dim, ens.cutoff)
     return [
         (SpectralField(ens.dim, ens.cutoff, dr), SpectralField(ens.dim, ens.cutoff, dx))
         for dr, dx in zip(drho, dxi)

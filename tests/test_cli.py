@@ -25,6 +25,24 @@ def tiny_cfg_path(tmp_path):
     return p
 
 
+@pytest.fixture()
+def no_particles_cfg_path(tiny_cfg_path):
+    """tiny_cfg_path with n_particles = 0."""
+    cfg = load_config(tiny_cfg_path)
+    cfg.n_particles = 0
+    p = tiny_cfg_path.with_name("no_particles.cfg")
+    save_config(cfg, p)
+    return p
+
+
+def strict_json(path):
+    """The JSON file at path, refusing NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def small2d_with(tmp_path, key, value):
     text = resolve_config_path("bundled/small2d").read_text(encoding="utf-8")
     p = tmp_path / "edited.cfg"
@@ -52,7 +70,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "ck"])
     @pytest.mark.parametrize("key,value", [
-        ("n_particles", 0), ("w2_subsample", 0), ("snapshot_every", 0), ("snapshot_every", -3), ("ck_n_time", 0),
+        ("n_particles", -1), ("w2_subsample", 0), ("snapshot_every", 0), ("snapshot_every", -3), ("ck_n_time", 0),
         ("seed", -5), ("cutoff", -1), ("bootstrap_reps", -1), ("ck_n_iters", -1),
     ])
     def test_integer_below_its_floor(self, tmp_path, key, value, command):
@@ -217,6 +235,15 @@ class TestSimulate:
         assert (out / "report.json").exists()
         assert sorted((out / "checkpoints").glob("*.cloud"))
 
+    def test_zero_particles_is_the_no_particles_run(self, tiny_cfg_path, no_particles_cfg_path, tmp_path):
+        flag, zero = tmp_path / "flag", tmp_path / "zero"
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--no-particles", "--out", str(flag)]) == 0
+        assert main(["simulate", "--config", str(no_particles_cfg_path), "--out", str(zero)]) == 0
+        for name in ("steps.csv", "report.json", "snapshots.csv"):
+            assert (zero / name).read_bytes() == (flag / name).read_bytes()
+        assert (zero / "snapshots.csv").read_text() == "t,Q,w2_sub,w2_sub_se\n"
+        assert not any((zero / "checkpoints").iterdir())
+
     def test_vp_mode(self, tiny_cfg_path, tmp_path):
         out = tmp_path / "vp_out"
         rc = main(["simulate", "--config", str(tiny_cfg_path), "--mode", "vp", "--out", str(out)])
@@ -352,11 +379,7 @@ class TestSweepCli:
         monkeypatch.setattr(harness, "vm_step_full", aborting)
         out = tmp_path / "sweep_abort"
         assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps, "--out", str(out)]) == 0
-
-        def refuse(name):
-            raise ValueError(f"{name} is not strict JSON")
-
-        sweep = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        sweep = strict_json(out / "sweep.json")
         assert sweep["partial"] and sweep["sup_w2"][1] == 0.0
         printed = capsys.readouterr().out
         if eps.count(",") == 2:
@@ -368,6 +391,13 @@ class TestSweepCli:
             kappa, r2 = harness.fit_kappa([sweep["eps_values"][i] for i in done], [sweep["sup_w2"][i] for i in done])
             assert sweep["kappa_measured"] == kappa and sweep["r_squared"] == r2
             assert f"kappa_measured={kappa:.4f}" in printed
+
+    def test_sweep_without_particles_fits_nothing(self, no_particles_cfg_path, tmp_path, capsys):
+        out = tmp_path / "sweep_np"
+        assert main(["sweep", "--config", str(no_particles_cfg_path), "--eps", "0.4,0.2,0.1", "--out", str(out)]) == 0
+        sweep = strict_json(out / "sweep.json")
+        assert sweep["kappa_measured"] is None and sweep["sup_w2"] == [0.0, 0.0, 0.0]
+        assert "kappa_measured=null: 0 of 3 pairs reached t_final with a positive sup W2" in capsys.readouterr().out
 
 
 class TestCkCli:
@@ -416,6 +446,21 @@ class TestWassersteinAndReplay:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
+
+    def test_report_prints_the_run_report(self, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(tiny_cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8") + "\n"
+
+    @pytest.mark.parametrize("as_dir", [False, True])
+    def test_report_run_without_a_report(self, tmp_path, capsys, as_dir):
+        if as_dir:
+            (tmp_path / "report.json").mkdir()
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: no report.json under {tmp_path}\n"
 
     def test_report_missing_args(self):
         assert main(["report"]) == 2

@@ -24,7 +24,7 @@ from vmvp.errors import ValidationError
 
 # the least value each integer field accepts
 INT_FLOORS = {
-    "n_particles": 1, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
+    "n_particles": 0, "w2_subsample": 1, "snapshot_every": 1, "ck_n_time": 1,
     "seed": 0, "cutoff": 0, "bootstrap_reps": 0, "ck_n_iters": 0,
 }
 BUNDLED = ("small2d", "sweep2d", "ck2d")

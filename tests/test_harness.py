@@ -219,7 +219,7 @@ class TestRunPairOutputs:
         from vmvp.harness import _run_vp_side
 
         cfg = replace(small_cfg, t_final=5 * small_cfg.dt)
-        rep = run_pair(cfg, 0.2, vp_run=_run_vp_side(cfg, with_particles=False))
+        rep = run_pair(cfg, 0.2, vp_run=_run_vp_side(replace(cfg, n_particles=0)))
         assert not rep.aborted and len(rep.w2) == len(rep.q) == 0
 
     def test_gate_violation_refuses_to_run(self, small_cfg):
@@ -231,11 +231,11 @@ class TestRunPairOutputs:
         hot.phases[0].xi_modes = [(0, (0, 0), 3.0)]   # mirror drifts: mean current
         hot.phases[1].xi_modes = [(0, (0, 0), -3.0)]  # still vanishes, gate does not
         with pytest.raises(NumericalAbort, match="gate"):
-            run_pair(hot, 0.9, with_particles=False)
+            run_pair(replace(hot, n_particles=0), 0.9)
 
     def test_an_abort_reports_its_step_and_time(self, small_cfg):
         hot, eps = gate_crossing_streams(small_cfg)
-        rep = run_pair(hot, eps, with_particles=False)
+        rep = run_pair(replace(hot, n_particles=0), eps)
         assert rep.aborted and rep.truncation_time == 14 * hot.dt
         assert rep.abort_message.startswith(f"step 14, t = {14 * hot.dt:g}: validity gate violated at stage ")
 

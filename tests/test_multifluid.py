@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import cumint_scipy, duhamel_series_stepwise, ratios_below, vm_rhs
+from oracles import cumint_scipy, duhamel_series_stepwise, phase_rhs, ratios_below, vm_rhs
 from vmvp.errors import NumericalAbort, ValidationError
 from vmvp.fields import assemble_b, electric_coeffs, init_em_state
 from vmvp.multifluid import (
@@ -212,17 +212,14 @@ class TestRhs:
         e = -1.0 * gradient(phi)
         rhs = vm_rhs(ens, e, None)
         # electrostatic variant: dxi must equal -(xi.grad)xi + E
-        from vmvp.multifluid import _phase_rhs_arrays
         for r, x, (drho, dxi) in zip(ens.rho, ens.xi, rhs):
-            dr2, dx2, _, _ = _phase_rhs_arrays(r, x, e.coeffs, None, 0.0, 2, 8)
+            dr2, dx2, _ = phase_rhs(r, x, e.coeffs, None, 0.0, 2, 8)
             assert np.abs(drho.coeffs - dr2).max() == 0.0
             assert np.abs(dxi.coeffs - dx2).max() == 0.0
 
 
     def test_batched_kernel_equals_per_phase_calls(self):
         # leading (time slice, phase) axes; e broadcasts over phases, B over both
-        from vmvp.multifluid import _phase_rhs_arrays
-
         K, eps = 6, 0.3
         rng = np.random.default_rng(11)
         shape = (2 * K + 1,) * 2
@@ -231,11 +228,11 @@ class TestRhs:
         e = rng.standard_normal((3, 1, 2) + shape) * 0.01
         b_grid = rng.standard_normal((1, 1, 1) + (4 * K + 2,) * 2) * 0.1
         for b in (b_grid, None):
-            drho, dxi, flux, _ = _phase_rhs_arrays(rho, xi, e, b, eps, 2, K)
+            drho, dxi, flux = phase_rhs(rho, xi, e, b, eps, 2, K)
             assert drho.shape == rho.shape and dxi.shape == flux.shape == xi.shape
             for t in range(3):
                 for p in range(2):
-                    one = _phase_rhs_arrays(rho[t, p], xi[t, p], e[t, 0], None if b is None else b[0, 0], eps, 2, K)
+                    one = phase_rhs(rho[t, p], xi[t, p], e[t, 0], None if b is None else b[0, 0], eps, 2, K)
                     assert np.array_equal(one[0], drho[t, p])
                     assert np.array_equal(one[1], dxi[t, p])
                     assert np.array_equal(one[2], flux[t, p])
@@ -244,13 +241,12 @@ class TestRhs:
         # the mu-weighted flux coefficients are the total current sum mu v(xi) rho,
         # and their k = 0 mode is the mean current of moments()
         from vmvp import spectral as sp
-        from vmvp.multifluid import _phase_rhs_arrays
 
         p1 = make_phase(2, 6, 0.25, [([0, 0], 1.0), ([1, 0], 0.05)], [(0, [0, 0], 0.3), (1, [0, 1], 0.04j)])
         p2 = make_phase(2, 6, 0.75, [([0, 0], 1.0)], [(1, [1, 1], 0.05)])
         ens = ensemble((p1, p2), 0.3)
         r, x, mus = ens.rho, ens.xi, ens.mu
-        _, _, flux, _ = _phase_rhs_arrays(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
+        _, _, flux = phase_rhs(r, x, np.zeros_like(x[0]), None, ens.eps, 2, 6)
         kernel_j = np.tensordot(mus, flux, axes=(0, 0))
         g = sp.to_grid(np.concatenate([r, x], axis=1), 2)
         rg, vg = g[:, :1], _velocity_grid(g[:, 1:], ens.eps, axis=1)
@@ -262,13 +258,11 @@ class TestRhs:
         assert np.abs(mean(SpectralField(2, 6, kernel_j)) - j_mean).max() < 1e-15
 
     def test_kernel_aborts_on_non_finite(self):
-        from vmvp.multifluid import _phase_rhs_arrays
-
         ens = two_phase_2d(K=4)
         xi = ens.xi[0].copy()
         xi[0, 4, 4] = np.nan
         with pytest.raises(NumericalAbort):
-            _phase_rhs_arrays(ens.rho[0], xi, np.zeros_like(xi), None, 0.0, 2, 4)
+            phase_rhs(ens.rho[0], xi, np.zeros_like(xi), None, 0.0, 2, 4)
 
 
 class TestRk4Step:
