@@ -3,9 +3,10 @@
 Config files are INI-style; SCHEMA below lists the sections in file order
 and the RunConfig fields each one holds.  Scalars are written with repr so a
 config round-trips losslessly, and eps is a comma-separated list.  Mode
-tables are one mode per line, "comp k1 .. kd re im"; each line also
-deposits the conjugate at -k, so real fields list one representative per
-pair.  One [phase.N] section per phase follows the schema's sections.
+tables are one mode per line, "comp k1 .. kd re im" (comp 0 for a
+density); each line also deposits the conjugate at -k, so real fields list
+one representative per pair.  One [phase.N] section per phase, at least
+one, follows the schema's sections.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class RunConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not self.phases:
+            raise ValidationError("a config needs at least one [phase.N] section")
         tables = {"e0_modes": self.e0_modes, "b0_modes": self.b0_modes}
         for i, ph in enumerate(self.phases, start=1):
             if not math.isfinite(ph.mu):
@@ -213,9 +216,11 @@ def load_config(path) -> RunConfig:
         phases = []
         for name in (s for s in cp.sections() if s.startswith("phase.")):  # in file order
             sec = cp[name]
-            rho = [(kv, a) for _, kv, a in _parse_modes(sec["rho_modes"], values["dim"])]
+            rho = _parse_modes(sec["rho_modes"], values["dim"])
+            if any(comp != 0 for comp, _, _ in rho):
+                raise ValidationError(f"{name} rho_modes: a density has one component, 0")
             xi = _parse_modes(sec["xi_modes"], values["dim"])
-            phases.append(PhaseSpec(mu=float(sec["mu"]), rho_modes=rho, xi_modes=xi))
+            phases.append(PhaseSpec(mu=float(sec["mu"]), rho_modes=[(kv, a) for _, kv, a in rho], xi_modes=xi))
         cfg = RunConfig(phases=phases, **values)
     except KeyError as exc:
         raise ValidationError(f"config {path} is missing key {exc}") from exc

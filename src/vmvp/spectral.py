@@ -295,22 +295,25 @@ class SpectralField:
 
         Each entry also deposits the conjugate at -k, so listing only one
         representative of a +-k pair yields a real field; a k = 0 entry
-        contributes its real part.
+        contributes its real part.  A component must lie in 0..components-1.
         """
         c = np.zeros((components,) + (2 * cutoff + 1,) * dim, dtype=np.complex128)
         for comp, kvec, amp in entries:
+            comp = int(comp)
+            if not 0 <= comp < components:
+                raise ValidationError(f"mode component {comp} outside 0..{components - 1}")
             kvec = tuple(int(k) for k in kvec)
             if len(kvec) != dim:
                 raise ValidationError(f"mode {kvec} has wrong dimension")
             if any(abs(k) > cutoff for k in kvec):
                 raise ValidationError(f"mode {kvec} outside cutoff box K={cutoff}")
-            idx = (int(comp),) + tuple(k + cutoff for k in kvec)
+            idx = (comp,) + tuple(k + cutoff for k in kvec)
             amp = complex(amp)
             if all(k == 0 for k in kvec):
                 c[idx] += amp.real
             else:
                 c[idx] += amp
-                nidx = (int(comp),) + tuple(-k + cutoff for k in kvec)
+                nidx = (comp,) + tuple(-k + cutoff for k in kvec)
                 c[nidx] += np.conj(amp)
         return cls(dim, cutoff, c)
 

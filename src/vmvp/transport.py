@@ -5,12 +5,13 @@ and the Euclidean distance on velocities.  W2 is taken between two equally
 weighted clouds of one size, by an exact optimal assignment.  It is skipped
 when a duality certificate proves the index pairing optimal
 (identity_pair_costs).  Otherwise, on large clouds, a sparse solve that
-builds no n x n array is tried first: an epsilon-scaling auction on each
-point's nearest partners (_auction_prices), shortest augmenting paths for the
-rows it leaves free (_complete), and an LP duality certificate that proves
-which edges an optimal assignment can use (_certified_columns).  Any of the
-three may decline; then, and on small clouds, scipy's shortest augmenting
-path solver runs on the cost matrix (w2_assignment).
+builds no n x n array is tried first: an epsilon-scaling auction
+(_auction_prices) on each point's AUCTION_K columns of smallest cost plus
+price, all found by one kd-tree query (_candidates), shortest augmenting
+paths for the rows it leaves free (_complete), and an LP duality certificate
+that proves which edges an optimal assignment can use (_certified_columns).
+Any of the three may decline; then, and on small clouds, scipy's shortest
+augmenting path solver runs on the cost matrix (w2_assignment).
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ AUCTION_EPS_RATIO = 5.0        # epsilon shrinks by this factor per phase
 AUCTION_FREE_ROWS = 8          # a phase ends once at most this many rows are unassigned
 AUCTION_MAX_ROUNDS = 20_000    # bidding rounds over all phases before the auction declines
 AUCTION_CHECK_ROUNDS = 2000    # a first phase still bidding after this many rounds declines; Loeper cases take 231-1235
-AUCTION_LIFT = 16              # lifted candidates per row, added once epsilon is below AUCTION_LIFT_EPS
-AUCTION_LIFT_EPS = 1e-4
+AUCTION_LIFT_EPS = 1e-4        # the first phase below this epsilon bids on candidates at its prices
 CERT_MARGIN = 1e-12            # rounding margin of the sparse assignment's certificate, relative to its scale
-CERT_PASSES = 3                # lifted queries, completions and certificates tried before the dense solver
+CERT_PASSES = 3                # candidate queries, completions and certificates tried before the dense solver
 
 
 def wrap_positions(x: np.ndarray) -> np.ndarray:
@@ -267,18 +267,27 @@ def identity_pair_costs(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarra
     return _squared_costs(mu, nu, np.arange(nu.size)[:, None])[:, 0]
 
 
-def _auction_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Each mu point's AUCTION_K nearest nu points and their costs.
+def _candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, price: np.ndarray):
+    """Each mu point's AUCTION_K nu points of smallest cost + price, by a kd-tree on the power-diagram lift.
 
-    Returns (c, cand), both of shape (len(mu), AUCTION_K): cand[i] are the
-    columns of row i's AUCTION_K smallest cost_matrix_sq(mu, nu) entries,
-    found by a periodic kd-tree on nu's _tree_points, and c[i] are those
-    entries' floats, from the cols form of the same kernel.  The tree's
-    few-ulp distance error can only swap entries that tie to within it.
+    nu point j is lifted to (its _tree_points, sqrt(p_j - min p)) and every
+    mu point to (its _tree_points, 0), on a lift period of 2 sqrt(max p -
+    min p) + 1 that no distance wraps.  So the tree's squared distance from
+    mu point i to nu point j is c_ij + p_j - min p, up to the rounding that
+    _certified_columns bounds; at zero prices the columns are each row's
+    AUCTION_K nearest.  Returns (c, cols, kth, span): cols[i] the AUCTION_K
+    columns in ascending order, c[i] their cost_matrix_sq(mu, nu) entries
+    from the cols form of _squared_costs, kth[i] the K-th one's tree squared
+    distance plus min p, and span the momentum span of _tree_points.  The
+    tree's few-ulp distance error can only swap entries that tie to within
+    it.
     """
-    mu_pts, nu_pts, box, _ = _tree_points(mu, nu)
-    _, cand = cKDTree(nu_pts, boxsize=box).query(mu_pts, k=AUCTION_K)
-    return _squared_costs(mu, nu, cand), cand
+    mu_pts, nu_pts, box, span = _tree_points(mu, nu)
+    low = price.min()
+    lift = np.sqrt(price - low)
+    tree = cKDTree(np.column_stack([nu_pts, lift]), boxsize=np.append(box, 2.0 * lift.max() + 1.0))
+    dist, cols = tree.query(np.column_stack([mu_pts, np.zeros(mu.size)]), k=AUCTION_K)
+    return _squared_costs(mu, nu, cols), cols, dist[:, -1] * dist[:, -1] + low, span
 
 
 def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
@@ -311,16 +320,16 @@ def _bid(c, cand, price, owner, free, eps) -> np.ndarray:
 def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
     """Near-optimal column prices and a near-complete assignment, restricted to candidate columns.
 
-    Row i may take the columns cand[i] at costs c[i] (from
-    _auction_candidates).  A Jacobi forward auction with epsilon scaling
-    (Bertsekas, Ann. Oper. Res. 14 (1988)) runs _bid rounds; a phase ends
-    once at most AUCTION_FREE_ROWS rows are unassigned, and the next one
-    restarts the assignment at a smaller epsilon from the same prices.
-    lift, if given, maps the prices to wider candidate arrays (as
-    _lifted_candidates does); the first phase with epsilon below
-    AUCTION_LIFT_EPS and every later one bid on lift(price), taken at that
-    first phase's start.  Returns (price, cols) after the last phase: row
-    i holds column cols[i], -1 for a free row.
+    Row i may take the columns cand[i] at costs c[i] (from _candidates at
+    zero prices).  A Jacobi forward auction with epsilon scaling (Bertsekas,
+    Ann. Oper. Res. 14 (1988)) runs _bid rounds; a phase ends once at most
+    AUCTION_FREE_ROWS rows are unassigned, and the next one restarts the
+    assignment at a smaller epsilon from the same prices.  lift, if given,
+    maps the prices to new candidate arrays (c, cand), as _candidates does
+    at those prices; the first phase with epsilon below AUCTION_LIFT_EPS and
+    every later one bid on lift(price) in place of the old candidates,
+    taken at that first phase's start.  Returns (price, cols) after the
+    last phase: row i holds column cols[i], -1 for a free row.
 
     None when the first phase has not ended after AUCTION_CHECK_ROUNDS
     rounds, whichever candidates it bids on, or when AUCTION_MAX_ROUNDS
@@ -352,42 +361,6 @@ def _auction_prices(c: np.ndarray, cand: np.ndarray, lift=None):
             cols[owner[owner >= 0]] = np.flatnonzero(owner >= 0)
             return price, cols
         eps = max(eps / AUCTION_EPS_RATIO, AUCTION_EPS_FINAL)
-
-
-def _lifted_neighbours(mu: EmpiricalMeasure, nu: EmpiricalMeasure, price: np.ndarray, k: int):
-    """Each mu point's k nu points of smallest cost + price, by a kd-tree on the power-diagram lift.
-
-    nu point j is lifted to (its _tree_points, sqrt(p_j - min p)) and every
-    mu point to (its _tree_points, 0), on a lift period of 2 sqrt(max p -
-    min p) + 1 that no distance wraps.  So the tree's squared distance from
-    mu point i to nu point j is c_ij + p_j - min p, up to the rounding that
-    _certified_columns bounds.  Returns (kth, cols, span): cols[i] the k
-    columns in ascending order, kth[i] the k-th one's tree squared distance
-    plus min p, and span the momentum span of _tree_points.  Only the k-th
-    distance is kept, and the columns as int32, since _sparse_assignment
-    holds one query through the auction's last phases.
-    """
-    mu_pts, nu_pts, box, span = _tree_points(mu, nu)
-    low = price.min()
-    lift = np.sqrt(price - low)
-    tree = cKDTree(np.column_stack([nu_pts, lift]), boxsize=np.append(box, 2.0 * lift.max() + 1.0))
-    dist, cols = tree.query(np.column_stack([mu_pts, np.zeros(mu.size)]), k=k)
-    return dist[:, -1] * dist[:, -1] + low, cols.astype(np.int32), span
-
-
-def _lifted_candidates(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray, cand: np.ndarray, extra: np.ndarray):
-    """(c, cand) with the columns extra[i] appended to row i.
-
-    extra are the first AUCTION_LIFT columns of _lifted_neighbours' query
-    at the prices of the auction's lift, each row's columns of smallest
-    cost + price (the query itself asks for AUCTION_K, which
-    _sparse_assignment's first pass reuses).  A column already among the
-    row's cand gets cost inf in its appended slot, so no row bids twice for
-    one column.
-    """
-    c_extra = _squared_costs(mu, nu, extra)
-    c_extra[(extra[:, :, None] == cand[:, None, :]).any(axis=2)] = np.inf
-    return np.hstack([c, c_extra]), np.hstack([cand, extra])
 
 
 def _complete(c: np.ndarray, cand: np.ndarray, price: np.ndarray, cols: np.ndarray, cap: float):
@@ -475,8 +448,8 @@ def _certified_columns(c: np.ndarray, cand: np.ndarray, kth: np.ndarray, span: f
     """An optimal assignment's columns from the edges LP duality leaves, or None when the proof declines.
 
     cand[i] are row i's AUCTION_K columns of smallest c_ij + q_j under
-    earlier prices q <= price (from _lifted_neighbours, which also gave kth
-    and span), c their costs, and row i holds column cand[i, slot[i]] of a
+    earlier prices q <= price, c their costs (from _candidates, which also
+    gave kth and span), and row i holds column cand[i, slot[i]] of a
     full assignment sigma.  Write r_ij = c_ij + p_j - u_i for the reduced
     costs of the dense problem at the given prices p.  Every column j
     outside cand[i] has c_ij + p_j >= c_ij + q_j >= kth[i], the tree's
@@ -523,32 +496,31 @@ def _sparse_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     """An optimal assignment's columns from the auction, its completion and the certificate, or None.
 
     None when the auction, a completion or CERT_PASSES certificates
-    decline.  The auction's lift asks _lifted_neighbours once for each
-    row's AUCTION_K columns of smallest cost + price and bids on the first
-    AUCTION_LIFT of them.  Each of up to CERT_PASSES passes takes one such
-    query, whose columns are the candidates of both the completion and the
-    certificate.  The first pass reuses the lift's query: prices only rise
-    after it, which is all _certified_columns asks of its query (an auction
-    with no lift, which never bid below AUCTION_LIFT_EPS, leaves the first
-    pass a fresh query).  A pass after a declined proof starts from the
-    last assignment, and its fresh query at the current prices sees the
-    columns that the completion's price rises made cheapest.
+    decline.  Every candidate set is one _candidates query: each row's
+    AUCTION_K columns of smallest cost + price.  The auction starts on the
+    query at zero prices, each row's nearest columns, and its lift replaces
+    them with the query at the prices it has reached.  Each of up to
+    CERT_PASSES passes takes one query, whose columns are the candidates of
+    both the completion and the certificate.  The first pass reuses the
+    lift's query: prices only rise after it, which is all
+    _certified_columns asks of its query.  A pass after a declined proof
+    starts from the last assignment, and its fresh query at the current
+    prices sees the columns that the completion's price rises made
+    cheapest.
     """
-    cands = _auction_candidates(mu, nu)
     cap = (2.0 * AUCTION_MAX_ROUNDS - 1.0) * _cost_bound(mu, nu)  # see _check_same_space
     queries = []
 
     def lift(price):
-        queries.append(_lifted_neighbours(mu, nu, price, AUCTION_K))
-        return _lifted_candidates(mu, nu, *cands, queries[-1][1][:, :AUCTION_LIFT])
+        queries.append(_candidates(mu, nu, price))
+        return queries[-1][:2]
 
-    auction = _auction_prices(*cands, lift=lift)
+    auction = _auction_prices(*_candidates(mu, nu, np.zeros(nu.size))[:2], lift=lift)
     if auction is None:
         return None
     price, cols = auction
     for _ in range(CERT_PASSES):
-        kth, cand, span = queries.pop() if queries else _lifted_neighbours(mu, nu, price, AUCTION_K)
-        c = _squared_costs(mu, nu, cand)
+        c, cand, kth, span = queries.pop() if queries else _candidates(mu, nu, price)
         done = _complete(c, cand, price, cols, cap)
         if done is None:
             return None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vmvp.cli import main
-from vmvp.config import load_config, resolve_config_path, save_config
+from vmvp.config import PhaseSpec, load_config, resolve_config_path, save_config
 from vmvp.lagrangian import ParticleCloud, save_cloud
 
 
@@ -191,6 +191,41 @@ class TestExitCodes:
     def test_sweep_eps_names_collide(self, tiny_cfg_path, tmp_path, monkeypatch, eps):
         monkeypatch.setattr("vmvp.harness._run_vp_side", lambda *a, **k: pytest.fail("the sweep started"))
         assert main(["sweep", "--config", str(tiny_cfg_path), "--eps", eps, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("old,new", [
+        ("\t1 1 0 0.0 -0.0125\n", "\t5 1 0 0.0 -0.0125\n"),             # xi has components 0 and 1
+        ("\t1 1 0 0.0 -0.0125\n", "\t-1 1 0 0.0 -0.0125\n"),            # not the last component
+        ("b0_modes = \n\tnone\n", "b0_modes = \n\t1 0 1 0.01 0.0\n"),  # B has one component at dim = 2
+        ("\t0 1 0 0.04 0.0\n", "\t1 1 0 0.04 0.0\n"),                   # a density has component 0 only
+    ], ids=["xi 5", "xi -1", "b0 1", "rho 1"])
+    def test_mode_component_out_of_range(self, tmp_path, capsys, old, new):
+        text = resolve_config_path("bundled/small2d").read_text(encoding="utf-8")
+        assert old in text
+        p = tmp_path / "modes.cfg"
+        p.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["verify", "--config", str(p)]) == 2
+        assert_one_validation_error(capsys)
+
+    def test_momentum_component_past_dim_1(self, tmp_path, capsys):
+        cfg = load_config(resolve_config_path("bundled/small2d"))
+        cfg.dim = 1
+        cfg.phases = [PhaseSpec(mu=1.0, rho_modes=[((0,), 1.0)], xi_modes=[(1, (1,), -0.0125j)])]
+        save_config(cfg, tmp_path / "dim1.cfg")
+        assert main(["simulate", "--config", str(tmp_path / "dim1.cfg"), "--out", str(tmp_path / "out")]) == 2
+        assert_one_validation_error(capsys)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_config_without_phases(self, tmp_path, capsys, command):
+        text = resolve_config_path("bundled/small2d").read_text(encoding="utf-8")
+        p = tmp_path / "no_phases.cfg"
+        p.write_text(text[: text.index("[phase.1]")], encoding="utf-8")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert_one_validation_error(capsys)
+
+
+def assert_one_validation_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def save_clouds(tmp_path, *clouds):

@@ -18,9 +18,10 @@ from vmvp.errors import ValidationError
 from vmvp.spectral import SpectralField
 from vmvp.transport import (
     AUCTION_K,
+    CERT_MARGIN,
     EmpiricalMeasure,
-    _auction_candidates,
     _auction_prices,
+    _candidates,
     _squared_costs,
     cost_matrix_sq,
     coupling_Q,
@@ -265,9 +266,10 @@ class TestCostMatrix:
         assert np.array_equal(got, np.take_along_axis(cost_matrix_sq(mu, nu), cols, axis=1))
 
 
-class TestAuctionCandidates:
+class TestCandidates:
+    @pytest.mark.parametrize("priced", [False, True])
     @pytest.mark.parametrize("case", ["positions", "wide momenta", "bootstrap gather"])
-    def test_candidate_costs_are_each_rows_smallest_entries(self, case):
+    def test_columns_are_each_rows_smallest_cost_plus_price(self, case, priced):
         rng = np.random.default_rng(11)
         mu, nu = random_cloud(rng, 400), random_cloud(rng, 400)
         if case == "positions":
@@ -279,10 +281,19 @@ class TestAuctionCandidates:
             idx = rng.integers(0, 400, 400)
             assert np.unique(idx).size < idx.size
             mu, nu = take(mu, idx), take(nu, idx)
-        c, cand = _auction_candidates(mu, nu)
         cost = cost_matrix_sq(mu, nu)
-        assert np.array_equal(np.take_along_axis(cost, cand, axis=1), c)
-        assert np.array_equal(np.sort(c, axis=1), np.sort(cost, axis=1)[:, :AUCTION_K])
+        # prices up to the typical K-th cost reorder each row's cheapest columns
+        scale = np.median(np.sort(cost, axis=1)[:, AUCTION_K - 1])
+        price = rng.uniform(0.5, 1.5, nu.size) * scale if priced else np.zeros(nu.size)
+        c, cols, kth, span = _candidates(mu, nu, price)
+        assert cols.shape == (mu.size, AUCTION_K) and cols.dtype == np.intp
+        assert np.array_equal(np.take_along_axis(cost, cols, axis=1), c)
+        f = c + price[cols]
+        best = np.sort(cost + price, axis=1)[:, :AUCTION_K]
+        margin = CERT_MARGIN * max(1.0, span) * (1.0 + float(f.max()))  # as _certified_columns takes it
+        # at zero prices the sums are the costs, which the tree ranks exactly on these clouds
+        assert np.allclose(np.sort(f, axis=1), best, rtol=0, atol=margin / 100 if priced else 0.0)
+        assert np.allclose(kth, best[:, -1], rtol=0, atol=margin)
 
 
 def nearby_cloud(mu, rng, step=1e-5):
@@ -359,7 +370,7 @@ class TestAuctionAndDenseFallback:
         mu, nu = random_cloud(rng, n), random_cloud(rng, n)
         if not momenta:
             mu, nu = EmpiricalMeasure.uniform(mu.x), EmpiricalMeasure.uniform(nu.x)
-        assert _auction_prices(*_auction_candidates(mu, nu)) is not None
+        assert _auction_prices(*_candidates(mu, nu, np.zeros(nu.size))[:2]) is not None
         assert w2_exact(mu, nu) == pytest.approx(w2_from_cost_plain(cost_matrix_sq(mu, nu)), rel=1e-13)
 
     def test_bootstrap_gather_with_repeated_indices(self):
@@ -370,7 +381,7 @@ class TestAuctionAndDenseFallback:
             idx = rng.integers(0, 300, 300)
             assert np.unique(idx).size < idx.size
             mu_b, nu_b = take(mu, idx), take(nu, idx)
-            assert _auction_prices(*_auction_candidates(mu_b, nu_b)) is not None
+            assert _auction_prices(*_candidates(mu_b, nu_b, np.zeros(nu_b.size))[:2]) is not None
             want = w2_from_cost_plain(cost_matrix_sq(mu_b, nu_b))
             assert w2_exact(mu_b, nu_b) == pytest.approx(want, rel=1e-13)
 
@@ -390,7 +401,7 @@ class TestAuctionAndDenseFallback:
         rng = np.random.default_rng(3)
         mu, nu = ball_cloud(rng, 200, 60), ball_cloud(rng, 200, AUCTION_K)
         assert 60 - AUCTION_K > transport.AUCTION_FREE_ROWS
-        c, cand = _auction_candidates(mu, nu)
+        c, cand = _candidates(mu, nu, np.zeros(nu.size))[:2]
         assert np.array_equal(np.sort(cand[:60], axis=1), np.tile(np.arange(AUCTION_K), (60, 1)))
         assert _auction_prices(c, cand) is None
         assert len(rounds) == transport.AUCTION_CHECK_ROUNDS
@@ -524,14 +535,15 @@ class TestCertifiedAssignment:
 
     def test_auction_queries_the_lift_once(self, monkeypatch):
         # the first phase ends well before AUCTION_CHECK_ROUNDS, and the first
-        # pass reuses the lift's query, which the certificate accepts
+        # pass reuses the lift's query, which the certificate accepts: one
+        # query at zero prices, one at the lift's
         rng = np.random.default_rng(40)
         mu, nu = (EmpiricalMeasure.uniform(rng.uniform(0, TWO_PI, (4096, 2))) for _ in range(2))
         want = w2_from_cost_plain(cost_matrix_sq(mu, nu))
-        queries = spy(monkeypatch, "_lifted_neighbours")
+        queries = spy(monkeypatch, "_candidates")
         refuse_dense(monkeypatch)
         assert w2_exact(mu, nu) == pytest.approx(want, rel=1e-13)
-        assert len(queries) == 1
+        assert len(queries) == 2
 
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("momenta", [True, False])
@@ -619,7 +631,7 @@ class TestCertifiedAssignment:
         assert None not in completions and proofs == [None] * transport.CERT_PASSES
 
     def test_certified_w2_exact_holds_no_matrix(self, monkeypatch):
-        # the sparse path's arrays are n x (AUCTION_K + AUCTION_LIFT) at most
+        # the sparse path's arrays are n x AUCTION_K at most
         n = 2048
         rng = np.random.default_rng(9)
         mu, nu = random_cloud(rng, n), random_cloud(rng, n)
